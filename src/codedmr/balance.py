@@ -1,22 +1,24 @@
 """Sender-plan balancing via two edge-disjoint perfect matchings.
 
-When S/K is an integer gamma and every server appears in the same number
-of cover members, a bipartite graph on gamma copies of each server vs.
-the members is biregular.  A first perfect matching assigns the coded
-duty of every member; removing all copy-edges of each matched pair
-leaves a gamma*(g-1)-regular graph whose second matching assigns the
-uncoded duties.  Every server then transmits exactly 2*S*beta*T/K bytes,
-half coded and half uncoded.
+One routine serves the full server set and a survivor set alike.  When
+gamma = S/|servers| is an integer, every server of the set appears in
+the same number of cover members, and every member has the same number
+h >= 2 of rows in the set, the bipartite graph on gamma copies of each
+server vs. the members is gamma*h-regular.  A first perfect matching
+assigns the coded duty of every member; removing all copy-edges of each
+matched pair leaves a gamma*(h-1)-regular graph whose second matching
+assigns the uncoded duties.  Every server of the set then sends the
+same number of bytes, half coded and half uncoded.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .covers import row_regularity
 from .matrix import BinaryComputingMatrix, IdentityCover
 from .shuffle import ShuffleTranscript
 
@@ -25,32 +27,22 @@ class BalanceError(Exception):
     """Balancing preconditions do not hold for this matrix and cover."""
 
 
-LeftVertex = tuple[str, int]          # (server label, copy index)
-
-
-@dataclass(frozen=True)
-class BalanceGraph:
-    """Replicated server/member bipartite graph."""
-
-    adj: dict[LeftVertex, tuple[int, ...]]
-    num_members: int
-    gamma: int
-
-    @property
-    def left(self) -> tuple[LeftVertex, ...]:
-        return tuple(self.adj)
-
-
 @dataclass
 class BalanceReport:
     gamma: Fraction
     gamma_integral: bool
     row_regular: bool
     counts: dict[str, int]
+    member_rows: int | None      # rows of the set in every member, None if they differ
 
     @property
     def ok(self) -> bool:
-        return self.gamma_integral and self.row_regular
+        return (
+            self.gamma_integral
+            and self.row_regular
+            and self.member_rows is not None
+            and self.member_rows >= 2
+        )
 
 
 @dataclass(frozen=True)
@@ -84,28 +76,29 @@ class SenderPlan:
         return cls(tuple(duties))
 
 
-def balance_preconditions(m: BinaryComputingMatrix, c: IdentityCover) -> BalanceReport:
-    """Check gamma integrality and per-server appearance regularity."""
-    gamma = Fraction(c.size, m.K)
-    reg = row_regularity(c, m)
+def balance_preconditions(
+    m: BinaryComputingMatrix, c: IdentityCover, servers: Sequence[str] | None = None
+) -> BalanceReport:
+    """Check gamma integrality, appearance regularity and member uniformity
+    over *servers* (default: every row of the matrix)."""
+    servers = m.rows if servers is None else tuple(servers)
+    if not servers or len(set(servers)) != len(servers) or not set(servers) <= set(m.rows):
+        raise ValueError(f"servers {servers} are not a non-empty set of matrix rows")
+    counts = {k: 0 for k in servers}
+    member_rows: set[int] = set()
+    for member in c.members:
+        in_set = [k for k in member.rows if k in counts]
+        member_rows.add(len(in_set))
+        for k in in_set:
+            counts[k] += 1
+    gamma = Fraction(c.size, len(servers))
     return BalanceReport(
         gamma=gamma,
         gamma_integral=gamma.denominator == 1,
-        row_regular=reg.regular,
-        counts=reg.counts,
+        row_regular=len(set(counts.values())) == 1,
+        counts=counts,
+        member_rows=member_rows.pop() if len(member_rows) == 1 else None,
     )
-
-
-def build_balance_graph(m: BinaryComputingMatrix, c: IdentityCover, gamma: int) -> BalanceGraph:
-    adj: dict[LeftVertex, tuple[int, ...]] = {}
-    membership: dict[str, list[int]] = {k: [] for k in m.rows}
-    for idx, member in enumerate(c.members):
-        for k in member.rows:
-            membership[k].append(idx)
-    for k in m.rows:
-        for j in range(gamma):
-            adj[(k, j)] = tuple(membership[k])
-    return BalanceGraph(adj=adj, num_members=c.size, gamma=gamma)
 
 
 def perfect_matching(
@@ -113,110 +106,102 @@ def perfect_matching(
 ) -> dict[Hashable, Hashable]:
     """Perfect matching of a d-regular bipartite graph with equal sides.
 
-    Plain augmenting-path search; regularity guarantees a perfect
-    matching exists, so anything short of one is an internal error.
-    Deterministic under a fixed vertex order.
+    Kuhn's augmenting-path search, run iteratively on an explicit stack,
+    so path depth is bounded by the graph size and not by the
+    interpreter's recursion limit.  Right vertices must be mutually
+    orderable: each left vertex's neighbours are held as a bitmask over
+    the sorted right vertices, and the search always takes the smallest
+    unvisited neighbour first.  Left vertices are matched in the mapping's
+    order, so the result is a pure function of the graph and that order.
+    Regularity guarantees a perfect matching exists, so anything short of
+    one is an internal error.
     """
     left = list(adj)
-    rights: list[Hashable] = []
-    seen_right = set()
-    for l in left:
-        for r in adj[l]:
-            if r not in seen_right:
-                seen_right.add(r)
-                rights.append(r)
+    rights = sorted({r for l in left for r in adj[l]})
     if len(left) != len(rights):
         raise BalanceError(
             f"sides differ: {len(left)} left vertices vs {len(rights)} right"
         )
     degrees = {len(adj[l]) for l in left}
-    right_deg: dict[Hashable, int] = {}
-    for l in left:
-        for r in adj[l]:
-            right_deg[r] = right_deg.get(r, 0) + 1
-    degrees |= set(right_deg.values())
+    degrees |= set(Counter(r for l in left for r in adj[l]).values())
     if len(degrees) != 1 or next(iter(degrees)) < 1:
         raise BalanceError(f"graph is not d-regular (degrees {sorted(degrees)})")
 
-    match_left: dict[Hashable, Hashable] = {}
-    match_right: dict[Hashable, Hashable] = {}
-
-    def augment(l: Hashable, visited: set[Hashable]) -> bool:
-        for r in adj[l]:
-            if r in visited:
+    bit = {r: 1 << i for i, r in enumerate(rights)}
+    nbrs = [sum(bit[r] for r in set(adj[l])) for l in left]
+    owner = [-1] * len(rights)      # right index -> matched left index
+    for root in range(len(left)):
+        seen = 0                    # rights visited by this search
+        path = [root]               # left vertices of the current path
+        taken: list[int] = []       # right picked at each left of the path
+        while path:
+            free = nbrs[path[-1]] & ~seen
+            if not free:            # dead end: back up to the previous left
+                path.pop()
+                if taken:
+                    taken.pop()
                 continue
-            visited.add(r)
-            if r not in match_right or augment(match_right[r], visited):
-                match_left[l] = r
-                match_right[r] = l
-                return True
-        return False
-
-    for l in left:
-        if not augment(l, set()):
+            low = free & -free
+            seen |= low
+            r = low.bit_length() - 1
+            taken.append(r)
+            if owner[r] < 0:        # free right: flip the path
+                for l, rr in zip(path, taken):
+                    owner[rr] = l
+                break
+            path.append(owner[r])
+        else:
             raise RuntimeError(
                 "no perfect matching found on a regular bipartite graph; "
                 "this contradicts regularity and indicates a bug"
             )
-    return match_left
+    mate = dict(zip(owner, rights))
+    return {l: mate[i] for i, l in enumerate(left)}
 
 
-def remove_matched_member_edges(
-    graph: BalanceGraph, coded_by_member: Mapping[int, str]
-) -> dict[LeftVertex, tuple[int, ...]]:
-    """Drop every copy-edge of (server, member) pairs picked by the first
-    matching, leaving a gamma*(g-1)-regular residual graph."""
-    return {
-        left: tuple(i for i in members if coded_by_member[i] != left[0])
-        for left, members in graph.adj.items()
-    }
+def build_sender_plan(
+    m: BinaryComputingMatrix, c: IdentityCover, servers: Sequence[str] | None = None
+) -> SenderPlan:
+    """Two-matching construction of a balanced sender plan over *servers*.
 
-
-def build_sender_plan(m: BinaryComputingMatrix, c: IdentityCover) -> SenderPlan:
-    """Two-matching construction of a balanced sender plan.
-
-    Raises BalanceError when gamma is not integral or the cover is not
-    row-regular; raises RuntimeError on internal consistency violations
-    (which would indicate a bug, not bad input).
+    *servers* defaults to every row of the matrix; a survivor set gives a
+    plan whose senders are all survivors.  Raises BalanceError when the
+    preconditions of :func:`balance_preconditions` do not hold; raises
+    RuntimeError on internal consistency violations (which would indicate
+    a bug, not bad input).
     """
-    g = c.uniform_size
-    if g is None or g < 2:
-        raise BalanceError("balancing needs a uniform cover with member size >= 2")
-    report = balance_preconditions(m, c)
+    report = balance_preconditions(m, c, servers)
+    h = report.member_rows
+    if h is None or h < 2:
+        raise BalanceError(
+            "balancing needs every member to hold the same number >= 2 of the servers"
+        )
     if not report.gamma_integral:
-        raise BalanceError(f"gamma = S/K = {report.gamma} is not an integer")
+        raise BalanceError(f"gamma = S/|servers| = {report.gamma} is not an integer")
     if not report.row_regular:
         raise BalanceError("servers appear in differing numbers of members")
     gamma = int(report.gamma)
-    graph = build_balance_graph(m, c, gamma)
+    membership: dict[str, list[int]] = {k: [] for k in report.counts}
+    for idx, member in enumerate(c.members):
+        for k in member.rows:
+            if k in membership:
+                membership[k].append(idx)
+    graph = {(k, j): tuple(membership[k]) for k in membership for j in range(gamma)}
 
-    first = perfect_matching(graph.adj)
-    coded_by_member: dict[int, str] = {}
-    for (server, _copy), member in first.items():
-        if member in coded_by_member:
-            raise RuntimeError("first matching assigned a member twice")
-        coded_by_member[member] = server
+    first = perfect_matching(graph)
+    coded_by_member = {member: server for (server, _copy), member in first.items()}
 
-    residual = remove_matched_member_edges(graph, coded_by_member)
-    want = gamma * (g - 1)
-    right_deg: dict[int, int] = {}
-    for left, members in residual.items():
-        if len(members) != want:
-            raise RuntimeError(
-                f"residual degree of {left} is {len(members)}, expected {want}"
-            )
-        for i in members:
-            right_deg[i] = right_deg.get(i, 0) + 1
-    for i in range(c.size):
-        if right_deg.get(i, 0) != want:
-            raise RuntimeError(
-                f"residual degree of member {i} is {right_deg.get(i, 0)}, expected {want}"
-            )
-
-    second = perfect_matching(residual)
-    uncoded_by_member: dict[int, str] = {}
-    for (server, _copy), member in second.items():
-        uncoded_by_member[member] = server
+    # Dropping every copy-edge of each matched (server, member) pair leaves
+    # a gamma*(h-1)-regular graph, so a second perfect matching exists.
+    residual = {
+        left: tuple(i for i in members if coded_by_member[i] != left[0])
+        for left, members in graph.items()
+    }
+    try:
+        second = perfect_matching(residual)
+    except BalanceError as exc:
+        raise RuntimeError(f"residual graph after the first matching: {exc}") from exc
+    uncoded_by_member = {member: server for (server, _copy), member in second.items()}
 
     duties = []
     for i in range(c.size):

@@ -18,10 +18,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping
 
-from .balance import (
-    BalanceError,
-    perfect_matching,
-)
+from . import balance
+# Not called here; tracing tools count calls through this binding too.
+from .balance import perfect_matching  # noqa: F401
 from .covers import man_cover
 from .constructions import man_matrix
 from .fmt import decimal_trunc, printed_places
@@ -92,46 +91,6 @@ class StragglerRunResult:
     plan_mode: str
 
 
-def _survivor_balanced_plan(
-    spec: JobSpec, scenario: StragglerScenario
-) -> dict[int, tuple[str, str]]:
-    """Two-matching plan over the survivor-restricted graph.
-
-    The balancing hypotheses rarely hold once rows are removed; raises
-    BalanceError whenever they do not, and the caller falls back to the
-    first-two-surviving-rows plan.
-    """
-    S = spec.cover.size
-    kappa = scenario.kappa
-    if S % kappa:
-        raise BalanceError(f"S={S} not divisible by kappa={kappa}")
-    gamma = S // kappa
-    survivor_set = set(scenario.survivors)
-    membership: dict[str, list[int]] = {k: [] for k in scenario.survivors}
-    for idx, member in enumerate(spec.cover.members):
-        for k in member.rows:
-            if k in survivor_set:
-                membership[k].append(idx)
-    adj = {
-        (k, j): tuple(membership[k])
-        for k in scenario.survivors
-        for j in range(gamma)
-    }
-    first = perfect_matching(adj)
-    coded_by_member: dict[int, str] = {}
-    for (server, _copy), member in first.items():
-        coded_by_member[member] = server
-    residual = {
-        left: tuple(i for i in members if coded_by_member[i] != left[0])
-        for left, members in adj.items()
-    }
-    second = perfect_matching(residual)
-    uncoded_by_member: dict[int, str] = {}
-    for (server, _copy), member in second.items():
-        uncoded_by_member[member] = server
-    return {i: (coded_by_member[i], uncoded_by_member[i]) for i in range(S)}
-
-
 def straggler_run(
     spec: JobSpec,
     scenario: StragglerScenario,
@@ -160,8 +119,10 @@ def straggler_run(
     plan_mode = plan if isinstance(plan, str) else "explicit"
     if plan == "balanced":
         try:
-            resolved = _survivor_balanced_plan(spec, scenario)
-        except BalanceError:
+            resolved = balance.build_sender_plan(
+                spec.matrix, spec.cover, scenario.survivors
+            ).as_mapping()
+        except balance.BalanceError:
             resolved = default_plan(spec, scenario.assignment)
             plan_mode = "default (balanced unavailable)"
     elif plan == "default":

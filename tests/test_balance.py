@@ -1,6 +1,10 @@
+import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedmr import (
     IdentityCover,
@@ -15,8 +19,25 @@ from codedmr import (
     perfect_matching,
     run_pipeline,
     search_cover,
+    transversal_cover,
+    transversal_matrix,
 )
-from codedmr.balance import BalanceError, build_balance_graph, remove_matched_member_edges
+from codedmr.balance import BalanceError
+
+
+def replicated_graph(cover, servers, gamma):
+    """gamma copies of each server, joined to the members it appears in."""
+    return {
+        (k, j): tuple(i for i, member in enumerate(cover.members) if k in member.rows)
+        for k in servers
+        for j in range(gamma)
+    }
+
+
+def drop_first_row_of_each_member(m, cover):
+    """Survivors once the first row of every member has failed."""
+    dropped = {member.rows[0] for member in cover.members}
+    return tuple(k for k in m.rows if k not in dropped)
 
 
 class TestPreconditions:
@@ -43,12 +64,40 @@ class TestPreconditions:
         with pytest.raises(BalanceError, match="integer"):
             build_sender_plan(m, partial)
 
+    def test_survivor_set_gamma_not_integral(self):
+        # TD(3,3) without the intercept-0 block of each slope: every member
+        # keeps 2 surviving rows and every survivor lies in 3 members, but
+        # S=9 members over 6 survivors
+        m = transversal_matrix(3, 3)
+        cover = transversal_cover(m)
+        survivors = drop_first_row_of_each_member(m, cover)
+        report = balance_preconditions(m, cover, survivors)
+        assert report.row_regular and report.member_rows == 2
+        assert report.gamma == Fraction(9, 6) and not report.ok
+        with pytest.raises(BalanceError, match="integer"):
+            build_sender_plan(m, cover, survivors)
+
+    def test_survivor_set_rows_per_member_differ(self):
+        # MAN(6,2) without server "6": S=20 members over 5 survivors, but
+        # members keep 2 or 3 surviving rows
+        m = man_matrix(6, 2)
+        report = balance_preconditions(m, man_cover(m), m.rows[:5])
+        assert report.gamma_integral and report.row_regular
+        assert report.member_rows is None and not report.ok
+        with pytest.raises(BalanceError, match="same number"):
+            build_sender_plan(m, man_cover(m), m.rows[:5])
+
+    def test_servers_must_be_distinct_matrix_rows(self, fano_pair):
+        m, cover = fano_pair
+        for servers in [(), ("1", "1", "2"), ("1", "nope")]:
+            with pytest.raises(ValueError, match="matrix rows"):
+                build_sender_plan(m, cover, servers)
+
 
 class TestPerfectMatching:
     def test_fano_graph(self, fano_pair):
         m, cover = fano_pair
-        graph = build_balance_graph(m, cover, 1)
-        matching = perfect_matching(graph.adj)
+        matching = perfect_matching(replicated_graph(cover, m.rows, 1))
         assert len(matching) == 7
         assert len(set(matching.values())) == 7
 
@@ -59,8 +108,7 @@ class TestPerfectMatching:
     def test_man_5_2_graph(self):
         m = man_matrix(5, 2)
         cover = man_cover(m)
-        graph = build_balance_graph(m, cover, 2)
-        matching = perfect_matching(graph.adj)
+        matching = perfect_matching(replicated_graph(cover, m.rows, 2))
         assert len(matching) == 10
         assert len(set(matching.values())) == 10
 
@@ -74,17 +122,23 @@ class TestPerfectMatching:
 
     def test_deterministic(self, fano_pair):
         m, cover = fano_pair
-        graph = build_balance_graph(m, cover, 1)
-        assert perfect_matching(graph.adj) == perfect_matching(graph.adj)
+        graph = replicated_graph(cover, m.rows, 1)
+        assert perfect_matching(graph) == perfect_matching(graph)
 
 
 class TestResidualGraph:
     def test_residual_degree_gamma_g_minus_1(self, fano_pair):
         m, cover = fano_pair
-        graph = build_balance_graph(m, cover, 1)
-        first = perfect_matching(graph.adj)
+        graph = replicated_graph(cover, m.rows, 1)
+        first = perfect_matching(graph)
         coded = {member: left[0] for left, member in first.items()}
-        residual = remove_matched_member_edges(graph, coded)
+        # build_sender_plan takes its coded duties from this first matching
+        plan = build_sender_plan(m, cover)
+        assert [c for c, _ in plan.duties] == [coded[i] for i in range(cover.size)]
+        residual = {
+            left: tuple(i for i in members if coded[i] != left[0])
+            for left, members in graph.items()
+        }
         for left, members in residual.items():
             assert len(members) == 1 * (3 - 1)
         right_deg = {}
@@ -133,6 +187,23 @@ class TestBuildSenderPlan:
         m, cover = fano_pair
         assert build_sender_plan(m, cover) == build_sender_plan(m, cover)
 
+    def test_survivor_set_plan_on_transversal(self):
+        # TD(2,3): members are the (group, slope) pairs, rows the 3 blocks
+        # of a slope.  Dropping the intercept-0 block of every slope leaves
+        # each member 2 surviving rows, so gamma = 6/6 = 1.
+        m = transversal_matrix(2, 3)
+        cover = transversal_cover(m)
+        survivors = drop_first_row_of_each_member(m, cover)
+        assert len(survivors) == 6
+        assert balance_preconditions(m, cover, survivors).ok
+        plan = build_sender_plan(m, cover, survivors)
+        for k in survivors:
+            assert len(plan.coded_members(k)) == 1
+            assert len(plan.uncoded_members(k)) == 1
+        for i, (coded, uncoded) in enumerate(plan.duties):
+            assert coded != uncoded
+            assert {coded, uncoded} <= set(cover.members[i].rows) & set(survivors)
+
     def test_plan_json_round_trip(self, fano_pair):
         m, cover = fano_pair
         plan = build_sender_plan(m, cover)
@@ -164,3 +235,98 @@ class TestAudit:
         audit = audit_plan(plan, result.transcript)
         assert audit.balanced
         assert result.reduce_result.ok
+
+
+# sha256 of SenderPlan.to_json(), taken before the balancer was rewritten.
+PLAN_SHA256 = {
+    "fano": "41795bc5c89afa51e1f6101197c590412648f6838ae085eb6a77f6829e746304",
+    "MAN(5,2)": "28e1695b47dbdb8cbf625f05f837b1d95ea2abb8570a54eff0890a7bbd43ed90",
+    "MAN(11,4)": "acc2811f75c486efc83269f6905cd8d80e709acff22a5785ca933a776b27f273",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PLAN_SHA256))
+    def test_plan_json_sha256(self, name, fano_pair):
+        if name == "fano":
+            m, cover = fano_pair
+        else:
+            K, r = map(int, name[4:-1].split(","))
+            m = man_matrix(K, r)
+            cover = man_cover(m)
+        text = build_sender_plan(m, cover).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == PLAN_SHA256[name]
+
+    def test_straggler_balanced_duties_man_5_2(self):
+        from codedmr import StragglerScenario, straggler_run
+
+        m = man_matrix(5, 2)
+        spec = JobSpec(m, man_cover(m), 5, 4)
+        result = straggler_run(spec, StragglerScenario.from_stragglers(spec, ()), plan="balanced")
+        assert result.plan_mode == "balanced"
+        tx = result.transcript.transmissions
+        assert [(t.member, t.kind) for t in tx] == [
+            (i, kind) for i in range(10) for kind in ("coded", "uncoded")
+        ]
+        duties = [(tx[2 * i].sender, tx[2 * i + 1].sender) for i in range(10)]
+        assert duties == [
+            ("1", "3"), ("1", "2"), ("5", "1"), ("4", "1"), ("5", "3"),
+            ("4", "5"), ("3", "2"), ("2", "5"), ("2", "4"), ("3", "4"),
+        ]
+
+
+def test_deep_augmenting_paths_stay_within_recursion_limit():
+    """MAN(13,5) needs augmenting paths 1,625 left vertices deep, past the
+    interpreter's default recursion limit of 1,000."""
+    m = man_matrix(13, 5)
+    cover = man_cover(m)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        plan = build_sender_plan(m, cover)
+    finally:
+        sys.setrecursionlimit(limit)
+    result = run_pipeline(JobSpec(m, cover, 13, 1), plan.as_mapping())
+    assert audit_plan(plan, result.transcript).balanced
+    assert result.reduce_result.ok
+
+
+def reference_matching(adj):
+    """Recursive augmenting-path search, neighbours in list order."""
+    owner = {}
+
+    def augment(l, visited):
+        for r in adj[l]:
+            if r not in visited:
+                visited.add(r)
+                if r not in owner or augment(owner[r], visited):
+                    owner[r] = l
+                    return True
+        return False
+
+    for l in adj:
+        assert augment(l, set())
+    return {l: r for r, l in owner.items()}
+
+
+@st.composite
+def regular_graphs(draw):
+    """Union of d edge-disjoint permutations of n right vertices, as
+    sorted adjacency lists keyed in a drawn left order."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, n))
+    shifts = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True))
+    rho = draw(st.permutations(range(n)))
+    pi = draw(st.permutations(range(n)))
+    return {f"l{i}": sorted(pi[(rho[i] + s) % n] for s in shifts) for i in range(n)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_graphs(), st.randoms(use_true_random=False))
+def test_perfect_matching_equals_recursive_reference(adj, rng):
+    expected = reference_matching(adj)
+    assert perfect_matching(adj) == expected
+    # neighbours are visited smallest first, whatever their listed order
+    shuffled = {l: rng.sample(rs, len(rs)) for l, rs in adj.items()}
+    assert perfect_matching(shuffled) == expected
+    assert sorted(expected.values()) == list(range(len(adj)))

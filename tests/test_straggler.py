@@ -2,10 +2,13 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from codedmr import (
     JobSpec,
     StragglerScenario,
+    balance_preconditions,
     comparison_table,
     fano_matrix,
     load_formula,
@@ -192,3 +195,40 @@ class TestComparisonTable:
         table = st.comparison_table(simulate=False)
         assert not table.ok
         assert table.failures()
+
+
+@st.composite
+def man_straggler_cases(draw):
+    """Small MAN(K,r) with a straggler set within the tolerance g-2."""
+    K = draw(st.integers(3, 7))
+    r = draw(st.integers(1, K - 1))
+    m = man_matrix(K, r)
+    stragglers = draw(st.lists(st.sampled_from(m.rows), max_size=r - 1, unique=True))
+    return K, r, tuple(stragglers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(man_straggler_cases())
+def test_balanced_plan_exactly_when_preconditions_hold(case):
+    K, r, stragglers = case
+    kappa = K - len(stragglers)
+    spec = man_spec(K, r, lcm(K, kappa), T=2)
+    scenario = StragglerScenario.from_stragglers(spec, stragglers)
+    members = spec.cover.members
+    survivors = scenario.survivors
+    alive = {sum(k in survivors for k in member.rows) for member in members}
+    counts = {sum(k in member.rows for member in members) for k in survivors}
+    holds = len(members) % kappa == 0 and len(counts) == 1 and len(alive) == 1
+    assert balance_preconditions(spec.matrix, spec.cover, survivors).ok == holds
+
+    result = straggler_run(spec, scenario, plan="balanced")
+    event(result.plan_mode)
+    assert result.reduce_result.ok
+    if not holds:
+        assert result.plan_mode == "default (balanced unavailable)"
+        return
+    assert result.plan_mode == "balanced"
+    sent = {k: {"coded": 0, "uncoded": 0} for k in survivors}
+    for tx in result.transcript.transmissions:
+        sent[tx.sender][tx.kind] += len(tx.payload)
+    assert len({n for per_kind in sent.values() for n in per_kind.values()}) == 1
