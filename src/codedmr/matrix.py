@@ -195,7 +195,11 @@ def validate_matrix(m: BinaryComputingMatrix) -> MatrixReport:
 
 
 def _check_member(m: BinaryComputingMatrix, sub: IdentitySubmatrix) -> str | None:
-    """Return a reason string if *sub* is not an identity submatrix of *m*."""
+    """Reason why *sub*'s shape or labels disqualify it, else None.
+
+    Its entries are checked against the identity by verify_cover, for all
+    members of one size at once.
+    """
     if len(sub.rows) != len(sub.cols):
         return "row and column counts differ"
     if sub.size < 2:
@@ -210,11 +214,6 @@ def _check_member(m: BinaryComputingMatrix, sub: IdentitySubmatrix) -> str | Non
     for f in sub.cols:
         if f not in m._col_idx:  # type: ignore[attr-defined]
             return f"unknown subfile label {f!r}"
-    for i, k in enumerate(sub.rows):
-        for j, f in enumerate(sub.cols):
-            want = 1 if i == j else 0
-            if m.entry(k, f) != want:
-                return f"entry ({k},{f}) is {m.entry(k, f)}, expected {want}"
     return None
 
 
@@ -223,25 +222,39 @@ def verify_cover(m: BinaryComputingMatrix, c: IdentityCover) -> CoverReport:
 
     Coverage is counted over matched (row, column) pairs only; a column
     may appear in several members as long as the covered one-entries
-    differ.  Malformed members are reported and excluded from counting.
+    differ.  Malformed members are reported and excluded from counting;
+    a member with wrong entries is named by its first one in row-major
+    order.
     """
-    malformed: list[tuple[int, str]] = []
-    counts = np.zeros(m.bits.shape, dtype=np.int64)
+    reasons: dict[int, str] = {}
+    by_size: dict[int, list[int]] = {}
     for idx, sub in enumerate(c.members):
         reason = _check_member(m, sub)
         if reason is not None:
-            malformed.append((idx, reason))
-            continue
-        for k, f in sub.pairs():
-            counts[m.row_index(k), m.col_index(f)] += 1
-    missing: list[tuple[str, str]] = []
-    overlapping: list[tuple[str, str]] = []
-    for i, j in zip(*np.nonzero(m.bits)):
-        n = counts[i, j]
-        if n == 0:
-            missing.append((m.rows[i], m.cols[j]))
-        elif n > 1:
-            overlapping.append((m.rows[i], m.cols[j]))
+            reasons[idx] = reason
+        else:
+            by_size.setdefault(sub.size, []).append(idx)
+    counts = np.zeros(m.bits.shape, dtype=np.int64)
+    for g, idxs in by_size.items():
+        ri = np.array([[m.row_index(k) for k in c.members[i].rows] for i in idxs])
+        ci = np.array([[m.col_index(f) for f in c.members[i].cols] for i in idxs])
+        # bad[n, i, j]: entry (rows[i], cols[j]) of member idxs[n] is not eye(g)[i, j]
+        bad = m.bits[ri[:, :, None], ci[:, None, :]] != np.eye(g, dtype=np.uint8)
+        flat = bad.reshape(len(idxs), g * g)
+        wrong = flat.any(axis=1)
+        for n in np.flatnonzero(wrong):
+            i, j = divmod(int(np.argmax(flat[n])), g)
+            sub = c.members[idxs[n]]
+            want = int(i == j)
+            reasons[idxs[n]] = (
+                f"entry ({sub.rows[i]},{sub.cols[j]}) is {1 - want}, expected {want}"
+            )
+        np.add.at(counts, (ri[~wrong], ci[~wrong]), 1)
+    malformed = sorted(reasons.items())
+    oi, oj = np.nonzero(m.bits)
+    n = counts[oi, oj]
+    missing = [(m.rows[i], m.cols[j]) for i, j in zip(oi[n == 0], oj[n == 0])]
+    overlapping = [(m.rows[i], m.cols[j]) for i, j in zip(oi[n > 1], oj[n > 1])]
     ok = not malformed and not missing and not overlapping
     return CoverReport(ok=ok, malformed=malformed, missing=missing, overlapping=overlapping)
 

@@ -2,8 +2,17 @@
 
 Subfiles are seeded pseudorandom byte strings and the map and reduce
 functions are keyed digests, so every run is deterministic and decode
-correctness can be checked byte-for-byte against a central oracle that
-maps everything locally.
+correctness can be checked byte-for-byte against a central oracle.
+
+Every intermediate value (IVA) is a pure function of (q, f), so a job
+computes each one exactly once: ``JobSpec.ivas`` is a read-only
+``(Q, N, T)`` uint8 table, built on first use and shared by the map
+phase, the oracle, the late map work of partial stragglers and every
+scenario of a straggler sweep run on the same spec.  A server's store
+is a column mask over that table (the subfiles it mapped, for all Q
+functions) plus, per received column, a ``(beta, T)`` array of the
+values of its duty functions.  Decoding cancels only values whose
+column is in the receiver's own mask.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -19,10 +28,14 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .matrix import (
     BinaryComputingMatrix,
+    FormatError,
     IdentityCover,
     format_cover,
     format_matrix,
@@ -73,10 +86,6 @@ def reduce_digest(q: int, ivas_in_col_order: Iterable[bytes]) -> bytes:
     return _digest_stream(b"reduce", [q.to_bytes(8, "big"), *ivas_in_col_order], 32)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 # ---------------------------------------------------------------------------
 # Job description.
 # ---------------------------------------------------------------------------
@@ -113,6 +122,21 @@ class JobSpec:
     @property
     def beta(self) -> int:
         return self.num_functions // self.matrix.K
+
+    @cached_property
+    def ivas(self) -> np.ndarray:
+        """Read-only (Q, N, T) table: ``ivas[q - 1, j]`` is IVA (q, cols[j])."""
+        cols = self.matrix.cols
+        subfiles = [make_subfile(self.file_seed, f, self.subfile_bytes) for f in cols]
+        flat = b"".join(
+            synth_map(q, f, sub, self.iva_bytes)
+            for q in range(1, self.num_functions + 1)
+            for f, sub in zip(cols, subfiles)
+        )
+        # an array over a bytes object is read-only
+        return np.frombuffer(flat, dtype=np.uint8).reshape(
+            self.num_functions, len(cols), self.iva_bytes
+        )
 
 
 @dataclass(frozen=True)
@@ -161,17 +185,15 @@ class ReduceAssignment:
 class ServerState:
     """One server's intermediate values, map-phase and received kept apart.
 
-    Decoding may only cancel against ``mapped``; ``received`` holds what
-    the shuffle delivered.
+    ``mapped[j]`` says the server mapped subfile ``cols[j]``, so it holds
+    ``spec.ivas[:, j]``; decoding may only cancel against those.
+    ``received[j]`` holds what the shuffle delivered for column j: one
+    row per duty function, in duty order.
     """
 
     label: str
-    mapped: dict[tuple[int, str], bytes] = field(default_factory=dict)
-    received: dict[tuple[int, str], bytes] = field(default_factory=dict)
-
-    def value(self, q: int, f: str) -> bytes | None:
-        v = self.mapped.get((q, f))
-        return v if v is not None else self.received.get((q, f))
+    mapped: np.ndarray                                   # (N,) bool
+    received: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -204,48 +226,27 @@ class ShuffleTranscript:
 # ---------------------------------------------------------------------------
 
 
-def _iva_factory(spec: JobSpec) -> Callable[[int, str], bytes]:
-    """Memoised (q, f) -> intermediate value for one job's subfile contents."""
-    subfiles = {
-        f: make_subfile(spec.file_seed, f, spec.subfile_bytes) for f in spec.matrix.cols
-    }
-    cache: dict[tuple[int, str], bytes] = {}
-
-    def iva(q: int, f: str) -> bytes:
-        v = cache.get((q, f))
-        if v is None:
-            v = synth_map(q, f, subfiles[f], spec.iva_bytes)
-            cache[(q, f)] = v
-        return v
-
-    return iva
-
-
 def run_map_phase(
     spec: JobSpec,
     skip: frozenset[str] | set[str] = frozenset(),
     subfile_filter: Mapping[str, set[str]] | None = None,
 ) -> dict[str, ServerState]:
-    """Compute, per server, the intermediate values of its zero columns.
+    """Mark, per server, the zero columns of its row as mapped.
 
     Servers in *skip* (full stragglers) map nothing.  Servers listed in
     *subfile_filter* (partial stragglers) map only the listed subfiles
-    out of their assigned ones.
+    out of their assigned ones.  The values are the job's ``ivas``
+    table, built here on first use.
     """
     m = spec.matrix
-    iva = _iva_factory(spec)
+    spec.ivas  # the map work itself: builds the table once per spec
+    zeros = m.bits == 0
     states: dict[str, ServerState] = {}
-    for k in m.rows:
-        state = ServerState(label=k)
-        states[k] = state
-        if k in skip:
-            continue
-        assigned = m.zeros_in_row(k)
+    for i, k in enumerate(m.rows):
+        mapped = zeros[i] & (k not in skip)
         if subfile_filter is not None and k in subfile_filter:
-            assigned = tuple(f for f in assigned if f in subfile_filter[k])
-        for f in assigned:
-            for q in range(1, spec.num_functions + 1):
-                state.mapped[(q, f)] = iva(q, f)
+            mapped &= np.isin(m.cols, list(subfile_filter[k]))
+        states[k] = ServerState(label=k, mapped=mapped)
     return states
 
 
@@ -276,56 +277,55 @@ def round_for_member(
         raise ShuffleError("senders must be participating rows of the member")
     beta = assignment.beta
     T = spec.iva_bytes
+    m = spec.matrix
 
-    def mapped(owner: str, q: int, f: str) -> bytes:
-        try:
-            return states[owner].mapped[(q, f)]
-        except KeyError:
+    def require(owners: list[str], held: np.ndarray, rows: list[str]) -> None:
+        """*held[i, j]* says owners[i] mapped the matched column of rows[j]."""
+        if not held.all():
+            i, j = divmod(int(np.argmin(held)), held.shape[1])
             raise ShuffleError(
-                f"server {owner!r} lacks mapped value (q={q}, f={f!r}); "
+                f"server {owners[i]!r} lacks mapped value "
+                f"(q={assignment.duties[rows[j]][0]}, f={col_of[rows[j]]!r}); "
                 "map phase is inconsistent with the schedule"
-            ) from None
+            )
 
-    coded_parts: list[bytes] = []
-    for b in range(beta):
-        stream = bytes(T)
-        for k_i in active:
-            if k_i == coded_sender:
-                continue
-            q_i = assignment.duties[k_i][b]
-            stream = _xor(stream, mapped(coded_sender, q_i, col_of[k_i]))
-        coded_parts.append(stream)
-    f_p = col_of[coded_sender]
-    uncoded_parts = []
-    for b in range(beta):
-        q_p = assignment.duties[coded_sender][b]
-        uncoded_parts.append(mapped(uncoded_sender, q_p, f_p))
+    def unpack(tx: Transmission) -> np.ndarray:
+        if len(tx.payload) != beta * T:
+            raise ShuffleError(
+                f"member {member_index}: {tx.kind} broadcast has "
+                f"{len(tx.payload)} bytes, expected {beta * T}"
+            )
+        return np.frombuffer(tx.payload, dtype=np.uint8).reshape(beta, T)
 
-    tx_coded = Transmission(coded_sender, member_index, "coded", b"".join(coded_parts))
-    tx_uncoded = Transmission(uncoded_sender, member_index, "uncoded", b"".join(uncoded_parts))
+    # values[i, b] is the value others[i] is missing for its duty slot b.
+    others = [k for k in active if k != coded_sender]
+    cols = np.array([m.col_index(col_of[k]) for k in others])
+    values = spec.ivas[np.array([assignment.duties[k] for k in others]) - 1, cols[:, None]]
+    f_p = m.col_index(col_of[coded_sender])
+    require([coded_sender], states[coded_sender].mapped[cols][None], others)
+    require([uncoded_sender], states[uncoded_sender].mapped[[[f_p]]], [coded_sender])
+    payload = np.bitwise_xor.reduce(values, axis=0).tobytes()
+    tx_coded = Transmission(coded_sender, member_index, "coded", payload)
+    q_p = np.subtract(assignment.duties[coded_sender], 1)
+    tx_uncoded = Transmission(uncoded_sender, member_index, "uncoded", spec.ivas[q_p, f_p].tobytes())
     if tamper is not None:
         tx_coded = tamper(tx_coded)
         tx_uncoded = tamper(tx_uncoded)
 
     # Decode the coded broadcast at every participating row but the sender,
-    # cancelling only against the receiver's own map-phase store.
-    for k_i in active:
-        if k_i == coded_sender:
-            continue
-        f_i = col_of[k_i]
-        for b in range(beta):
-            q_i = assignment.duties[k_i][b]
-            value = tx_coded.payload[b * T : (b + 1) * T]
-            for k_j in active:
-                if k_j in (coded_sender, k_i):
-                    continue
-                q_j = assignment.duties[k_j][b]
-                value = _xor(value, mapped(k_i, q_j, col_of[k_j]))
-            states[k_i].received[(q_i, f_i)] = value
+    # cancelling only against the receiver's own map-phase store: receiver
+    # i XORs away values[:i] and values[i + 1:], the prefix and suffix XORs.
+    held = np.array([states[k].mapped[cols] for k in others])
+    np.fill_diagonal(held, True)
+    require(others, held, others)
+    zero = np.zeros((1, beta, T), dtype=np.uint8)
+    before = np.concatenate([zero, np.bitwise_xor.accumulate(values, axis=0)[:-1]])
+    after = np.concatenate([np.bitwise_xor.accumulate(values[::-1], axis=0)[-2::-1], zero])
+    decoded = unpack(tx_coded) ^ before ^ after
+    for i, k_i in enumerate(others):
+        states[k_i].received[int(cols[i])] = decoded[i]
     # The uncoded broadcast serves the coded sender directly.
-    for b in range(beta):
-        q_p = assignment.duties[coded_sender][b]
-        states[coded_sender].received[(q_p, f_p)] = tx_uncoded.payload[b * T : (b + 1) * T]
+    states[coded_sender].received[f_p] = unpack(tx_uncoded)
     return tx_coded, tx_uncoded
 
 
@@ -388,16 +388,15 @@ def run_shuffle(
                     received_bits[k] += len(tx.payload) * 8
     # Completeness: the shuffle must have delivered every value a reducing
     # server could not map itself, i.e. the ones of its row.
+    m = spec.matrix
     for k, duties in assignment.duties.items():
-        state = states[k]
-        i = spec.matrix.row_index(k)
-        missing_cols = [f for j, f in enumerate(spec.matrix.cols) if spec.matrix.bits[i, j]]
-        for q in duties:
-            for f in missing_cols:
-                if state.value(q, f) is None:
-                    raise ShuffleError(
-                        f"server {k!r} is still missing (q={q}, f={f!r}) after shuffle"
-                    )
+        lacking = m.bits[m.row_index(k)].astype(bool)
+        lacking[list(states[k].received)] = False
+        if lacking.any():
+            f = m.cols[int(np.argmax(lacking))]
+            raise ShuffleError(
+                f"server {k!r} is still missing (q={duties[0]}, f={f!r}) after shuffle"
+            )
     return ShuffleTranscript(
         transmissions=tuple(transmissions),
         servers=spec.matrix.rows,
@@ -421,28 +420,26 @@ def run_reduce(
 ) -> ReduceResult:
     """Reduce every duty function and compare against a central oracle.
 
-    The oracle maps every subfile locally, so any decoding error shows up
-    as a named (server, q, f) mismatch.
+    The oracle is the job's ``ivas`` table: each server's held values
+    are compared with it in one array comparison, so any decoding error
+    shows up as a named (server, q, f) mismatch.
     """
     m = spec.matrix
-    subfiles = {f: make_subfile(spec.file_seed, f, spec.subfile_bytes) for f in m.cols}
     outputs: dict[tuple[str, int], bytes] = {}
     mismatches: list[tuple[str, int, str]] = []
     for k, duties in assignment.duties.items():
         state = states[k]
-        for q in duties:
-            vals = []
-            complete = True
-            for f in m.cols:
-                v = state.value(q, f)
-                # Duties partition 1..Q, so each oracle value is computed once.
-                if v is None or v != synth_map(q, f, subfiles[f], spec.iva_bytes):
-                    mismatches.append((k, q, f))
-                    complete = False
-                else:
-                    vals.append(v)
-            if complete:
-                outputs[(k, q)] = reduce_digest(q, vals)
+        expected = spec.ivas[np.subtract(duties, 1)]             # (beta, N, T)
+        held = expected.copy()                                   # mapped columns
+        got = [j for j in state.received if not state.mapped[j]]
+        if got:
+            held[:, got] = np.stack([state.received[j] for j in got], axis=1)
+        have = state.mapped.copy()
+        have[got] = True
+        bad = (held != expected).any(axis=2) | ~have             # (beta, N)
+        mismatches.extend((k, duties[b], m.cols[j]) for b, j in zip(*np.nonzero(bad)))
+        for b in np.flatnonzero(~bad.any(axis=1)):
+            outputs[(k, duties[b])] = reduce_digest(duties[b], [v.tobytes() for v in held[b]])
     return ReduceResult(ok=not mismatches, outputs=outputs, mismatches=mismatches)
 
 
@@ -514,11 +511,8 @@ def run_partial_straggler_pipeline(
     transcript = run_shuffle(spec, assignment, states, plan)
     # Slow servers finish the rest of their map work after the shuffle
     # window has closed; the transcript and load are already fixed.
-    iva = _iva_factory(spec)
     for k in partial:
-        for f in spec.matrix.zeros_in_row(k):
-            for q in range(1, spec.num_functions + 1):
-                states[k].mapped.setdefault((q, f), iva(q, f))
+        states[k].mapped |= spec.matrix.bits[spec.matrix.row_index(k)] == 0
     reduce_result = run_reduce(spec, assignment, states)
     return PipelineResult(states, transcript, reduce_result, measured_load(transcript, spec))
 
@@ -572,36 +566,41 @@ def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
 
 
 def load_transcript(path) -> tuple[dict, tuple[Transmission, ...]]:
-    """Read a transcript log back into its header and transmissions."""
+    """Read a transcript log back into its header and transmissions.
+
+    Raises FormatError on a wrong magic or version byte, an unknown kind
+    byte, a truncated record or trailing bytes.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:
-        raise ValueError("not a transcript log")
-    off = 4
-    (version,) = struct.unpack_from(">B", data, off)
-    off += 1
-    digest = data[off : off + 32]
-    off += 32
-    K, N, r, g, S, Q, T = struct.unpack_from(">7I", data, off)
-    off += 28
-    (count,) = struct.unpack_from(">I", data, off)
-    off += 4
+        raise FormatError("not a transcript log")
+    if data[4:5] != b"\x01":
+        raise FormatError(f"unknown transcript version {data[4:5].hex() or 'missing'}")
+    off = 37
     transmissions = []
-    for _ in range(count):
-        (slen,) = struct.unpack_from(">H", data, off)
-        off += 2
-        sender = data[off : off + slen].decode()
-        off += slen
-        member, kind = struct.unpack_from(">IB", data, off)
-        off += 5
-        (plen,) = struct.unpack_from(">I", data, off)
-        off += 4
-        payload = data[off : off + plen]
-        off += plen
-        transmissions.append(Transmission(sender, member, _KIND_NAME[kind], payload))
+    try:
+        K, N, r, g, S, Q, T, count = struct.unpack_from(">8I", data, off)
+        off += 32
+        for i in range(count):
+            (slen,) = struct.unpack_from(">H", data, off)
+            sender = data[off + 2 : off + 2 + slen]
+            member, kind, plen = struct.unpack_from(">IBI", data, off + 2 + slen)
+            payload = data[off + 11 + slen : off + 11 + slen + plen]
+            off += 11 + slen + plen
+            if kind not in _KIND_NAME:
+                raise FormatError(f"record {i}: unknown kind byte {kind}")
+            transmissions.append(Transmission(sender.decode(), member, _KIND_NAME[kind], payload))
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FormatError(f"malformed transcript record: {exc}") from exc
+    if off != len(data):
+        raise FormatError(
+            f"transcript truncated, {off - len(data)} bytes short" if off > len(data)
+            else f"{len(data) - off} trailing bytes after {count} records"
+        )
     header = {
-        "version": version,
-        "job_digest": digest.hex(),
+        "version": 1,
+        "job_digest": data[5:37].hex(),
         "K": K, "N": N, "r": r, "g": g, "S": S, "Q": Q, "T": T,
     }
     return header, tuple(transmissions)

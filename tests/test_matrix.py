@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedmr import (
     BinaryComputingMatrix,
+    CoverReport,
     FormatError,
     IdentityCover,
     IdentitySubmatrix,
@@ -217,3 +220,99 @@ class TestTextFormats:
     def test_cover_member_token_count(self):
         with pytest.raises(FormatError):
             parse_cover("1\n2 a b c\n")
+
+
+def _reference_check_member(m, sub):
+    """Per-entry member check: the specification verify_cover must match."""
+    if len(sub.rows) != len(sub.cols):
+        return "row and column counts differ"
+    if sub.size < 2:
+        return "size < 2 admits no exchange round"
+    if len(set(sub.rows)) != sub.size:
+        return "repeated row label"
+    if len(set(sub.cols)) != sub.size:
+        return "repeated column label"
+    for k in sub.rows:
+        if k not in m.rows:
+            return f"unknown server label {k!r}"
+    for f in sub.cols:
+        if f not in m.cols:
+            return f"unknown subfile label {f!r}"
+    for i, k in enumerate(sub.rows):
+        for j, f in enumerate(sub.cols):
+            want = 1 if i == j else 0
+            if m.entry(k, f) != want:
+                return f"entry ({k},{f}) is {m.entry(k, f)}, expected {want}"
+    return None
+
+
+def _reference_verify_cover(m, c):
+    malformed, counts = [], {}
+    for idx, sub in enumerate(c.members):
+        reason = _reference_check_member(m, sub)
+        if reason is not None:
+            malformed.append((idx, reason))
+            continue
+        for pair in sub.pairs():
+            counts[pair] = counts.get(pair, 0) + 1
+    ones = list(m.ones())
+    missing = [p for p in ones if counts.get(p, 0) == 0]
+    overlapping = [p for p in ones if counts.get(p, 0) > 1]
+    ok = not malformed and not missing and not overlapping
+    return CoverReport(ok, malformed, missing, overlapping)
+
+
+def _small_covers():
+    from codedmr import man_cover, search_cover, transversal_cover, transversal_matrix
+
+    out = []
+    for K, r in ((4, 1), (5, 2), (6, 3)):
+        m = man_matrix(K, r)
+        out.append((m, man_cover(m)))
+    m = fano_matrix()
+    out.append((m, search_cover(m, 3, mode="exact")))
+    m = transversal_matrix(3, 3)
+    out.append((m, transversal_cover(m)))
+    return out
+
+
+SMALL_COVERS = _small_covers()
+
+
+@st.composite
+def corrupted_covers(draw):
+    m, cover = draw(st.sampled_from(SMALL_COVERS))
+    members = list(cover.members)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "swap", "duplicate", "unknown")))
+        i = draw(st.integers(0, len(members) - 1))
+        sub = members[i]
+        if op == "drop" and len(members) > 1:
+            del members[i]
+        elif op == "swap":
+            a, b = draw(st.permutations(range(sub.size)))[:2]
+            cols = list(sub.cols)
+            cols[a], cols[b] = cols[b], cols[a]
+            members[i] = IdentitySubmatrix(sub.rows, tuple(cols))
+        elif op == "duplicate":
+            members.insert(draw(st.integers(0, len(members))), sub)
+        elif op == "unknown":
+            side = draw(st.sampled_from(("rows", "cols")))
+            labels = list(getattr(sub, side))
+            labels[draw(st.integers(0, sub.size - 1))] = "?"
+            members[i] = IdentitySubmatrix(
+                *((tuple(labels), sub.cols) if side == "rows" else (sub.rows, tuple(labels)))
+            )
+    return m, IdentityCover(tuple(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_covers())
+def test_verify_cover_matches_the_per_entry_reference(case):
+    m, cover = case
+    assert verify_cover(m, cover) == _reference_verify_cover(m, cover)
+
+
+def test_verify_cover_reference_on_the_suite(suite):
+    for name, m, cover in suite:
+        assert verify_cover(m, cover) == _reference_verify_cover(m, cover), name

@@ -1,9 +1,13 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedmr import (
+    FormatError,
     IdentityCover,
     IdentitySubmatrix,
     JobSpec,
@@ -23,7 +27,13 @@ from codedmr import (
     search_cover,
     synth_map,
 )
-from codedmr.shuffle import ShuffleTranscript, load_transcript, make_subfile, save_transcript
+from codedmr.shuffle import (
+    ShuffleTranscript,
+    default_plan,
+    load_transcript,
+    make_subfile,
+    save_transcript,
+)
 
 
 def fano_spec(Q=7, T=16, seed=0):
@@ -59,8 +69,9 @@ class TestMapPhase:
     def test_fano_server1_holds_56_values(self):
         spec = fano_spec(Q=14)
         states = run_map_phase(spec)
-        assert len(states["1"].mapped) == 4 * 14
-        held = {f for (_, f) in states["1"].mapped}
+        mapped = states["1"].mapped
+        assert int(mapped.sum()) * spec.num_functions == 4 * 14
+        held = {spec.matrix.cols[j] for j in np.flatnonzero(mapped)}
         assert held == {"467", "256", "357", "234"}
 
     def test_r_K_minus_1_misses_one_subfile_per_server(self):
@@ -68,8 +79,7 @@ class TestMapPhase:
         spec = JobSpec(m, man_cover(m), 4, 4)
         states = run_map_phase(spec)
         for k in m.rows:
-            missing = {f for f in m.cols if all((q, f) not in states[k].mapped
-                                                for q in range(1, 5))}
+            missing = {f for j, f in enumerate(m.cols) if not states[k].mapped[j]}
             assert len(missing) == 1
 
     def test_man_5_2_counts(self):
@@ -77,7 +87,8 @@ class TestMapPhase:
         spec = JobSpec(m, man_cover(m), 5, 4)
         states = run_map_phase(spec)
         for k in m.rows:
-            assert len(states[k].mapped) == 4 * 5   # C(4,1) subfiles x Q
+            # C(4,1) subfiles x Q
+            assert int(states[k].mapped.sum()) * spec.num_functions == 4 * 5
 
 
 class TestRoundForMember:
@@ -97,11 +108,12 @@ class TestRoundForMember:
             _xor(iva(5, "256"), iva(7, "127")) + _xor(iva(12, "256"), iva(14, "127"))
         )
         assert tx_uncoded.payload == iva(3, "234") + iva(10, "234")
-        # server 7 cancels its locally mapped values of 256 to decode 127
-        assert states["7"].received[(7, "127")] == iva(7, "127")
-        assert states["7"].received[(14, "127")] == iva(14, "127")
-        assert states["5"].received[(5, "256")] == iva(5, "256")
-        assert states["3"].received[(3, "234")] == iva(3, "234")
+        # server 7 cancels its locally mapped values of 256 to decode 127;
+        # received rows follow the duty order
+        col = spec.matrix.col_index
+        assert states["7"].received[col("127")].tobytes() == iva(7, "127") + iva(14, "127")
+        assert states["5"].received[col("256")][0].tobytes() == iva(5, "256")
+        assert states["3"].received[col("234")][0].tobytes() == iva(3, "234")
 
     def test_size_two_member_degenerates_to_uncoded(self):
         m = man_matrix(3, 1)
@@ -133,9 +145,8 @@ class TestRoundForMember:
     def test_missing_mapped_value_signals_inconsistency(self):
         spec = fano_spec()
         duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
-        states = run_map_phase(spec)
         member = spec.cover.members[0]
-        states[member.rows[0]].mapped.clear()
+        states = run_map_phase(spec, subfile_filter={member.rows[0]: set()})
         with pytest.raises(ShuffleError, match="lacks mapped value"):
             round_for_member(spec, 0, duties, states, member.rows[0], member.rows[1])
 
@@ -261,3 +272,93 @@ class TestTranscriptPersistence:
             assert (a.sender, a.member, a.kind, a.payload) == (
                 b.sender, b.member, b.kind, b.payload,
             )
+
+
+TAMPER_JOBS = (
+    ("fano", 7), ("fano", 14), ((4, 2), 4), ((5, 2), 10), ((6, 3), 6), ((5, 3), 5),
+)
+
+
+def _tamper_spec(name, Q, T):
+    if name == "fano":
+        return fano_spec(Q=Q, T=T)
+    m = man_matrix(*name)
+    return JobSpec(m, man_cover(m), Q, T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    job=st.sampled_from(TAMPER_JOBS),
+    T=st.integers(1, 6),
+    kind=st.sampled_from(("coded", "uncoded")),
+    data=st.data(),
+)
+def test_one_flipped_broadcast_byte_names_exactly_its_values(job, T, kind, data):
+    spec = _tamper_spec(job[0], job[1], T)
+    idx = data.draw(st.integers(0, spec.cover.size - 1), label="member")
+    o = data.draw(st.integers(0, spec.beta * T - 1), label="offset")
+    flip = data.draw(st.integers(1, 255), label="flip")
+
+    def tamper(tx):
+        if tx.member != idx or tx.kind != kind:
+            return tx
+        payload = bytearray(tx.payload)
+        payload[o] ^= flip
+        return dataclasses.replace(tx, payload=bytes(payload))
+
+    result = run_pipeline(spec, tamper=tamper)
+    assignment = ReduceAssignment.block_partition(spec.matrix.rows, spec.num_functions)
+    coded_sender, _ = default_plan(spec, assignment)[idx]
+    member = spec.cover.members[idx]
+    hit = [k for k in member.rows if k != coded_sender] if kind == "coded" else [coded_sender]
+    col_of = dict(zip(member.rows, member.cols))
+    order = {k: i for i, k in enumerate(assignment.servers)}
+    expected = [
+        (k, assignment.duties[k][o // T], col_of[k]) for k in sorted(hit, key=order.get)
+    ]
+    assert result.reduce_result.mismatches == expected
+    assert not result.reduce_result.ok
+    assert len(result.reduce_result.outputs) == spec.num_functions - len(expected)
+
+
+class TestStrictTranscriptLoad:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        spec = fano_spec(Q=7, T=4)
+        path = tmp_path_factory.mktemp("transcript") / "t.bin"
+        save_transcript(path, spec, run_pipeline(spec).transcript)
+        return path.read_bytes()
+
+    def _load(self, tmp_path, data):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        return load_transcript(path)
+
+    def test_unknown_version_byte(self, tmp_path, saved):
+        with pytest.raises(FormatError, match="version"):
+            self._load(tmp_path, saved[:4] + b"\x02" + saved[5:])
+
+    def test_unknown_kind_byte(self, tmp_path, saved):
+        # first record: 69-byte header, then sender length, sender, member
+        slen = int.from_bytes(saved[69:71], "big")
+        at = 69 + 2 + slen + 4
+        data = saved[:at] + b"\x07" + saved[at + 1 :]
+        with pytest.raises(FormatError, match="kind"):
+            self._load(tmp_path, data)
+
+    def test_trailing_bytes(self, tmp_path, saved):
+        with pytest.raises(FormatError, match="trailing"):
+            self._load(tmp_path, saved + b"\x00")
+
+    def test_bad_magic(self, tmp_path, saved):
+        with pytest.raises(FormatError, match="not a transcript log"):
+            self._load(tmp_path, b"XXXX" + saved[4:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, 10**6))
+    def test_every_truncation_is_a_format_error(self, tmp_path_factory, saved, cut):
+        cut %= len(saved)
+        path = tmp_path_factory.mktemp("cut") / "t.bin"
+        path.write_bytes(saved[:cut])
+        with pytest.raises(FormatError):
+            load_transcript(path)
