@@ -278,6 +278,16 @@ V n=3 k=3 kappa=8
 """
 
 
+# scheme id -> SchemeParameters constructor and the keys it takes, in order
+_SCHEMES = {
+    "I": (constructions.SchemeParameters.bibd, ("v", "k")),
+    "II": (constructions.SchemeParameters.symmetric_bibd, ("v", "k")),
+    "III": (constructions.SchemeParameters.t_design_1, ("v", "k", "t")),
+    "IV": (constructions.SchemeParameters.t_design_2, ("v", "t")),
+    "V": (constructions.SchemeParameters.transversal, ("k", "n")),
+}
+
+
 def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
     rows = []
     for raw in text.splitlines():
@@ -286,7 +296,7 @@ def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
             continue
         toks = line.split()
         scheme = toks[0]
-        if scheme not in ("I", "II", "III", "IV", "V"):
+        if scheme not in _SCHEMES:
             raise FormatError(f"unknown scheme id {scheme!r}")
         kv: dict[str, int] = {}
         for tok in toks[1:]:
@@ -294,20 +304,16 @@ def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
                 raise FormatError(f"expected key=value, got {tok!r}")
             key, _, value = tok.partition("=")
             kv[key] = int(value)
+        for key in _SCHEMES[scheme][1]:
+            if key not in kv:
+                raise FormatError(f"scheme {scheme} needs key {key!r}")
         rows.append((scheme, kv))
     return rows
 
 
 def _scheme_params(scheme: str, kv: dict[str, int]) -> constructions.SchemeParameters:
-    if scheme == "I":
-        return constructions.SchemeParameters.bibd(kv["v"], kv["k"])
-    if scheme == "II":
-        return constructions.SchemeParameters.symmetric_bibd(kv["v"], kv["k"])
-    if scheme == "III":
-        return constructions.SchemeParameters.t_design_1(kv["v"], kv["k"], kv["t"])
-    if scheme == "IV":
-        return constructions.SchemeParameters.t_design_2(kv["v"], kv["t"])
-    return constructions.SchemeParameters.transversal(kv["k"], kv["n"])
+    build, keys = _SCHEMES[scheme]
+    return build(*(kv[key] for key in keys))
 
 
 def _simulate_scheme(scheme: str, kv: dict[str, int]) -> Fraction | None:
@@ -574,7 +580,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, constructions.DesignError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, constructions.DesignError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (

@@ -3,7 +3,10 @@
 Analytic covers exist for the three generated families (subset placement,
 t-subset scheme, transversal design); arbitrary matrices, e.g. ingested
 block designs, go through the exact backtracking search or the seeded
-greedy search.
+greedy search.  Both searches number the one-entries in row-major order
+and read one table of int bitmasks: for each one-entry, the one-entries
+that cannot share a member with it.  The exact search is a loop over an
+explicit stack, so no search depth depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -112,10 +115,15 @@ def search_cover(
 ) -> IdentityCover:
     """Find a non-overlapping cover with uniform member size g.
 
-    Exact mode backtracks over one-entries in row-major scan order,
-    always branching on the first uncovered entry; it is complete, so a
-    failure there means no such cover exists.  Greedy mode grows maximal
-    members from the first uncovered entry and restarts with seeded
+    Exact mode is a depth-first search on an explicit stack.  A node
+    opens a member at the first uncovered one-entry in row-major order
+    and counts toward *max_nodes*; the member then grows by the lowest
+    remaining one-entry compatible with its picks so far.  At a dead end
+    the search backs up to the last pick that has an untried
+    alternative, reopening the previous member when a member's first
+    entry fails.  It is complete, so a failure there means no such cover
+    exists.  Greedy mode grows maximal members from the first uncovered
+    entry, first in scan order, then over up to *restarts* - 1 seeded
     shuffles; it may fail on covers the exact mode would find.  Both
     modes are deterministic given (matrix, g, mode, seed).
     """
@@ -127,14 +135,15 @@ def search_cover(
             f"{total_ones} one-entries are not divisible by g={g}"
         )
     ones = [(int(i), int(j)) for i, j in zip(*np.nonzero(m.bits))]
+    conflict = _conflicts(m.bits, ones)
     if mode == "exact":
-        member_idx = _exact_search(m.bits, ones, g, max_nodes)
+        member_idx = _exact_search(conflict, g, max_nodes)
         if member_idx is None:
             raise CoverInfeasibleError(
                 f"exhaustive search: no non-overlapping size-{g} cover exists"
             )
     elif mode == "greedy":
-        member_idx = _greedy_search(m.bits, ones, g, seed, restarts)
+        member_idx = _greedy_search(conflict, g, seed, restarts)
         if member_idx is None:
             raise CoverBudgetError(
                 f"greedy search failed after {restarts} restarts (a cover may still exist)"
@@ -151,120 +160,102 @@ def search_cover(
     return IdentityCover(members)
 
 
-def _compatible(bits: np.ndarray, rows: list[int], cols: list[int], i: int, j: int) -> bool:
-    # A new matched one (i, j) must sit on zero cross entries with every
-    # one already in the partial member.
-    if i in rows or j in cols:
-        return False
-    for jc in cols:
-        if bits[i, jc]:
-            return False
-    for ir in rows:
-        if bits[ir, j]:
-            return False
-    return True
+def _conflicts(bits: np.ndarray, ones: list[tuple[int, int]]) -> list[int]:
+    """For each one-entry t, an int bitmask of the one-entries that cannot
+    share a member with t.
+
+    One-entries t and u can share a member only if both cross positions
+    (i_t, j_u) and (i_u, j_t) hold zeros.  A one-entry sharing t's row or
+    column puts a one on a cross position, and so does t itself.
+    """
+    in_row = [0] * bits.shape[0]
+    in_col = [0] * bits.shape[1]
+    for t, (i, j) in enumerate(ones):
+        in_row[i] |= 1 << t
+        in_col[j] |= 1 << t
+    # row_clash[i]: entries u with bits[i, j_u] = 1; col_clash[j]: bits[i_u, j] = 1
+    row_clash = [0] * bits.shape[0]
+    col_clash = [0] * bits.shape[1]
+    for i, j in ones:
+        row_clash[i] |= in_col[j]
+        col_clash[j] |= in_row[i]
+    return [row_clash[i] | col_clash[j] for i, j in ones]
 
 
 def _exact_search(
-    bits: np.ndarray, ones: list[tuple[int, int]], g: int, max_nodes: int | None
+    conflict: list[int], g: int, max_nodes: int | None
 ) -> list[list[int]] | None:
-    n_ones = len(ones)
-    covered = bytearray(n_ones)
-    chosen: list[list[int]] = []
+    uncovered = (1 << len(conflict)) - 1
+    picks: list[int] = []    # chosen one-entries, g per member, members in order
+    untried: list[int] = []  # untried[d]: alternatives to picks[d] not yet tried
     nodes = 0
-
-    def extensions(partial: list[int], rows: list[int], cols: list[int], start: int):
-        for t in range(start, n_ones):
-            if covered[t]:
-                continue
-            i, j = ones[t]
-            if _compatible(bits, rows, cols, i, j):
-                yield t
-
-    def solve(scan_from: int) -> bool:
-        nonlocal nodes
-        t0 = scan_from
-        while t0 < n_ones and covered[t0]:
-            t0 += 1
-        if t0 == n_ones:
-            return True
+    while uncovered:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise CoverBudgetError(f"exact search exceeded {max_nodes} nodes")
-        i0, j0 = ones[t0]
-        partial = [t0]
-        rows = [i0]
-        cols = [j0]
-
-        def grow(start: int) -> bool:
-            if len(partial) == g:
-                for t in partial:
-                    covered[t] = 1
-                chosen.append(list(partial))
-                if solve(t0 + 1):
-                    return True
-                chosen.pop()
-                for t in partial:
-                    covered[t] = 0
-                return False
-            for t in extensions(partial, rows, cols, start):
-                i, j = ones[t]
-                partial.append(t)
-                rows.append(i)
-                cols.append(j)
-                if grow(t + 1):
-                    return True
-                partial.pop()
-                rows.pop()
-                cols.pop()
-            return False
-
-        return grow(t0 + 1)
-
-    return chosen if solve(0) else None
+        root = (uncovered & -uncovered).bit_length() - 1
+        picks.append(root)
+        untried.append(0)
+        alternatives = uncovered & ~conflict[root]
+        while len(picks) % g:
+            if alternatives:
+                low = alternatives & -alternatives
+                t = low.bit_length() - 1
+                alternatives ^= low
+                picks.append(t)
+                untried.append(alternatives)
+                alternatives &= ~conflict[t]
+                continue
+            # dead end: back up to the last pick with an untried alternative
+            while True:
+                picks.pop()
+                alternatives = untried.pop()
+                if len(picks) % g:
+                    if alternatives:
+                        break
+                elif not picks:
+                    return None
+                else:
+                    # a member's root failed: reopen the member before it
+                    for t in picks[-g:]:
+                        uncovered |= 1 << t
+        for t in picks[-g:]:
+            uncovered &= ~(1 << t)
+    return [picks[k : k + g] for k in range(0, len(picks), g)]
 
 
 def _greedy_search(
-    bits: np.ndarray, ones: list[tuple[int, int]], g: int, seed: int, restarts: int
+    conflict: list[int], g: int, seed: int, restarts: int
 ) -> list[list[int]] | None:
-    n_ones = len(ones)
-
-    def attempt(rng: random.Random | None) -> list[list[int]] | None:
+    n_ones = len(conflict)
+    # attempt 0 takes candidates in scan order; later ones shuffle them
+    for run in range(max(restarts, 1)):
+        rng = random.Random((seed << 20) ^ run) if run else None
+        # a bytearray, not an int mask: each member scans it for candidates,
+        # and testing one bit of a big int costs a shift of the whole int
         covered = bytearray(n_ones)
         chosen: list[list[int]] = []
-        remaining = n_ones
-        while remaining:
-            t0 = next(t for t in range(n_ones) if not covered[t])
-            i0, j0 = ones[t0]
-            partial = [t0]
-            rows = [i0]
-            cols = [j0]
-            candidates = [t for t in range(t0 + 1, n_ones) if not covered[t]]
+        for root in range(n_ones):
+            if covered[root]:
+                continue
+            member = [root]
+            blocked = conflict[root]
+            candidates = [t for t in range(root + 1, n_ones) if not covered[t]]
             if rng is not None:
                 rng.shuffle(candidates)
             for t in candidates:
-                if len(partial) == g:
+                if len(member) == g:
                     break
-                i, j = ones[t]
-                if _compatible(bits, rows, cols, i, j):
-                    partial.append(t)
-                    rows.append(i)
-                    cols.append(j)
-            if len(partial) != g:
-                return None
-            for t in partial:
+                if not blocked >> t & 1:
+                    member.append(t)
+                    blocked |= conflict[t]
+            if len(member) != g:
+                break
+            for t in member:
                 covered[t] = 1
-            remaining -= g
-            chosen.append(partial)
-        return chosen
-
-    result = attempt(None)
-    if result is not None:
-        return result
-    for run in range(1, restarts):
-        result = attempt(random.Random((seed << 20) ^ run))
-        if result is not None:
-            return result
+            chosen.append(member)
+        else:
+            return chosen
     return None
 
 

@@ -138,6 +138,21 @@ class JobSpec:
             self.num_functions, len(cols), self.iva_bytes
         )
 
+    @cached_property
+    def cover_fault(self) -> str | None:
+        """What verify_cover found wrong with the cover, or None when it
+        passes; worked out once per spec."""
+        # Only the verdict is kept: the report's lists, allocated among
+        # verify_cover's temporaries, would pin their heap pages for as
+        # long as the spec lives.
+        report = verify_cover(self.matrix, self.cover)
+        if report.ok:
+            return None
+        return (
+            f"{len(report.malformed)} malformed, {len(report.missing)} missing, "
+            f"{len(report.overlapping)} overlapping"
+        )
+
 
 @dataclass(frozen=True)
 class ReduceAssignment:
@@ -357,17 +372,12 @@ def run_shuffle(
 ) -> ShuffleTranscript:
     """Run the two broadcasts of every cover member and decode them.
 
-    The cover is re-verified first; a broken cover is rejected before any
-    transmission.  After the shuffle every reducing server holds the
-    values for all subfiles of its duty functions.
+    The cover's verification is checked first; a broken cover is rejected
+    before any transmission.  After the shuffle every reducing server
+    holds the values for all subfiles of its duty functions.
     """
-    report = verify_cover(spec.matrix, spec.cover)
-    if not report.ok:
-        raise ShuffleError(
-            "cover failed verification: "
-            f"{len(report.malformed)} malformed, {len(report.missing)} missing, "
-            f"{len(report.overlapping)} overlapping"
-        )
+    if spec.cover_fault is not None:
+        raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if plan is None:
         plan = default_plan(spec, assignment)
     transmissions: list[Transmission] = []

@@ -171,6 +171,8 @@ def worst_case_sweep(
     asserts.  When the subset count exceeds *cap*, a seeded sample is
     swept instead and flagged as such.
     """
+    if cap < 1:
+        raise ValueError(f"cap={cap} must be at least 1")
     rows = spec.matrix.rows
     n_stragglers = spec.matrix.K - kappa
     if n_stragglers < 0:

@@ -126,6 +126,23 @@ class TestRun:
         assert payload["ok"]
         assert payload["load"]["fraction"] == "2/7"
 
+    def test_exact_cover_deeper_than_recursion_limit(self, capsys):
+        # MAN(10,4) picks 1,260 one-entries, past the default 1,000 frames
+        code, out, err = run_cli(
+            capsys, "run", "--construction", "man", "--K", "10", "--r", "4",
+            "--cover", "exact",
+        )
+        assert code == 0, err
+        assert "reduce: ok" in out
+
+    @pytest.mark.parametrize("flag", ["--config", "--design"])
+    def test_directory_as_input_file_exits_2(self, capsys, tmp_path, flag):
+        code, _, err = run_cli(
+            capsys, "run", "--construction", "bibd", flag, str(tmp_path)
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestVerify:
     def test_fano_files_ok(self, capsys):
@@ -194,6 +211,18 @@ class TestTables:
         row = out.strip().split("\n")[1].split(",")
         assert row[8] == "6/25"    # straggler fraction 2t/(kappa(v-t+1))
 
+    def test_table1_missing_key_exits_2(self, capsys, tmp_path):
+        params = tmp_path / "p.txt"
+        params.write_text("I k=3\n")
+        code, _, err = run_cli(capsys, "table1", "--params", str(params))
+        assert code == 2
+        assert "scheme I" in err and "'v'" in err
+
+    def test_table1_params_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "table1", "--params", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_table2_passes(self, capsys):
         code, out, _ = run_cli(capsys, "table2")
         assert code == 0
@@ -228,3 +257,11 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 6    # header + 5 subsets
         assert all(ln.split(",")[1] == "1/2" for ln in lines[1:])
+
+    def test_cap_below_one_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--construction", "man", "--K", "5", "--r", "2",
+            "--kappa", "4", "--cap", "0",
+        )
+        assert code == 2
+        assert "cap" in err

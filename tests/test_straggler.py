@@ -146,6 +146,22 @@ class TestWorstCaseSweep:
         assert a.sampled and a.total_subsets == 21 and len(a.runs) == 3
         assert [s for s, _, _ in a.runs] == [s for s, _, _ in b.runs]
 
+    def test_cover_verified_once_per_job(self, monkeypatch):
+        import codedmr.shuffle
+
+        calls = []
+        verify = codedmr.shuffle.verify_cover
+        monkeypatch.setattr(
+            codedmr.shuffle, "verify_cover", lambda m, c: calls.append(1) or verify(m, c)
+        )
+        result = worst_case_sweep(man_spec(6, 3, 12), 4)
+        assert len(result.runs) == 15
+        assert len(calls) == 1
+
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            worst_case_sweep(man_spec(5, 2, 5), 4, cap=0)
+
 
 class TestOptimalLoad:
     def test_table_values(self):
