@@ -34,7 +34,6 @@ from .covers import (
     CoverInfeasibleError,
     CoverSearchError,
     man_cover,
-    row_regularity,
     search_cover,
     t_subset_cover,
     transversal_cover,
@@ -48,7 +47,6 @@ from .shuffle import (
     Transmission,
     measured_load,
     run_map_phase,
-    run_partial_straggler_pipeline,
     run_pipeline,
     run_reduce,
     run_shuffle,

@@ -30,7 +30,6 @@ from .matrix import (
     count_identity_check,
     format_cover,
     format_matrix,
-    load_formula,
     parse_cover,
     parse_matrix,
     validate_matrix,
@@ -170,49 +169,40 @@ def cmd_run(args) -> int:
     failures: list[str] = []
     warnings: list[str] = []
 
+    stragglers = () if args.stragglers is None else _parse_stragglers(args.stragglers, con.matrix)
+    scenario = straggler.StragglerScenario.from_stragglers(spec, stragglers)
+    plan: str | dict = args.plan
+    plan_obj = None
+    if args.stragglers is None and args.plan == "balanced":
+        try:
+            plan_obj = balance.build_sender_plan(con.matrix, cover)
+            plan = plan_obj.as_mapping()
+        except balance.BalanceError as exc:
+            warnings.append(f"balanced plan unavailable ({exc}); using default plan")
+            plan = "default"
+    result = straggler.straggler_run(spec, scenario, plan)
+    transcript = result.transcript
+    reduce_ok = result.reduce_result.ok
+    load = result.load
+    expected = straggler.straggler_load_formula(
+        con.matrix.K, con.matrix.r, spec.g, scenario.kappa
+    )
+    summary["plan"] = "balanced" if plan_obj is not None else result.plan_mode
     if args.stragglers is not None:
-        stragglers = _parse_stragglers(args.stragglers, con.matrix)
-        scenario = straggler.StragglerScenario.from_stragglers(spec, stragglers)
-        result = straggler.straggler_run(spec, scenario, args.plan)
-        transcript = result.transcript
-        reduce_ok = result.reduce_result.ok
-        load = result.load
-        expected = straggler.straggler_load_formula(
-            con.matrix.K, con.matrix.r, spec.g, scenario.kappa
-        )
         summary["stragglers"] = list(scenario.stragglers)
         summary["kappa"] = scenario.kappa
-        summary["plan"] = result.plan_mode
-        plan_obj = None
-    else:
-        plan_mode = args.plan
-        plan_obj = None
-        if plan_mode == "balanced":
-            try:
-                plan_obj = balance.build_sender_plan(con.matrix, cover)
-            except balance.BalanceError as exc:
-                warnings.append(f"balanced plan unavailable ({exc}); using default plan")
-                plan_mode = "default"
-        result = shuffle.run_pipeline(
-            spec, plan_obj.as_mapping() if plan_obj is not None else None
-        )
-        transcript = result.transcript
-        reduce_ok = result.reduce_result.ok
-        load = result.load
-        expected = load_formula(con.matrix.K, con.matrix.r, spec.g)
-        summary["plan"] = plan_mode
-        if plan_obj is not None:
-            audit = balance.audit_plan(plan_obj, transcript)
-            summary["audit"] = {
-                "balanced": audit.balanced,
-                "expected_bytes_each_kind": fraction_str(audit.expected_each),
-                "per_server": {
-                    k: {"coded_bytes": cb, "uncoded_bytes": ub}
-                    for k, (cb, ub) in sorted(audit.per_server.items())
-                },
-            }
-            if not audit.balanced:
-                failures.append("audit: transmission bytes are not balanced")
+    if plan_obj is not None:
+        audit = balance.audit_plan(plan_obj, transcript)
+        summary["audit"] = {
+            "balanced": audit.balanced,
+            "expected_bytes_each_kind": fraction_str(audit.expected_each),
+            "per_server": {
+                k: {"coded_bytes": cb, "uncoded_bytes": ub}
+                for k, (cb, ub) in sorted(audit.per_server.items())
+            },
+        }
+        if not audit.balanced:
+            failures.append("audit: transmission bytes are not balanced")
 
     summary["transmissions"] = len(transcript.transmissions)
     summary["total_bits"] = transcript.total_bits
@@ -426,7 +416,10 @@ def cmd_verify(args) -> int:
     counting_ok = None
     if cover.uniform_size is not None:
         counting_ok = count_identity_check(cover, matrix)
-    reg = covers.row_regularity(cover, matrix)
+    # how many members hold each server; regular when all counts are equal
+    counts = balance.balance_preconditions(matrix, cover).counts
+    expected = Fraction(sum(counts.values()), matrix.K)
+    regular = all(n == expected for n in counts.values())
     ok = m_report.ok and c_report.ok and counting_ok is not False
     payload = {
         "matrix": {
@@ -445,9 +438,9 @@ def cmd_verify(args) -> int:
         },
         "counting_identity": counting_ok,
         "row_regularity": {
-            "regular": reg.regular,
-            "expected": fraction_str(reg.expected),
-            "counts": dict(sorted(reg.counts.items())),
+            "regular": regular,
+            "expected": fraction_str(expected),
+            "counts": dict(sorted(counts.items())),
         },
         "ok": ok,
     }
@@ -474,8 +467,8 @@ def cmd_verify(args) -> int:
             print(f"  overlap: ({k}, {f})")
         if counting_ok is not None:
             print(f"counting identity S*g = N*(K-r): {'ok' if counting_ok else 'VIOLATED'}")
-        print(f"row regularity: {'regular' if reg.regular else 'irregular'} "
-              f"(expected {fraction_str(reg.expected)} per server)")
+        print(f"row regularity: {'regular' if regular else 'irregular'} "
+              f"(expected {fraction_str(expected)} per server)")
         print(f"verdict: {'ok' if ok else 'FAILED'}")
     return 0 if ok else INVARIANT_ERROR
 

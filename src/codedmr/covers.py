@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -257,29 +255,3 @@ def _greedy_search(
         else:
             return chosen
     return None
-
-
-@dataclass
-class RowRegularityReport:
-    """Per-server appearance counts across cover members."""
-
-    counts: dict[str, int]
-    regular: bool
-    expected: Fraction
-
-
-def row_regularity(c: IdentityCover, m: BinaryComputingMatrix) -> RowRegularityReport:
-    """Count, per server, the members whose row set contains it.
-
-    The cover is balanced-schedulable only when every count equals the
-    average S*g/K, which is what the ``regular`` flag reports.
-    """
-    counts = {k: 0 for k in m.rows}
-    slots = 0
-    for sub in c.members:
-        slots += sub.size
-        for k in sub.rows:
-            counts[k] += 1
-    expected = Fraction(slots, m.K)
-    regular = all(count == expected for count in counts.values())
-    return RowRegularityReport(counts=counts, regular=regular, expected=expected)

@@ -14,6 +14,12 @@ functions) plus, per received column, a ``(beta, T)`` array of the
 values of its duty functions.  Decoding cancels only values whose
 column is in the receiver's own mask.
 
+``run_pipeline`` is the one routine that sequences a run (map, sender
+plan, shuffle, late map, reduce, load), for the full server set, full
+stragglers (which map nothing and whose functions the survivors split)
+and partial stragglers (which never send and map, before the shuffle,
+only what their own decodes need) alike.
+
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
 other member rows are missing) and an uncoded one (the values the coded
@@ -242,25 +248,22 @@ class ShuffleTranscript:
 
 
 def run_map_phase(
-    spec: JobSpec,
-    skip: frozenset[str] | set[str] = frozenset(),
-    subfile_filter: Mapping[str, set[str]] | None = None,
+    spec: JobSpec, subfile_filter: Mapping[str, set[str]] | None = None
 ) -> dict[str, ServerState]:
     """Mark, per server, the zero columns of its row as mapped.
 
-    Servers in *skip* (full stragglers) map nothing.  Servers listed in
-    *subfile_filter* (partial stragglers) map only the listed subfiles
-    out of their assigned ones.  The values are the job's ``ivas``
-    table, built here on first use.
+    Servers listed in *subfile_filter* (stragglers) map only the listed
+    subfiles out of their assigned ones.  The values are the job's
+    ``ivas`` table, built here on first use.
     """
     m = spec.matrix
     spec.ivas  # the map work itself: builds the table once per spec
     zeros = m.bits == 0
     states: dict[str, ServerState] = {}
     for i, k in enumerate(m.rows):
-        mapped = zeros[i] & (k not in skip)
+        mapped = zeros[i]
         if subfile_filter is not None and k in subfile_filter:
-            mapped &= np.isin(m.cols, list(subfile_filter[k]))
+            mapped = mapped & np.isin(m.cols, list(subfile_filter[k]))
         states[k] = ServerState(label=k, mapped=mapped)
     return states
 
@@ -461,23 +464,10 @@ def measured_load(transcript: ShuffleTranscript, spec: JobSpec) -> Fraction:
 
 @dataclass
 class PipelineResult:
-    states: dict[str, ServerState]
     transcript: ShuffleTranscript
     reduce_result: ReduceResult
     load: Fraction
-
-
-def run_pipeline(
-    spec: JobSpec,
-    plan: Mapping[int, tuple[str, str]] | None = None,
-    tamper: Callable[[Transmission], Transmission] | None = None,
-) -> PipelineResult:
-    """Map, shuffle, reduce, and measure one no-straggler job."""
-    assignment = ReduceAssignment.block_partition(spec.matrix.rows, spec.num_functions)
-    states = run_map_phase(spec)
-    transcript = run_shuffle(spec, assignment, states, plan, tamper)
-    reduce_result = run_reduce(spec, assignment, states)
-    return PipelineResult(states, transcript, reduce_result, measured_load(transcript, spec))
+    plan_mode: str        # "default" or "explicit"; straggler_run may set others
 
 
 def partial_straggler_needs(
@@ -500,31 +490,44 @@ def partial_straggler_needs(
     return needs
 
 
-def run_partial_straggler_pipeline(
+def run_pipeline(
     spec: JobSpec,
-    partial: frozenset[str],
     plan: Mapping[int, tuple[str, str]] | None = None,
+    tamper: Callable[[Transmission], Transmission] | None = None,
+    stragglers: Iterable[str] = (),
+    partial: frozenset[str] = frozenset(),
 ) -> PipelineResult:
-    """Run mode where *partial* servers map only what their decodes need.
+    """Map, shuffle, reduce and measure one job.
 
-    Partial stragglers never transmit but still reduce their share; the
-    communication load is unchanged from the no-straggler run.
+    Full *stragglers* map nothing, never send and reduce nothing: the
+    survivors split the Q functions in contiguous blocks in row order.
+    *partial* stragglers never send and map, before the shuffle, only
+    what their decodes need; they finish their map work after the
+    shuffle and reduce their share, so the load is that of the run
+    without them.  Without a *plan*, each member's first two eligible
+    rows send.
     """
-    assignment = ReduceAssignment.block_partition(spec.matrix.rows, spec.num_functions)
+    stragglers = set(stragglers)
+    unknown = (stragglers | partial) - set(spec.matrix.rows)
+    if unknown:
+        raise ValueError(f"unknown server labels {sorted(unknown)}")
+    survivors = [k for k in spec.matrix.rows if k not in stragglers]
+    assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
+    plan_mode = "default" if plan is None else "explicit"
     if plan is None:
         plan = default_plan(spec, assignment, forbidden=partial)
     for idx, (cs, us) in plan.items():
         if cs in partial or us in partial:
             raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
     needs = partial_straggler_needs(spec, plan, partial)
-    states = run_map_phase(spec, subfile_filter=needs)
-    transcript = run_shuffle(spec, assignment, states, plan)
-    # Slow servers finish the rest of their map work after the shuffle
-    # window has closed; the transcript and load are already fixed.
+    states = run_map_phase(spec, subfile_filter={**{k: set() for k in stragglers}, **needs})
+    transcript = run_shuffle(spec, assignment, states, plan, tamper)
+    # Partial stragglers finish the rest of their map work after the
+    # shuffle window has closed; the transcript and load are already fixed.
     for k in partial:
-        states[k].mapped |= spec.matrix.bits[spec.matrix.row_index(k)] == 0
+        states[k].mapped = spec.matrix.bits[spec.matrix.row_index(k)] == 0
     reduce_result = run_reduce(spec, assignment, states)
-    return PipelineResult(states, transcript, reduce_result, measured_load(transcript, spec))
+    return PipelineResult(transcript, reduce_result, measured_load(transcript, spec), plan_mode)
 
 
 # ---------------------------------------------------------------------------

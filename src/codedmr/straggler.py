@@ -1,5 +1,11 @@
 """Full-straggler runs: survivors reduce everything, load scales by K/kappa.
 
+A straggler run is the no-straggler run over the survivors: the same
+two broadcasts per cover member, carried out by ``shuffle.run_pipeline``
+with the failed servers passed as its ``stragglers``.  This module
+checks that a scenario is within tolerance, resolves the sender plan
+over the survivors, and sweeps or tabulates scenarios.
+
 Because every exchange round involves only two senders, the scheme
 tolerates up to g-2 failed servers: each cover member still has two
 surviving rows to carry its round.  The surviving kappa servers split
@@ -18,43 +24,31 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping
 
-from . import balance
-# Not called here; tracing tools count calls through this binding too.
-from .balance import perfect_matching  # noqa: F401
+from . import balance, shuffle
 from .covers import man_cover
 from .constructions import man_matrix
 from .fmt import decimal_trunc, printed_places
-from .shuffle import (
-    JobSpec,
-    ReduceAssignment,
-    ReduceResult,
-    ShuffleTranscript,
-    default_plan,
-    measured_load,
-    run_map_phase,
-    run_reduce,
-    run_shuffle,
-)
+from .shuffle import JobSpec, PipelineResult
+# Not called here: tracing tools swap these module attributes, so they
+# stay bound.
+from .balance import perfect_matching  # noqa: F401
+from .shuffle import default_plan, run_map_phase, run_reduce, run_shuffle  # noqa: F401
 
 
 @dataclass(frozen=True)
 class StragglerScenario:
-    """Survivor set plus the reassigned reduce duties."""
+    """Survivor set and failed servers, both in matrix row order."""
 
     survivors: tuple[str, ...]
     stragglers: tuple[str, ...]
-    assignment: ReduceAssignment
 
     @classmethod
-    def from_stragglers(
-        cls, spec: JobSpec, stragglers, num_functions: int | None = None
-    ) -> "StragglerScenario":
+    def from_stragglers(cls, spec: JobSpec, stragglers) -> "StragglerScenario":
         """Build a scenario from the failed-server labels.
 
-        Survivors keep matrix row order; duties are contiguous blocks of
-        Q/kappa functions in that order, so Q must divide evenly.
+        The survivors split the Q functions into contiguous blocks, so Q
+        must divide evenly among them.
         """
-        Q = spec.num_functions if num_functions is None else num_functions
         straggler_set = set(stragglers)
         unknown = straggler_set - set(spec.matrix.rows)
         if unknown:
@@ -62,15 +56,11 @@ class StragglerScenario:
         survivors = tuple(k for k in spec.matrix.rows if k not in straggler_set)
         if len(survivors) < 2:
             raise ValueError("at least two servers must survive")
-        if Q % len(survivors):
+        if spec.num_functions % len(survivors):
             raise ValueError(
-                f"Q={Q} is not divisible by kappa={len(survivors)} survivors"
+                f"Q={spec.num_functions} is not divisible by kappa={len(survivors)} survivors"
             )
-        return cls(
-            survivors=survivors,
-            stragglers=tuple(k for k in spec.matrix.rows if k in straggler_set),
-            assignment=ReduceAssignment.block_partition(survivors, Q),
-        )
+        return cls(survivors, tuple(k for k in spec.matrix.rows if k in straggler_set))
 
     @property
     def kappa(self) -> int:
@@ -82,25 +72,18 @@ def straggler_load_formula(K: int, r: int, g: int, kappa: int) -> Fraction:
     return Fraction(2, g) * Fraction(K - r, kappa)
 
 
-@dataclass
-class StragglerRunResult:
-    scenario: StragglerScenario
-    transcript: ShuffleTranscript
-    reduce_result: ReduceResult
-    load: Fraction
-    plan_mode: str
-
-
 def straggler_run(
     spec: JobSpec,
     scenario: StragglerScenario,
     plan: str | Mapping[int, tuple[str, str]] = "default",
-) -> StragglerRunResult:
+) -> PipelineResult:
     """Simulate one straggler scenario end to end.
 
     Stragglers map nothing and never transmit; every member must keep at
     least two surviving rows.  The transcript has 2S transmissions of
-    (Q/kappa)*T bytes.
+    (Q/kappa)*T bytes.  *plan* is "default", "balanced" (over the
+    survivors, falling back to the default plan when the balancing
+    preconditions fail) or an explicit member -> (coded, uncoded) map.
     """
     K = spec.matrix.K
     g = spec.g
@@ -115,35 +98,20 @@ def straggler_run(
         if alive < 2:
             raise ValueError(f"member {idx} has {alive} surviving rows, needs 2")
 
-    states = run_map_phase(spec, skip=set(scenario.stragglers))
     plan_mode = plan if isinstance(plan, str) else "explicit"
+    resolved = None if isinstance(plan, str) else dict(plan)
     if plan == "balanced":
         try:
             resolved = balance.build_sender_plan(
                 spec.matrix, spec.cover, scenario.survivors
             ).as_mapping()
         except balance.BalanceError:
-            resolved = default_plan(spec, scenario.assignment)
             plan_mode = "default (balanced unavailable)"
-    elif plan == "default":
-        resolved = default_plan(spec, scenario.assignment)
-    elif isinstance(plan, str):
+    elif isinstance(plan, str) and plan != "default":
         raise ValueError(f"unknown plan mode {plan!r}")
-    else:
-        resolved = dict(plan)
-
-    transcript = run_shuffle(spec, scenario.assignment, states, resolved)
-    senders = {tx.sender for tx in transcript.transmissions}
-    if senders & set(scenario.stragglers):
-        raise RuntimeError("a straggler appeared as a sender; scheduling bug")
-    reduce_result = run_reduce(spec, scenario.assignment, states)
-    return StragglerRunResult(
-        scenario=scenario,
-        transcript=transcript,
-        reduce_result=reduce_result,
-        load=measured_load(transcript, spec),
-        plan_mode=plan_mode,
-    )
+    result = shuffle.run_pipeline(spec, resolved, stragglers=scenario.stragglers)
+    result.plan_mode = plan_mode
+    return result
 
 
 @dataclass

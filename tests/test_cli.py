@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -166,6 +167,15 @@ class TestVerify:
         assert code == 1
         assert "overlap" in out
 
+    def test_unknown_server_label_is_a_malformed_member(self, capsys, tmp_path):
+        lines = Path(FANO_COVER).read_text().splitlines()
+        bad = tmp_path / "cover.txt"
+        bad.write_text("\n".join([lines[0], "3 9" + lines[1][3:], *lines[2:]]) + "\n")
+        code, out, err = run_cli(capsys, "verify", FANO_MATRIX, str(bad))
+        assert code == 1
+        assert "malformed member 0: unknown server label" in out
+        assert "verdict: FAILED" in out and err == ""
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a matrix\n")
@@ -265,3 +275,88 @@ class TestSweep:
         )
         assert code == 2
         assert "cap" in err
+
+
+# sha256 of standard output and of every --out artifact; any change to
+# how a run is sequenced must reproduce them byte for byte.
+_MAN_5_2 = ("run", "--construction", "man", "--K", "5", "--r", "2")
+_MAN_5_2_ARTIFACTS = {
+    "cover.txt": "41912649d2477d6c9f50825316eaa171e40c1ad844953ec3fd8db9a088368b18",
+    "matrix.txt": "4c1e1d6abecc9f4c92e4cb7e08419f320fd5e50b45e1a145ea91e6e5405a6867",
+}
+_FANO_ARTIFACTS = {
+    "cover.txt": "d9e41958c34c222c9c3a60357641e5da9b3944046368846f05047d8778a907af",
+    "matrix.txt": "7a073a1c517d8d2ba43a0359c4ffddd8e74eec155539baab74dc8f3a959f17f0",
+}
+_FANO_BALANCED_STDOUT = "6d95deb16f196978465740186d90032175b01f325783f9fc5526d997100eb8ff"
+_FANO_BALANCED_TRANSCRIPT = "068ee2e5d7402ff704183794ce39181f2a7cbbf11ef7125fa894957482618663"
+_MAN_5_2_Q20_TRANSCRIPT = "26d857719c0292d6a6c5c5a4937e8ca5f8d0c1e79aba18781cf1d270fc8a0b1f"
+_VERIFY_JSON = "b322bce2d994628147fd3f0f5bc2666d8d8f4008e2db376f1f737b26b8145127"
+
+OUTPUT_PINS = {
+    "man-5-2": (_MAN_5_2, {
+        **_MAN_5_2_ARTIFACTS,
+        "stdout": "3aade00ca5695152f8ee029846598d81157d7a3b2de04fe50acfe357e2885ec6",
+        "summary.json": "6f1a47e640eed55981f2753655270747cbe81b9b33e5d2febb8b75235cfc4ba1",
+        "transcript.bin": "b5c0978c33c5cb48da6fe60d89137ec449d74c4716d991628d11217945f11557",
+    }),
+    "fano-balanced": (("run", "--construction", "fano", "--plan", "balanced"), {
+        **_FANO_ARTIFACTS,
+        "stdout": _FANO_BALANCED_STDOUT,
+        "audit.csv": "a15bba816608229d121d91d7d64d9fb813069de1e1ff846f1d2de7d63b08ac3c",
+        "plan.json": "2135e3ca58b91f55cbc96bf3c108008f3ec209bcdef24ea74ab88183475e1cbc",
+        "summary.json": "a0f87847f10c6a5143042dff5b4b3f08d1184971ea2f6f309626b232273a0b24",
+        "transcript.bin": _FANO_BALANCED_TRANSCRIPT,
+    }),
+    "fano-stragglers-0-balanced": (
+        ("run", "--construction", "fano", "--stragglers", "0", "--plan", "balanced"), {
+            **_FANO_ARTIFACTS,
+            "stdout": _FANO_BALANCED_STDOUT,
+            "summary.json": "5db6aeaeb8c8d8b9797c3e58cf69cdb49949512fee91020add5d56fb95ab3d52",
+            "transcript.bin": _FANO_BALANCED_TRANSCRIPT,
+        }),
+    "man-5-2-stragglers-1": ((*_MAN_5_2, "--Q", "20", "--stragglers", "1"), {
+        **_MAN_5_2_ARTIFACTS,
+        "stdout": "d9807c5a42e1015f8d378b4e02de220d8b9cac7b9291031199eb5bb26894daa5",
+        "summary.json": "0afb98dee8456c8e3501ac9ffa30df19c75e5df85655dab52bceec00593d4d6a",
+        "transcript.bin": _MAN_5_2_Q20_TRANSCRIPT,
+    }),
+    "man-5-2-stragglers-1-balanced": (
+        (*_MAN_5_2, "--Q", "20", "--stragglers", "1", "--plan", "balanced"), {
+            **_MAN_5_2_ARTIFACTS,
+            "stdout": "260eaf7ac49c27adfeb3e393b9fac943f8adb399dff277a85f658ac32182f1d7",
+            "summary.json": "4e58701f56d5c208ebcfd5013cd7479dafc290a6d77c4a46593e27f67d281ecf",
+            "transcript.bin": _MAN_5_2_Q20_TRANSCRIPT,
+        }),
+    "man-6-3-stragglers-2,5": (
+        ("run", "--construction", "man", "--K", "6", "--r", "3", "--Q", "12", "--T", "4",
+         "--stragglers", "2,5"), {
+            "stdout": "6c46181bcddef81a0743a795ea60dee9c16c38ec4d0b633e21038e5d21f6f007",
+            "cover.txt": "ed8c978daeb10070ac8e70e8dcfe9bb0d7f13776dddadcfc76b520d626b76654",
+            "matrix.txt": "c1613a31dc73861b5a91248fb1a1b42cdf8fe22845df5487c0f39347b1184f9d",
+            "summary.json": "6a7caf793391a7b4bf8343c5548ec7ffe32ca7ea40ac2739c01dbd2a27c69993",
+            "transcript.bin": "b030c369c5cad8b9b9852fbe7b38bf247e24707bc693cb3e0c77b9b58a35c994",
+        }),
+    "man-7-4-stragglers-6,7-balanced": (
+        ("run", "--construction", "man", "--K", "7", "--r", "4", "--Q", "35", "--T", "4",
+         "--stragglers", "6,7", "--plan", "balanced"), {
+            "stdout": "57180d12cf56480d340e01843a04a0b1cded3ea66b774c62b497c832fa0e868d",
+            "cover.txt": "22b29b44298b9c0ce9fed0ff799e15ef98d5b3196db265519e89e04e19bcb9d1",
+            "matrix.txt": "ab43f7019cb52127b8ee7b3c6108c4101b3a0fec77260f7c6075a5b7c8f76b42",
+            "summary.json": "6ba259492786b7428cb992e6773f702bdc2c37d2ea7d923642f5c527c565e828",
+            "transcript.bin": "2c3f08cae766dd4f91609d09181d73b2c2da247336196bcc86fb5fc545edcb6d",
+        }),
+    "fano-verify-json": (("verify", FANO_MATRIX, FANO_COVER, "--json"), {
+        "stdout": _VERIFY_JSON,
+        "verify.json": _VERIFY_JSON,
+    }),
+}
+
+
+@pytest.mark.parametrize("argv, pins", OUTPUT_PINS.values(), ids=OUTPUT_PINS)
+def test_outputs_are_pinned(capsys, tmp_path, argv, pins):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in tmp_path.iterdir())
+    assert got == pins

@@ -15,11 +15,11 @@ from codedmr import (
     CoverInfeasibleError,
     IdentityCover,
     IdentitySubmatrix,
+    balance_preconditions,
     count_identity_check,
     fano_matrix,
     man_cover,
     man_matrix,
-    row_regularity,
     search_cover,
     t_subset_cover,
     t_subset_matrix,
@@ -183,24 +183,32 @@ class TestSearchCover:
 
 
 class TestRowRegularity:
+    """Per-server member counts, as ``codedmr verify`` reports them."""
+
+    @staticmethod
+    def regularity(cover, m):
+        counts = balance_preconditions(m, cover).counts
+        expected = Fraction(sum(counts.values()), m.K)
+        return counts, expected, all(n == expected for n in counts.values())
+
     def test_fano_cover_three_each(self, fano_pair):
         m, cover = fano_pair
-        report = row_regularity(cover, m)
-        assert report.regular
-        assert all(v == 3 for v in report.counts.values())
-        assert report.expected == Fraction(21, 7)
+        counts, expected, regular = self.regularity(cover, m)
+        assert regular
+        assert all(v == 3 for v in counts.values())
+        assert expected == Fraction(21, 7)
 
     def test_man_5_2_six_each(self):
         m = man_matrix(5, 2)
         cover = man_cover(m)
-        report = row_regularity(cover, m)
-        assert report.regular
-        assert set(report.counts.values()) == {comb(4, 2)}
+        counts, _, regular = self.regularity(cover, m)
+        assert regular
+        assert set(counts.values()) == {comb(4, 2)}
 
     def test_missing_member_breaks_regularity(self, fano_pair):
         m, cover = fano_pair
-        report = row_regularity(IdentityCover(cover.members[:-1]), m)
-        assert not report.regular
+        _, _, regular = self.regularity(IdentityCover(cover.members[:-1]), m)
+        assert not regular
 
 
 def _sha(cover):

@@ -15,7 +15,6 @@ from codedmr import (
     fano_matrix,
     man_cover,
     man_matrix,
-    run_partial_straggler_pipeline,
     run_pipeline,
     search_cover,
     straggler_run,
@@ -85,7 +84,7 @@ def test_two_straggler_run_pin(tmp_path):
 
 def test_partial_straggler_pipeline_pin(tmp_path):
     spec = _spec("fano", 14, 8)
-    result = run_partial_straggler_pipeline(spec, frozenset({"2"}))
+    result = run_pipeline(spec, partial=frozenset({"2"}))
     assert result.reduce_result.ok and result.transcript.sent_bits["2"] == 0
     assert _transcript_sha(tmp_path, spec, result.transcript) == (
         "8982918d178cbc0584660e1151175a84985a57c65c3849d8c2aeef508fdb2c0a"

@@ -19,7 +19,6 @@ from codedmr import (
     man_matrix,
     measured_load,
     run_map_phase,
-    run_partial_straggler_pipeline,
     run_pipeline,
     run_reduce,
     run_shuffle,
@@ -233,7 +232,7 @@ class TestPartialStragglers:
     def test_load_unchanged_and_decodes_ok(self):
         spec = fano_spec(Q=14, T=8)
         baseline = run_pipeline(spec)
-        partial = run_partial_straggler_pipeline(spec, frozenset({"2"}))
+        partial = run_pipeline(spec, partial=frozenset({"2"}))
         assert partial.load == baseline.load == Fraction(2, 7)
         assert partial.reduce_result.ok
         assert partial.transcript.sent_bits["2"] == 0
@@ -255,7 +254,13 @@ class TestPartialStragglers:
         plan = default_plan(spec, duties)
         partials = frozenset({plan[0][0]})
         with pytest.raises(ShuffleError, match="partial straggler"):
-            run_partial_straggler_pipeline(spec, partials, plan)
+            run_pipeline(spec, plan, partial=partials)
+
+    @pytest.mark.parametrize("kind", ["stragglers", "partial"])
+    def test_unknown_server_label_rejected(self, kind):
+        spec = fano_spec(Q=7, T=4)
+        with pytest.raises(ValueError, match="unknown server labels"):
+            run_pipeline(spec, **{kind: frozenset({"9"})})
 
 
 class TestTranscriptPersistence:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from codedmr import (
     JobSpec,
+    ShuffleError,
     StragglerScenario,
     balance_preconditions,
     comparison_table,
@@ -100,6 +101,14 @@ class TestStragglerRun:
         assert "default" in result.plan_mode
         assert result.load == Fraction(1, 2)
         assert result.reduce_result.ok
+
+    def test_explicit_plan_naming_a_straggler_rejected(self):
+        spec = man_spec(6, 3, 30)
+        scenario = StragglerScenario.from_stragglers(spec, ("2",))
+        plan = {i: tuple(member.rows[:2]) for i, member in enumerate(spec.cover.members)}
+        assert any("2" in pair for pair in plan.values())
+        with pytest.raises(ShuffleError, match="senders must be participating rows"):
+            straggler_run(spec, scenario, plan)
 
     def test_balanced_plan_hint_balances_when_kappa_equals_k(self):
         spec = man_spec(5, 2, 5)
