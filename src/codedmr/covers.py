@@ -226,31 +226,48 @@ def _greedy_search(
     conflict: list[int], g: int, seed: int, restarts: int
 ) -> list[list[int]] | None:
     n_ones = len(conflict)
+    width = (n_ones + 7) // 8
+
+    def flags(mask: int) -> np.ndarray:
+        """The bits of *mask* as a bool array, one entry per one-entry."""
+        packed = np.frombuffer(mask.to_bytes(width, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=n_ones, bitorder="little").view(bool)
+
     # attempt 0 takes candidates in scan order; later ones shuffle them
     for run in range(max(restarts, 1)):
         rng = random.Random((seed << 20) ^ run) if run else None
-        # a bytearray, not an int mask: each member scans it for candidates,
-        # and testing one bit of a big int costs a shift of the whole int
-        covered = bytearray(n_ones)
+        uncovered = (1 << n_ones) - 1
         chosen: list[list[int]] = []
-        for root in range(n_ones):
-            if covered[root]:
-                continue
+        while uncovered:
+            root = (uncovered & -uncovered).bit_length() - 1
             member = [root]
             blocked = conflict[root]
-            candidates = [t for t in range(root + 1, n_ones) if not covered[t]]
-            if rng is not None:
+            if rng is None:
+                # in scan order the next pick is the lowest open candidate
+                open_ = uncovered & ~blocked
+                while open_ and len(member) < g:
+                    t = (open_ & -open_).bit_length() - 1
+                    member.append(t)
+                    open_ &= ~conflict[t]
+            else:
+                candidates = np.flatnonzero(flags(uncovered))[1:].tolist()
                 rng.shuffle(candidates)
-            for t in candidates:
-                if len(member) == g:
-                    break
-                if not blocked >> t & 1:
+                order = np.array(candidates, dtype=np.intp)
+                start = 0
+                while len(member) < g:
+                    # test the rest of the shuffled order against the blocked
+                    # mask at once, not one shift of a big int per candidate
+                    open_ = np.flatnonzero(~flags(blocked)[order[start:]])
+                    if not open_.size:
+                        break
+                    start += int(open_[0]) + 1
+                    t = int(order[start - 1])
                     member.append(t)
                     blocked |= conflict[t]
             if len(member) != g:
                 break
             for t in member:
-                covered[t] = 1
+                uncovered &= ~(1 << t)
             chosen.append(member)
         else:
             return chosen

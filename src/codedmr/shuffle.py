@@ -8,11 +8,15 @@ Every intermediate value (IVA) is a pure function of (q, f), so a job
 computes each one exactly once: ``JobSpec.ivas`` is a read-only
 ``(Q, N, T)`` uint8 table, built on first use and shared by the map
 phase, the oracle, the late map work of partial stragglers and every
-scenario of a straggler sweep run on the same spec.  A server's store
-is a column mask over that table (the subfiles it mapped, for all Q
-functions) plus, per received column, a ``(beta, T)`` array of the
-values of its duty functions.  Decoding cancels only values whose
-column is in the receiver's own mask.
+scenario of a straggler sweep run on the same spec.  Likewise a
+complete function's reduce output depends only on its row of that
+table, so ``JobSpec.reduce_outputs`` digests each row once per spec.
+The servers' store is three arrays (``ServerStore``): a ``(K, N)`` mask
+of the subfiles each server mapped, and, since every function has one
+reducer, a ``(Q, N, T)`` table of delivered values shaped like ``ivas``
+with a ``(Q, N)`` mask of what was delivered.  Decoding cancels only
+values whose column is in the receiver's own mask, and the reduce phase
+is one comparison of the delivered table with ``ivas``.
 
 ``run_pipeline`` is the one routine that sequences a run (map, sender
 plan, shuffle, late map, reduce, load), for the full server set, full
@@ -25,17 +29,23 @@ broadcasts: a coded one (bytewise XOR of the intermediate values the
 other member rows are missing) and an uncoded one (the values the coded
 sender itself is missing).  Payloads are exactly beta*T bytes, where
 beta is the number of reduce functions per participating server and T
-the intermediate-value size in bytes.
+the intermediate-value size in bytes.  All rounds of a shuffle run as
+one array kernel: one gather of the missing values of every member
+slot, one XOR reduce over the slots for every coded payload, prefix and
+suffix XORs over the slots to decode, and one boolean gather of the
+mapped masks to check every cancellation.  ``round_for_member`` is the
+same kernel on one member.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -159,6 +169,25 @@ class JobSpec:
             f"{len(report.overlapping)} overlapping"
         )
 
+    @cached_property
+    def reduce_outputs(self) -> tuple[bytes, ...]:
+        """The Q reduce outputs: ``reduce_outputs[q - 1]`` is the
+        ``reduce_digest`` of q over its ``ivas`` row, worked out once per
+        spec."""
+        return tuple(
+            reduce_digest(q, [v.tobytes() for v in row]) for q, row in enumerate(self.ivas, 1)
+        )
+
+    @cached_property
+    def cover_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, g) matrix row and column indices of the cover members'
+        entries, in member order."""
+        m = self.matrix
+        shape = (self.cover.size, self.g)
+        rows = [m.row_index(k) for member in self.cover.members for k in member.rows]
+        cols = [m.col_index(f) for member in self.cover.members for f in member.cols]
+        return np.reshape(rows, shape), np.reshape(cols, shape)
+
 
 @dataclass(frozen=True)
 class ReduceAssignment:
@@ -203,18 +232,20 @@ class ReduceAssignment:
 
 
 @dataclass
-class ServerState:
-    """One server's intermediate values, map-phase and received kept apart.
+class ServerStore:
+    """Every server's intermediate values, as arrays over the job's table.
 
-    ``mapped[j]`` says the server mapped subfile ``cols[j]``, so it holds
-    ``spec.ivas[:, j]``; decoding may only cancel against those.
-    ``received[j]`` holds what the shuffle delivered for column j: one
-    row per duty function, in duty order.
+    ``mapped[i, j]`` says server ``rows[i]`` mapped subfile ``cols[j]``,
+    so it holds ``spec.ivas[:, j]``; decoding may only cancel against
+    those.  Each function q has one reducer, so what the shuffle delivers
+    fits one table shaped like ``ivas``: ``received[q - 1, j]`` is the
+    value of (q, cols[j]) delivered to q's reducer, and ``have[q - 1, j]``
+    says that it was delivered.
     """
 
-    label: str
-    mapped: np.ndarray                                   # (N,) bool
-    received: dict[int, np.ndarray] = field(default_factory=dict)
+    mapped: np.ndarray       # (K, N) bool
+    received: np.ndarray     # (Q, N, T) uint8
+    have: np.ndarray         # (Q, N) bool
 
 
 @dataclass(frozen=True)
@@ -249,7 +280,7 @@ class ShuffleTranscript:
 
 def run_map_phase(
     spec: JobSpec, subfile_filter: Mapping[str, set[str]] | None = None
-) -> dict[str, ServerState]:
+) -> ServerStore:
     """Mark, per server, the zero columns of its row as mapped.
 
     Servers listed in *subfile_filter* (stragglers) map only the listed
@@ -258,21 +289,148 @@ def run_map_phase(
     """
     m = spec.matrix
     spec.ivas  # the map work itself: builds the table once per spec
-    zeros = m.bits == 0
-    states: dict[str, ServerState] = {}
+    mapped = m.bits == 0
     for i, k in enumerate(m.rows):
-        mapped = zeros[i]
         if subfile_filter is not None and k in subfile_filter:
-            mapped = mapped & np.isin(m.cols, list(subfile_filter[k]))
-        states[k] = ServerState(label=k, mapped=mapped)
-    return states
+            mapped[i] &= np.isin(m.cols, list(subfile_filter[k]))
+    Q, N, T = spec.ivas.shape
+    return ServerStore(mapped, np.zeros((Q, N, T), dtype=np.uint8), np.zeros((Q, N), dtype=bool))
+
+
+def _exchange(
+    spec: JobSpec,
+    assignment: ReduceAssignment,
+    store: ServerStore,
+    members: Sequence[int],
+    senders: Sequence[tuple[str, str]],
+    tamper: Callable[[Transmission], Transmission] | None,
+) -> list[Transmission]:
+    """The exchange rounds of *members*, ``senders[i]`` being the (coded,
+    uncoded) pair of ``members[i]``: build, broadcast, decode.
+
+    All rounds are one array kernel over the members' g slots, laid out
+    slot-major so that every XOR runs over a contiguous (S, beta, T)
+    block.  One gather fetches the value each slot's row is missing for
+    each of its duty functions.  The coded sender's slot and the slots of
+    rows that do not take part (full stragglers) are zeroed, so one XOR
+    reduce over the slot axis gives every coded payload, and prefix and
+    suffix XORs along that axis decode them.  One boolean gather of the
+    mapped masks checks every value an encoder or decoder cancels.
+    Faults are found for all members at once and raised for the first in
+    member order, as one round at a time would meet them.
+    """
+    m = spec.matrix
+    beta, T = assignment.beta, spec.iva_bytes
+    size = beta * T
+    row_of = {k: i for i, k in enumerate(m.rows)}
+    duty = np.zeros((m.K, beta), dtype=np.intp)     # q - 1 of each row's duty functions
+    active = np.zeros(m.K, dtype=bool)
+    for k, duties in assignment.duties.items():
+        duty[row_of[k]] = np.subtract(duties, 1)
+        active[row_of[k]] = True
+    R, C = (index[members] for index in spec.cover_index)       # (S, g)
+    n, g = R.shape
+    at = np.arange(n)
+    part = active[R]
+    cs_row = np.array([row_of.get(c, -1) for c, _ in senders], dtype=np.intp)
+    us_row = np.array([row_of.get(u, -1) for _, u in senders], dtype=np.intp)
+    cs = np.argmax(R == cs_row[:, None], axis=1)    # the senders' slots
+    us = np.argmax(R == us_row[:, None], axis=1)
+    distinct = np.array([c != u for c, u in senders], dtype=bool)
+    takes_part = (R[at, cs] == cs_row) & part[at, cs] & (R[at, us] == us_row) & part[at, us]
+    sound = distinct & takes_part
+
+    # held[s, i, j]: the row of slot i mapped the column of slot j.  The
+    # coded sender encodes from its own map-phase values, the uncoded
+    # sender sends the coded sender's column, and every other row decodes
+    # by cancelling the values of the rows besides itself and the sender.
+    held = store.mapped[R[:, :, None], C[:, None, :]] | ~part[:, :, None] | ~part[:, None, :]
+    held[:, np.arange(g), np.arange(g)] = True
+    own = held[at, cs]
+    early = np.flatnonzero(~sound | ~own.all(1) | ~held[at, us, cs])
+    held[at, cs] = True
+    held[at, :, cs] = True
+    late = np.flatnonzero(sound & ~held.reshape(n, g * g).all(1))
+    first_fault = int(early[0]) if early.size else n
+    first_late = int(late[0]) if late.size else n
+
+    def lacks(s: int, owner: int, j: int) -> ShuffleError:
+        return ShuffleError(
+            f"server {m.rows[R[s, owner]]!r} lacks mapped value "
+            f"(q={duty[R[s, j], 0] + 1}, f={m.cols[C[s, j]]!r}); "
+            "map phase is inconsistent with the schedule"
+        )
+
+    def fault(s: int) -> ShuffleError:
+        if not distinct[s]:
+            return ShuffleError("coded and uncoded sender must be distinct servers")
+        if not takes_part[s]:
+            return ShuffleError("senders must be participating rows of the member")
+        if not own[s].all():
+            return lacks(s, cs[s], int(np.argmin(own[s])))
+        return lacks(s, us[s], cs[s])
+
+    # values[i, s, b]: what slot i's row of member s misses for duty slot b
+    values = spec.ivas[duty[R.T], C.T[:, :, None]]              # (g, S, beta, T)
+    uncoded = values[cs, at]
+    values[cs, at] = 0
+    if not part.all():
+        values[~part.T] = 0
+    coded = np.bitwise_xor.reduce(values, axis=0)
+
+    # Broadcast member by member, so that *tamper* sees one transmission at
+    # a time and a fault surfaces where a round at a time would meet it.
+    pc, pu = coded.tobytes(), uncoded.tobytes()
+    txs: list[Transmission] = []
+    for i, (c, u) in enumerate(senders):
+        if i == first_fault:
+            raise fault(i)
+        pair = (
+            Transmission(c, members[i], "coded", pc[i * size : (i + 1) * size]),
+            Transmission(u, members[i], "uncoded", pu[i * size : (i + 1) * size]),
+        )
+        if tamper is not None:
+            pair = (tamper(pair[0]), tamper(pair[1]))
+        if i == first_late:
+            raise lacks(i, *divmod(int(np.argmin(held[i])), g))
+        for tx in pair:
+            if len(tx.payload) != size:
+                raise ShuffleError(
+                    f"member {members[i]}: {tx.kind} broadcast has "
+                    f"{len(tx.payload)} bytes, expected {size}"
+                )
+        txs.extend(pair)
+    if tamper is not None:
+        # decode what was broadcast: the tampered payloads
+        sent = np.frombuffer(b"".join(tx.payload for tx in txs), dtype=np.uint8)
+        coded, uncoded = sent.reshape(n, 2, beta, T).transpose(1, 0, 2, 3)
+
+    # Slot i decodes the coded payload by XORing away the values of the
+    # slots before it and after it; the uncoded payload serves the coded
+    # sender directly.  (A slot loop: ufunc.accumulate over this axis is
+    # some 20-40 times slower on these shapes.)
+    decoded = np.empty_like(values)
+    prefix = coded.copy()
+    for i in range(g):
+        decoded[i] = prefix
+        prefix ^= values[i]
+    suffix = np.zeros_like(coded)
+    for i in range(g - 1, -1, -1):
+        decoded[i] ^= suffix
+        suffix ^= values[i]
+    decoded[cs, at] = uncoded
+    q = duty[R.T][part.T]                                       # (P, beta)
+    cols = C.T[part.T][:, None]
+    store.received[q, cols] = decoded[part.T]
+    store.have[q, cols] = True
+    return txs
 
 
 def round_for_member(
     spec: JobSpec,
     member_index: int,
     assignment: ReduceAssignment,
-    states: dict[str, ServerState],
+    store: ServerStore,
     coded_sender: str,
     uncoded_sender: str,
     tamper: Callable[[Transmission], Transmission] | None = None,
@@ -286,64 +444,9 @@ def round_for_member(
     values for its matched column.  *tamper* is a fault-injection hook
     applied to each transmission before decoding.
     """
-    member = spec.cover.members[member_index]
-    col_of = dict(zip(member.rows, member.cols))
-    active = [k for k in member.rows if k in assignment.duties]
-    if coded_sender == uncoded_sender:
-        raise ShuffleError("coded and uncoded sender must be distinct servers")
-    if coded_sender not in active or uncoded_sender not in active:
-        raise ShuffleError("senders must be participating rows of the member")
-    beta = assignment.beta
-    T = spec.iva_bytes
-    m = spec.matrix
-
-    def require(owners: list[str], held: np.ndarray, rows: list[str]) -> None:
-        """*held[i, j]* says owners[i] mapped the matched column of rows[j]."""
-        if not held.all():
-            i, j = divmod(int(np.argmin(held)), held.shape[1])
-            raise ShuffleError(
-                f"server {owners[i]!r} lacks mapped value "
-                f"(q={assignment.duties[rows[j]][0]}, f={col_of[rows[j]]!r}); "
-                "map phase is inconsistent with the schedule"
-            )
-
-    def unpack(tx: Transmission) -> np.ndarray:
-        if len(tx.payload) != beta * T:
-            raise ShuffleError(
-                f"member {member_index}: {tx.kind} broadcast has "
-                f"{len(tx.payload)} bytes, expected {beta * T}"
-            )
-        return np.frombuffer(tx.payload, dtype=np.uint8).reshape(beta, T)
-
-    # values[i, b] is the value others[i] is missing for its duty slot b.
-    others = [k for k in active if k != coded_sender]
-    cols = np.array([m.col_index(col_of[k]) for k in others])
-    values = spec.ivas[np.array([assignment.duties[k] for k in others]) - 1, cols[:, None]]
-    f_p = m.col_index(col_of[coded_sender])
-    require([coded_sender], states[coded_sender].mapped[cols][None], others)
-    require([uncoded_sender], states[uncoded_sender].mapped[[[f_p]]], [coded_sender])
-    payload = np.bitwise_xor.reduce(values, axis=0).tobytes()
-    tx_coded = Transmission(coded_sender, member_index, "coded", payload)
-    q_p = np.subtract(assignment.duties[coded_sender], 1)
-    tx_uncoded = Transmission(uncoded_sender, member_index, "uncoded", spec.ivas[q_p, f_p].tobytes())
-    if tamper is not None:
-        tx_coded = tamper(tx_coded)
-        tx_uncoded = tamper(tx_uncoded)
-
-    # Decode the coded broadcast at every participating row but the sender,
-    # cancelling only against the receiver's own map-phase store: receiver
-    # i XORs away values[:i] and values[i + 1:], the prefix and suffix XORs.
-    held = np.array([states[k].mapped[cols] for k in others])
-    np.fill_diagonal(held, True)
-    require(others, held, others)
-    zero = np.zeros((1, beta, T), dtype=np.uint8)
-    before = np.concatenate([zero, np.bitwise_xor.accumulate(values, axis=0)[:-1]])
-    after = np.concatenate([np.bitwise_xor.accumulate(values[::-1], axis=0)[-2::-1], zero])
-    decoded = unpack(tx_coded) ^ before ^ after
-    for i, k_i in enumerate(others):
-        states[k_i].received[int(cols[i])] = decoded[i]
-    # The uncoded broadcast serves the coded sender directly.
-    states[coded_sender].received[f_p] = unpack(tx_uncoded)
+    tx_coded, tx_uncoded = _exchange(
+        spec, assignment, store, [member_index], [(coded_sender, uncoded_sender)], tamper
+    )
     return tx_coded, tx_uncoded
 
 
@@ -369,53 +472,38 @@ def default_plan(
 def run_shuffle(
     spec: JobSpec,
     assignment: ReduceAssignment,
-    states: dict[str, ServerState],
+    store: ServerStore,
     plan: Mapping[int, tuple[str, str]] | None = None,
     tamper: Callable[[Transmission], Transmission] | None = None,
 ) -> ShuffleTranscript:
     """Run the two broadcasts of every cover member and decode them.
 
     The cover's verification is checked first; a broken cover is rejected
-    before any transmission.  After the shuffle every reducing server
-    holds the values for all subfiles of its duty functions.
+    before any transmission.  A verified cover puts every one-entry in
+    exactly one member, so after the shuffle every reducing server holds
+    the values for all subfiles of its duty functions.
     """
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if plan is None:
         plan = default_plan(spec, assignment)
-    transmissions: list[Transmission] = []
-    sent_bits = {k: 0 for k in spec.matrix.rows}
-    received_bits = {k: 0 for k in spec.matrix.rows}
-    for idx in range(spec.cover.size):
-        coded_sender, uncoded_sender = plan[idx]
-        tx_c, tx_u = round_for_member(
-            spec, idx, assignment, states, coded_sender, uncoded_sender, tamper
-        )
-        member = spec.cover.members[idx]
-        active = [k for k in member.rows if k in assignment.duties]
-        for tx in (tx_c, tx_u):
-            transmissions.append(tx)
-            sent_bits[tx.sender] += len(tx.payload) * 8
-            for k in active:
-                if k != tx.sender:
-                    received_bits[k] += len(tx.payload) * 8
-    # Completeness: the shuffle must have delivered every value a reducing
-    # server could not map itself, i.e. the ones of its row.
+    senders = [plan[idx] for idx in range(spec.cover.size)]
+    transmissions = _exchange(spec, assignment, store, range(spec.cover.size), senders, tamper)
+    # Every broadcast has beta*T bytes, and a reducing server receives both
+    # broadcasts of each of its members except the ones it sends.
     m = spec.matrix
-    for k, duties in assignment.duties.items():
-        lacking = m.bits[m.row_index(k)].astype(bool)
-        lacking[list(states[k].received)] = False
-        if lacking.any():
-            f = m.cols[int(np.argmax(lacking))]
-            raise ShuffleError(
-                f"server {k!r} is still missing (q={duties[0]}, f={f!r}) after shuffle"
-            )
+    payload_bytes = assignment.beta * spec.iva_bytes
+    sent = Counter(k for pair in senders for k in pair)
+    rounds = dict(zip(m.rows, np.bincount(spec.cover_index[0].ravel(), minlength=m.K).tolist()))
     return ShuffleTranscript(
         transmissions=tuple(transmissions),
-        servers=spec.matrix.rows,
-        payload_bytes=assignment.beta * spec.iva_bytes,
-        sent_bits=sent_bits,
-        received_bits=received_bits,
+        servers=m.rows,
+        payload_bytes=payload_bytes,
+        sent_bits={k: payload_bytes * 8 * sent[k] for k in m.rows},
+        received_bits={
+            k: payload_bytes * 8 * (2 * rounds[k] - sent[k]) if k in assignment.duties else 0
+            for k in m.rows
+        },
     )
 
 
@@ -429,30 +517,32 @@ class ReduceResult:
 
 
 def run_reduce(
-    spec: JobSpec, assignment: ReduceAssignment, states: dict[str, ServerState]
+    spec: JobSpec, assignment: ReduceAssignment, store: ServerStore
 ) -> ReduceResult:
     """Reduce every duty function and compare against a central oracle.
 
-    The oracle is the job's ``ivas`` table: each server's held values
-    are compared with it in one array comparison, so any decoding error
-    shows up as a named (server, q, f) mismatch.
+    The oracle is the job's ``ivas`` table: the received values are
+    compared with it in one array comparison, so any decoding error shows
+    up as a named (server, q, f) mismatch.  A function whose values all
+    match has the spec's ``reduce_outputs`` entry as its output.
     """
     m = spec.matrix
-    outputs: dict[tuple[str, int], bytes] = {}
-    mismatches: list[tuple[str, int, str]] = []
-    for k, duties in assignment.duties.items():
-        state = states[k]
-        expected = spec.ivas[np.subtract(duties, 1)]             # (beta, N, T)
-        held = expected.copy()                                   # mapped columns
-        got = [j for j in state.received if not state.mapped[j]]
-        if got:
-            held[:, got] = np.stack([state.received[j] for j in got], axis=1)
-        have = state.mapped.copy()
-        have[got] = True
-        bad = (held != expected).any(axis=2) | ~have             # (beta, N)
-        mismatches.extend((k, duties[b], m.cols[j]) for b, j in zip(*np.nonzero(bad)))
-        for b in np.flatnonzero(~bad.any(axis=1)):
-            outputs[(k, duties[b])] = reduce_digest(duties[b], [v.tobytes() for v in held[b]])
+    servers = assignment.servers
+    qs = np.array([assignment.duties[k] for k in servers]) - 1      # (kappa, beta)
+    mapped = store.mapped[[m.row_index(k) for k in servers]][:, None]
+    wrong = (store.received != spec.ivas).any(axis=2) | ~store.have  # (Q, N)
+    bad = wrong[qs] & ~mapped                                        # (kappa, beta, N)
+    mismatches = [
+        (servers[s], assignment.duties[servers[s]][b], m.cols[j])
+        for s, b, j in zip(*np.nonzero(bad))
+    ]
+    complete = (~bad.any(axis=2)).tolist()
+    outputs = {
+        (k, q): spec.reduce_outputs[q - 1]
+        for k, row in zip(servers, complete)
+        for q, ok in zip(assignment.duties[k], row)
+        if ok
+    }
     return ReduceResult(ok=not mismatches, outputs=outputs, mismatches=mismatches)
 
 
@@ -479,6 +569,8 @@ def partial_straggler_needs(
     the other participating rows except the coded sender's own column.
     """
     needs: dict[str, set[str]] = {k: set() for k in partial}
+    if not partial:
+        return needs
     for idx, member in enumerate(spec.cover.members):
         coded_sender = plan[idx][0]
         for k in member.rows:
@@ -520,13 +612,14 @@ def run_pipeline(
         if cs in partial or us in partial:
             raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
     needs = partial_straggler_needs(spec, plan, partial)
-    states = run_map_phase(spec, subfile_filter={**{k: set() for k in stragglers}, **needs})
-    transcript = run_shuffle(spec, assignment, states, plan, tamper)
+    store = run_map_phase(spec, subfile_filter={**{k: set() for k in stragglers}, **needs})
+    transcript = run_shuffle(spec, assignment, store, plan, tamper)
     # Partial stragglers finish the rest of their map work after the
     # shuffle window has closed; the transcript and load are already fixed.
     for k in partial:
-        states[k].mapped = spec.matrix.bits[spec.matrix.row_index(k)] == 0
-    reduce_result = run_reduce(spec, assignment, states)
+        i = spec.matrix.row_index(k)
+        store.mapped[i] = spec.matrix.bits[i] == 0
+    reduce_result = run_reduce(spec, assignment, store)
     return PipelineResult(transcript, reduce_result, measured_load(transcript, spec), plan_mode)
 
 

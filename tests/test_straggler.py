@@ -167,6 +167,21 @@ class TestWorstCaseSweep:
         assert len(result.runs) == 15
         assert len(calls) == 1
 
+    def test_reduce_digests_once_per_function(self, monkeypatch):
+        import codedmr.shuffle
+
+        calls = []
+        digest = codedmr.shuffle.reduce_digest
+        monkeypatch.setattr(
+            codedmr.shuffle, "reduce_digest", lambda q, ivas: calls.append(q) or digest(q, ivas)
+        )
+        spec = man_spec(6, 3, 12)
+        result = worst_case_sweep(spec, 4)
+        assert len(result.runs) == 15 and all(ok for _, _, ok in result.runs)
+        assert len(calls) <= spec.num_functions
+        for q in range(1, spec.num_functions + 1):
+            assert spec.reduce_outputs[q - 1] == digest(q, [v.tobytes() for v in spec.ivas[q - 1]])
+
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="cap"):
             worst_case_sweep(man_spec(5, 2, 5), 4, cap=0)
