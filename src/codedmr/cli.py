@@ -2,6 +2,7 @@
 
 Subcommands:
   run     build a job from flags, run the full pipeline, emit artifacts
+          (a balanced plan is audited and saved as plan.json and audit.csv)
   table1  closed-form loads of the design-based scheme families (CSV)
   table2  straggler-load benchmark rows vs the optimal reference (CSV)
   verify  check a matrix file and a cover file against each other
@@ -171,28 +172,23 @@ def cmd_run(args) -> int:
 
     stragglers = () if args.stragglers is None else _parse_stragglers(args.stragglers, con.matrix)
     scenario = straggler.StragglerScenario.from_stragglers(spec, stragglers)
-    plan: str | dict = args.plan
-    plan_obj = None
-    if args.stragglers is None and args.plan == "balanced":
-        try:
-            plan_obj = balance.build_sender_plan(con.matrix, cover)
-            plan = plan_obj.as_mapping()
-        except balance.BalanceError as exc:
-            warnings.append(f"balanced plan unavailable ({exc}); using default plan")
-            plan = "default"
-    result = straggler.straggler_run(spec, scenario, plan)
+    result = straggler.straggler_run(spec, scenario, args.plan)
     transcript = result.transcript
     reduce_ok = result.reduce_result.ok
     load = result.load
     expected = straggler.straggler_load_formula(
         con.matrix.K, con.matrix.r, spec.g, scenario.kappa
     )
-    summary["plan"] = "balanced" if plan_obj is not None else result.plan_mode
+    summary["plan"] = result.plan_mode
+    if result.plan_fallback is not None:
+        warnings.append(
+            f"balanced plan unavailable ({result.plan_fallback}); using default plan"
+        )
     if args.stragglers is not None:
         summary["stragglers"] = list(scenario.stragglers)
         summary["kappa"] = scenario.kappa
-    if plan_obj is not None:
-        audit = balance.audit_plan(plan_obj, transcript)
+    audit = None if result.plan is None else balance.audit_plan(result.plan, transcript)
+    if audit is not None:
         summary["audit"] = {
             "balanced": audit.balanced,
             "expected_bytes_each_kind": fraction_str(audit.expected_each),
@@ -227,11 +223,9 @@ def cmd_run(args) -> int:
         (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
         (out / "matrix.txt").write_text(format_matrix(con.matrix))
         (out / "cover.txt").write_text(format_cover(cover))
-        if plan_obj is not None:
-            (out / "plan.json").write_text(plan_obj.to_json() + "\n")
-            (out / "audit.csv").write_text(
-                balance.audit_plan(plan_obj, transcript).to_csv()
-            )
+        if audit is not None:
+            (out / "plan.json").write_text(result.plan.to_json() + "\n")
+            (out / "audit.csv").write_text(audit.to_csv())
 
     if args.json:
         print(json.dumps(summary, sort_keys=True, indent=2))

@@ -121,8 +121,8 @@ class BlockDesign:
 
 def validate_bibd(d: BlockDesign) -> list[str]:
     """Violations of the (v, k, 1)-design axioms, empty when valid."""
-    problems: list[str] = []
     k = d.block_size
+    problems = [] if 2 <= k < d.v else [f"block size k={k} is outside 2 <= k < v={d.v}"]
     for block in d.blocks:
         if len(set(block)) != len(block):
             problems.append(f"block {subset_label(block)} repeats a point")

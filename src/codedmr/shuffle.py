@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,9 @@ from .matrix import (
     format_matrix,
     verify_cover,
 )
+
+if TYPE_CHECKING:   # balance imports this module
+    from .balance import SenderPlan
 
 
 class ShuffleError(Exception):
@@ -70,17 +73,13 @@ class ShuffleError(Exception):
 
 def _digest_stream(tag: bytes, parts: Iterable[bytes], length: int) -> bytes:
     """Deterministic byte stream of *length* from length-prefixed parts."""
-    material = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(
-            hashlib.blake2b(
-                counter.to_bytes(4, "big") + material, digest_size=64, person=tag[:16]
-            ).digest()
-        )
-        counter += 1
-    return bytes(out[:length])
+    material = b"".join([len(p).to_bytes(4, "big") + p for p in parts])
+    blocks = []
+    for counter in range(-(-length // 64)):
+        blocks.append(hashlib.blake2b(
+            counter.to_bytes(4, "big") + material, digest_size=64, person=tag[:16]
+        ).digest())
+    return b"".join(blocks)[:length]
 
 
 def make_subfile(file_seed: int, f: str, size: int) -> bytes:
@@ -557,7 +556,11 @@ class PipelineResult:
     transcript: ShuffleTranscript
     reduce_result: ReduceResult
     load: Fraction
-    plan_mode: str        # "default" or "explicit"; straggler_run may set others
+    # "default" or "explicit"; for plan "balanced", straggler_run sets "balanced" and
+    # plan, or "default (balanced unavailable)" and plan_fallback (the BalanceError text)
+    plan_mode: str
+    plan: SenderPlan | None = None
+    plan_fallback: str | None = None
 
 
 def partial_straggler_needs(

@@ -4,7 +4,8 @@ A straggler run is the no-straggler run over the survivors: the same
 two broadcasts per cover member, carried out by ``shuffle.run_pipeline``
 with the failed servers passed as its ``stragglers``.  This module
 checks that a scenario is within tolerance, resolves the sender plan
-over the survivors, and sweeps or tabulates scenarios.
+over the survivors (the only place a run's balanced plan is built),
+and sweeps or tabulates scenarios.
 
 Because every exchange round involves only two senders, the scheme
 tolerates up to g-2 failed servers: each cover member still has two
@@ -82,8 +83,9 @@ def straggler_run(
     Stragglers map nothing and never transmit; every member must keep at
     least two surviving rows.  The transcript has 2S transmissions of
     (Q/kappa)*T bytes.  *plan* is "default", "balanced" (over the
-    survivors, falling back to the default plan when the balancing
-    preconditions fail) or an explicit member -> (coded, uncoded) map.
+    survivors, kept on ``result.plan``; when the balancing preconditions
+    fail, the default plan, with the reason on ``result.plan_fallback``)
+    or an explicit member -> (coded, uncoded) map.
     """
     K = spec.matrix.K
     g = spec.g
@@ -100,17 +102,17 @@ def straggler_run(
 
     plan_mode = plan if isinstance(plan, str) else "explicit"
     resolved = None if isinstance(plan, str) else dict(plan)
+    balanced = fallback = None
     if plan == "balanced":
         try:
-            resolved = balance.build_sender_plan(
-                spec.matrix, spec.cover, scenario.survivors
-            ).as_mapping()
-        except balance.BalanceError:
-            plan_mode = "default (balanced unavailable)"
+            balanced = balance.build_sender_plan(spec.matrix, spec.cover, scenario.survivors)
+            resolved = balanced.as_mapping()
+        except balance.BalanceError as exc:
+            plan_mode, fallback = "default (balanced unavailable)", str(exc)
     elif isinstance(plan, str) and plan != "default":
         raise ValueError(f"unknown plan mode {plan!r}")
     result = shuffle.run_pipeline(spec, resolved, stragglers=scenario.stragglers)
-    result.plan_mode = plan_mode
+    result.plan_mode, result.plan, result.plan_fallback = plan_mode, balanced, fallback
     return result
 
 

@@ -136,6 +136,27 @@ class TestRun:
         assert code == 0, err
         assert "reduce: ok" in out
 
+    @pytest.mark.parametrize(
+        "text", ["1 1 1\n0\n0\n", "3 1 3\na b c\na b c\n"], ids=["k=1", "k=v"]
+    )
+    def test_design_block_size_outside_two_to_v_exits_2(self, capsys, tmp_path, text):
+        design = tmp_path / "design.txt"
+        design.write_text(text)
+        code, _, err = run_cli(capsys, "run", "--construction", "bibd", "--design", str(design))
+        assert code == 2
+        assert err.startswith("error: block size")
+
+    @pytest.mark.parametrize("argv", [
+        ("--construction", "transversal", "--k", "2", "--n", "3"),
+        ("--construction", "man", "--K", "5", "--r", "2", "--Q", "20", "--stragglers", "1"),
+    ], ids=["full-set", "stragglers"])
+    def test_balanced_fallback_reads_the_same(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "run", *argv, "--plan", "balanced")
+        assert code == 0
+        assert "plan: default (balanced unavailable)" in out
+        assert "\nwarning: balanced plan unavailable (" in out
+        assert "); using default plan\n" in out
+
     @pytest.mark.parametrize("flag", ["--config", "--design"])
     def test_directory_as_input_file_exits_2(self, capsys, tmp_path, flag):
         code, _, err = run_cli(
@@ -291,6 +312,10 @@ _FANO_ARTIFACTS = {
 _FANO_BALANCED_STDOUT = "6d95deb16f196978465740186d90032175b01f325783f9fc5526d997100eb8ff"
 _FANO_BALANCED_TRANSCRIPT = "068ee2e5d7402ff704183794ce39181f2a7cbbf11ef7125fa894957482618663"
 _MAN_5_2_Q20_TRANSCRIPT = "26d857719c0292d6a6c5c5a4937e8ca5f8d0c1e79aba18781cf1d270fc8a0b1f"
+_FANO_BALANCED_PLAN_ARTIFACTS = {
+    "audit.csv": "a15bba816608229d121d91d7d64d9fb813069de1e1ff846f1d2de7d63b08ac3c",
+    "plan.json": "2135e3ca58b91f55cbc96bf3c108008f3ec209bcdef24ea74ab88183475e1cbc",
+}
 _VERIFY_JSON = "b322bce2d994628147fd3f0f5bc2666d8d8f4008e2db376f1f737b26b8145127"
 
 OUTPUT_PINS = {
@@ -302,17 +327,17 @@ OUTPUT_PINS = {
     }),
     "fano-balanced": (("run", "--construction", "fano", "--plan", "balanced"), {
         **_FANO_ARTIFACTS,
+        **_FANO_BALANCED_PLAN_ARTIFACTS,
         "stdout": _FANO_BALANCED_STDOUT,
-        "audit.csv": "a15bba816608229d121d91d7d64d9fb813069de1e1ff846f1d2de7d63b08ac3c",
-        "plan.json": "2135e3ca58b91f55cbc96bf3c108008f3ec209bcdef24ea74ab88183475e1cbc",
         "summary.json": "a0f87847f10c6a5143042dff5b4b3f08d1184971ea2f6f309626b232273a0b24",
         "transcript.bin": _FANO_BALANCED_TRANSCRIPT,
     }),
     "fano-stragglers-0-balanced": (
         ("run", "--construction", "fano", "--stragglers", "0", "--plan", "balanced"), {
             **_FANO_ARTIFACTS,
+            **_FANO_BALANCED_PLAN_ARTIFACTS,
             "stdout": _FANO_BALANCED_STDOUT,
-            "summary.json": "5db6aeaeb8c8d8b9797c3e58cf69cdb49949512fee91020add5d56fb95ab3d52",
+            "summary.json": "8ed84b16eb7dd81e1dd5b2f7d5035cf360b73134e8526b6416a32c45eb70db7a",
             "transcript.bin": _FANO_BALANCED_TRANSCRIPT,
         }),
     "man-5-2-stragglers-1": ((*_MAN_5_2, "--Q", "20", "--stragglers", "1"), {
@@ -324,8 +349,8 @@ OUTPUT_PINS = {
     "man-5-2-stragglers-1-balanced": (
         (*_MAN_5_2, "--Q", "20", "--stragglers", "1", "--plan", "balanced"), {
             **_MAN_5_2_ARTIFACTS,
-            "stdout": "260eaf7ac49c27adfeb3e393b9fac943f8adb399dff277a85f658ac32182f1d7",
-            "summary.json": "4e58701f56d5c208ebcfd5013cd7479dafc290a6d77c4a46593e27f67d281ecf",
+            "stdout": "77406f854e39ad354838415623649f1b9b069a5b251769b6c5bdf70b946cf65b",
+            "summary.json": "edb675a90d6b945b1b6c59d338cede3c0289dbf61c838b2d3710c05a825000bc",
             "transcript.bin": _MAN_5_2_Q20_TRANSCRIPT,
         }),
     "man-6-3-stragglers-2,5": (
@@ -340,11 +365,19 @@ OUTPUT_PINS = {
     "man-7-4-stragglers-6,7-balanced": (
         ("run", "--construction", "man", "--K", "7", "--r", "4", "--Q", "35", "--T", "4",
          "--stragglers", "6,7", "--plan", "balanced"), {
-            "stdout": "57180d12cf56480d340e01843a04a0b1cded3ea66b774c62b497c832fa0e868d",
+            "stdout": "7552e098df29e8ffbadfc370cb122aa56c11caea9d49dd84e8385c7e64732a5a",
             "cover.txt": "22b29b44298b9c0ce9fed0ff799e15ef98d5b3196db265519e89e04e19bcb9d1",
             "matrix.txt": "ab43f7019cb52127b8ee7b3c6108c4101b3a0fec77260f7c6075a5b7c8f76b42",
-            "summary.json": "6ba259492786b7428cb992e6773f702bdc2c37d2ea7d923642f5c527c565e828",
+            "summary.json": "1d05054f6bedc2a4a6812880a31b686c5c9d8f7c337f95295a30826b563d8a9a",
             "transcript.bin": "2c3f08cae766dd4f91609d09181d73b2c2da247336196bcc86fb5fc545edcb6d",
+        }),
+    "transversal-2-3-balanced": (
+        ("run", "--construction", "transversal", "--k", "2", "--n", "3", "--plan", "balanced"), {
+            "stdout": "fbe4a31c05cfea513affaf7e1b216284aa13150daeee3fd0ae08e48045439ae0",
+            "cover.txt": "846dd74c6ed143f67dfc99e843e6451c57cb4833afeaac1ba0dd96a3cfecb53e",
+            "matrix.txt": "2c248b1b80f60793c7d9e353de765b4a8afa3fdffdc9d738fcde95acb4000cbe",
+            "summary.json": "7c9b20e1fc80d61d53ca0ca001fc3e15c464eafc445d1c4e5ade524040db19f8",
+            "transcript.bin": "fc7e87368c13c7d34cbefc54ad121379535c8a269c1b2e454c2535f1dc3dee2f",
         }),
     "fano-verify-json": (("verify", FANO_MATRIX, FANO_COVER, "--json"), {
         "stdout": _VERIFY_JSON,

@@ -131,6 +131,14 @@ class TestBibdMatrix:
         with pytest.raises(DesignError, match="pair"):
             bibd_matrix(d)
 
+    @pytest.mark.parametrize(
+        "text", ["1 1 1\n0\n0\n", "3 1 3\na b c\na b c\n"], ids=["k=1", "k=v"]
+    )
+    def test_block_size_outside_two_to_v_rejected(self, text):
+        # k = 1 and k = v pass every pair and replication count
+        with pytest.raises(DesignError, match="block size"):
+            bibd_matrix(ingest_design(text))
+
 
 class TestTransversalMatrix:
     def test_2_2_brute_force(self):

@@ -9,7 +9,9 @@ from codedmr import (
     JobSpec,
     ShuffleError,
     StragglerScenario,
+    audit_plan,
     balance_preconditions,
+    build_sender_plan,
     comparison_table,
     fano_matrix,
     load_formula,
@@ -266,8 +268,11 @@ def test_balanced_plan_exactly_when_preconditions_hold(case):
     assert result.reduce_result.ok
     if not holds:
         assert result.plan_mode == "default (balanced unavailable)"
+        assert result.plan is None and result.plan_fallback
         return
-    assert result.plan_mode == "balanced"
+    assert result.plan_mode == "balanced" and result.plan_fallback is None
+    assert result.plan == build_sender_plan(spec.matrix, spec.cover, survivors)
+    assert audit_plan(result.plan, result.transcript).balanced
     sent = {k: {"coded": 0, "uncoded": 0} for k in survivors}
     for tx in result.transcript.transmissions:
         sent[tx.sender][tx.kind] += len(tx.payload)
