@@ -3,12 +3,15 @@
 One routine serves the full server set and a survivor set alike.  When
 gamma = S/|servers| is an integer, every server of the set appears in
 the same number of cover members, and every member has the same number
-h >= 2 of rows in the set, the bipartite graph on gamma copies of each
-server vs. the members is gamma*h-regular.  A first perfect matching
-assigns the coded duty of every member; removing all copy-edges of each
-matched pair leaves a gamma*(h-1)-regular graph whose second matching
-assigns the uncoded duties.  Every server of the set then sends the
-same number of bytes, half coded and half uncoded.
+h >= 2 of rows in the set, the bipartite graph of servers vs. members is
+biregular: each server lies in gamma*h members, each member holds h
+servers.  A first matching gives every server gamma members, its coded
+duties, and every member one server; it is the perfect matching of the
+gamma*h-regular graph on gamma copies of each server, found by running
+the copy search on the servers themselves as classes.  Removing each
+matched (server, member) edge leaves degrees gamma*(h-1) and h-1, and a
+second matching assigns the uncoded duties.  Every server of the set
+then sends the same number of bytes, half coded and half uncoded.
 """
 
 from __future__ import annotations
@@ -104,59 +107,82 @@ def balance_preconditions(
 def perfect_matching(
     adj: Mapping[Hashable, Sequence[Hashable]]
 ) -> dict[Hashable, Hashable]:
-    """Perfect matching of a d-regular bipartite graph with equal sides.
+    """Match each left vertex of a biregular bipartite graph to |R|/|L|
+    right vertices, returned as ``{right: left}``.
 
-    Kuhn's augmenting-path search, run iteratively on an explicit stack,
-    so path depth is bounded by the graph size and not by the
-    interpreter's recursion limit.  Right vertices must be mutually
-    orderable: each left vertex's neighbours are held as a bitmask over
-    the sorted right vertices, and the search always takes the smallest
-    unvisited neighbour first.  Left vertices are matched in the mapping's
-    order, so the result is a pure function of the graph and that order.
-    Regularity guarantees a perfect matching exists, so anything short of
-    one is an internal error.
+    The left vertices are server classes: the search is Kuhn's
+    augmenting-path search on the graph holding |R|/|L| identical copies
+    of each left vertex, run on the classes themselves.  All it ever does
+    with the copies of a class is walk through the rights the class
+    already owns and, on success, shuffle those rights among the copies.
+    So a step from class k takes the lowest unvisited neighbour that k
+    does not own and marks it visited together with every neighbour of k
+    below it (the owned rights the copy search would walk through).  A
+    dead end marks all of k's neighbours visited, as the copy search
+    would have, which spares later steps a detour back into k.  The
+    result is the copy search's matching on consecutive copies, projected
+    onto the classes.
+
+    Right vertices must be mutually orderable: each left vertex's
+    neighbours are held as a bitmask over the sorted right vertices, and
+    the search always takes the smallest unvisited neighbour first.  It
+    runs on an explicit stack, so path depth is bounded by the graph size
+    and not by the interpreter's recursion limit.  Left vertices are
+    matched in the mapping's order, |R|/|L| roots each, so the result is
+    a pure function of the graph and that order.  Biregularity guarantees
+    the matching exists, so anything short of it is an internal error.
     """
     left = list(adj)
     rights = sorted({r for l in left for r in adj[l]})
-    if len(left) != len(rights):
+    if len(rights) < len(left) or len(rights) % max(len(left), 1):
         raise BalanceError(
-            f"sides differ: {len(left)} left vertices vs {len(rights)} right"
+            f"sides differ: {len(rights)} right vertices are not a positive "
+            f"multiple of {len(left)} left"
         )
-    degrees = {len(adj[l]) for l in left}
-    degrees |= set(Counter(r for l in left for r in adj[l]).values())
-    if len(degrees) != 1 or next(iter(degrees)) < 1:
-        raise BalanceError(f"graph is not d-regular (degrees {sorted(degrees)})")
+    left_degrees = {len(adj[l]) for l in left}
+    right_degrees = set(Counter(r for l in left for r in adj[l]).values())
+    if len(left_degrees) != 1 or len(right_degrees) != 1:
+        raise BalanceError(
+            f"graph is not biregular (left degrees {sorted(left_degrees)}, "
+            f"right degrees {sorted(right_degrees)})"
+        )
 
     bit = {r: 1 << i for i, r in enumerate(rights)}
     nbrs = [sum(bit[r] for r in set(adj[l])) for l in left]
+    avail = nbrs[:]                 # neighbours a class does not own
     owner = [-1] * len(rights)      # right index -> matched left index
-    for root in range(len(left)):
+    share = len(rights) // len(left)
+    for root in (k for k in range(len(left)) for _ in range(share)):
         seen = 0                    # rights visited by this search
-        path = [root]               # left vertices of the current path
-        taken: list[int] = []       # right picked at each left of the path
+        path = [root]               # classes of the current path
+        taken: list[int] = []       # right picked at each class of the path
         while path:
-            free = nbrs[path[-1]] & ~seen
-            if not free:            # dead end: back up to the previous left
+            k = path[-1]
+            free = avail[k] & ~seen
+            if not free:            # dead end: back up to the previous class
+                seen |= nbrs[k]
                 path.pop()
                 if taken:
                     taken.pop()
                 continue
             low = free & -free
-            seen |= low
+            seen |= nbrs[k] & ((low << 1) - 1)
             r = low.bit_length() - 1
             taken.append(r)
             if owner[r] < 0:        # free right: flip the path
                 for l, rr in zip(path, taken):
+                    if owner[rr] >= 0:
+                        avail[owner[rr]] |= 1 << rr
+                    avail[l] &= ~(1 << rr)
                     owner[rr] = l
                 break
             path.append(owner[r])
         else:
             raise RuntimeError(
-                "no perfect matching found on a regular bipartite graph; "
-                "this contradicts regularity and indicates a bug"
+                "no perfect matching found on a biregular bipartite graph; "
+                "this contradicts biregularity and indicates a bug"
             )
-    mate = dict(zip(owner, rights))
-    return {l: mate[i] for i, l in enumerate(left)}
+    return {r: left[owner[i]] for i, r in enumerate(rights)}
 
 
 def build_sender_plan(
@@ -180,28 +206,25 @@ def build_sender_plan(
         raise BalanceError(f"gamma = S/|servers| = {report.gamma} is not an integer")
     if not report.row_regular:
         raise BalanceError("servers appear in differing numbers of members")
-    gamma = int(report.gamma)
     membership: dict[str, list[int]] = {k: [] for k in report.counts}
     for idx, member in enumerate(c.members):
         for k in member.rows:
             if k in membership:
                 membership[k].append(idx)
-    graph = {(k, j): tuple(membership[k]) for k in membership for j in range(gamma)}
 
-    first = perfect_matching(graph)
-    coded_by_member = {member: server for (server, _copy), member in first.items()}
+    coded_by_member = perfect_matching(membership)
 
-    # Dropping every copy-edge of each matched (server, member) pair leaves
-    # a gamma*(h-1)-regular graph, so a second perfect matching exists.
+    # Dropping each matched (server, member) edge leaves every server
+    # gamma fewer members and every member h-1 servers, still biregular,
+    # so a second matching exists.
     residual = {
-        left: tuple(i for i in members if coded_by_member[i] != left[0])
-        for left, members in graph.items()
+        k: [i for i in members if coded_by_member[i] != k]
+        for k, members in membership.items()
     }
     try:
-        second = perfect_matching(residual)
+        uncoded_by_member = perfect_matching(residual)
     except BalanceError as exc:
         raise RuntimeError(f"residual graph after the first matching: {exc}") from exc
-    uncoded_by_member = {member: server for (server, _copy), member in second.items()}
 
     duties = []
     for i in range(c.size):

@@ -17,6 +17,7 @@ import random
 import numpy as np
 
 from .constructions import (
+    _colex_subsets,
     man_matrix,
     subset_label,
     t_subset_matrix,
@@ -53,10 +54,11 @@ def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
     K, r = m.K, m.r
     if not _matrices_equal(m, man_matrix(K, r)):
         raise MatrixShapeError("matrix is not the subset placement for its (K, r)")
+    label = dict(zip(_colex_subsets(range(1, K + 1), r), m.cols))
     members = []
     for B in itertools.combinations(range(1, K + 1), r + 1):
         rows = tuple(str(k) for k in B)
-        cols = tuple(subset_label(str(x) for x in B if x != k) for k in B)
+        cols = tuple(label[B[:i] + B[i + 1 :]] for i in range(len(B)))
         members.append(IdentitySubmatrix(rows, cols))
     return IdentityCover(tuple(members))
 

@@ -22,6 +22,7 @@ from codedmr import (
     transversal_cover,
     transversal_matrix,
 )
+from codedmr import balance
 from codedmr.balance import BalanceError
 
 
@@ -103,7 +104,7 @@ class TestPerfectMatching:
 
     def test_one_regular_graph_unique_matching(self):
         adj = {"a": ["x"], "b": ["y"]}
-        assert perfect_matching(adj) == {"a": "x", "b": "y"}
+        assert perfect_matching(adj) == {"x": "a", "y": "b"}
 
     def test_man_5_2_graph(self):
         m = man_matrix(5, 2)
@@ -131,7 +132,7 @@ class TestResidualGraph:
         m, cover = fano_pair
         graph = replicated_graph(cover, m.rows, 1)
         first = perfect_matching(graph)
-        coded = {member: left[0] for left, member in first.items()}
+        coded = {member: left[0] for member, left in first.items()}
         # build_sender_plan takes its coded duties from this first matching
         plan = build_sender_plan(m, cover)
         assert [c for c, _ in plan.duties] == [coded[i] for i in range(cover.size)]
@@ -204,6 +205,20 @@ class TestBuildSenderPlan:
             assert coded != uncoded
             assert {coded, uncoded} <= set(cover.members[i].rows) & set(survivors)
 
+    def test_two_matchings_over_server_classes(self, monkeypatch):
+        # one left vertex per server, not gamma = 77 copies of each
+        calls = []
+
+        def recording(adj):
+            calls.append({k: len(members) for k, members in adj.items()})
+            return perfect_matching(adj)
+
+        monkeypatch.setattr(balance, "perfect_matching", recording)
+        m = man_matrix(12, 5)
+        build_sender_plan(m, man_cover(m))
+        # every server lies in C(11,5) = 462 members and codes for 924/12 of them
+        assert calls == [dict.fromkeys(m.rows, 462), dict.fromkeys(m.rows, 462 - 77)]
+
     def test_plan_json_round_trip(self, fano_pair):
         m, cover = fano_pair
         plan = build_sender_plan(m, cover)
@@ -242,19 +257,28 @@ PLAN_SHA256 = {
     "fano": "41795bc5c89afa51e1f6101197c590412648f6838ae085eb6a77f6829e746304",
     "MAN(5,2)": "28e1695b47dbdb8cbf625f05f837b1d95ea2abb8570a54eff0890a7bbd43ed90",
     "MAN(11,4)": "acc2811f75c486efc83269f6905cd8d80e709acff22a5785ca933a776b27f273",
+    "MAN(12,5)": "712f3f906e70679a22001a5e04b586193152816095b9bb76f7764f7f322674fe",
+    "MAN(13,5)": "b2144c908f75cbff09aa64cbde86d7fb31c8dab5a6a3fab93dada937f37d3759",
+    # the survivor-set plan of test_survivor_set_plan_on_transversal
+    "TD(2,3) survivors": "d3ca73b8f6a914a2e34b89fda2c3afb06287b251ee668283f95127759f0ce837",
 }
 
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(PLAN_SHA256))
     def test_plan_json_sha256(self, name, fano_pair):
+        servers = None
         if name == "fano":
             m, cover = fano_pair
+        elif name == "TD(2,3) survivors":
+            m = transversal_matrix(2, 3)
+            cover = transversal_cover(m)
+            servers = drop_first_row_of_each_member(m, cover)
         else:
             K, r = map(int, name[4:-1].split(","))
             m = man_matrix(K, r)
             cover = man_cover(m)
-        text = build_sender_plan(m, cover).to_json()
+        text = build_sender_plan(m, cover, servers).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == PLAN_SHA256[name]
 
     def test_straggler_balanced_duties_man_5_2(self):
@@ -276,8 +300,11 @@ class TestPinnedOutputs:
 
 
 def test_deep_augmenting_paths_stay_within_recursion_limit():
-    """MAN(13,5) needs augmenting paths 1,625 left vertices deep, past the
-    interpreter's default recursion limit of 1,000."""
+    """MAN(13,5) needs augmenting paths 1,625 copies deep on the graph of
+    132 copies per server, past the interpreter's default recursion limit
+    of 1,000.  The search on server classes walks the same paths with the
+    runs through a class's own rights folded away: they reach 837 servers
+    in the first matching and 885 in the second."""
     m = man_matrix(13, 5)
     cover = man_cover(m)
     limit = sys.getrecursionlimit()
@@ -324,9 +351,35 @@ def regular_graphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(regular_graphs(), st.randoms(use_true_random=False))
 def test_perfect_matching_equals_recursive_reference(adj, rng):
-    expected = reference_matching(adj)
+    expected = {r: l for l, r in reference_matching(adj).items()}
     assert perfect_matching(adj) == expected
     # neighbours are visited smallest first, whatever their listed order
     shuffled = {l: rng.sample(rs, len(rs)) for l, rs in adj.items()}
     assert perfect_matching(shuffled) == expected
-    assert sorted(expected.values()) == list(range(len(adj)))
+    assert sorted(expected) == list(range(len(adj)))
+
+
+@st.composite
+def biregular_graphs(draw):
+    """n left vertices of gamma slots each, joined to n*gamma rights by a
+    union of slot permutations; a permutation that would repeat an edge
+    is dropped, so the first one always stays."""
+    n = draw(st.integers(1, 8))
+    gamma = draw(st.integers(1, 6))
+    edges: set[tuple[int, int]] = set()
+    for _ in range(draw(st.integers(1, n))):
+        pi = draw(st.permutations(range(n * gamma)))
+        new = {(s // gamma, pi[s]) for s in range(n * gamma)}
+        if not new & edges:
+            edges |= new
+    return gamma, {f"l{i}": sorted(r for l, r in edges if l == i) for i in range(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(biregular_graphs())
+def test_class_matching_equals_reference_on_copies(drawn):
+    gamma, adj = drawn
+    copies = {(l, j): rs for l, rs in adj.items() for j in range(gamma)}
+    expected = {r: copy[0] for copy, r in reference_matching(copies).items()}
+    assert perfect_matching(adj) == expected
+    assert sorted(expected) == list(range(len(adj) * gamma))
