@@ -474,6 +474,8 @@ def cmd_sweep(args) -> int:
     con = build_construction(args)
     cover, cover_mode = build_cover(con, args)
     kappa = args.kappa
+    if kappa < 2:   # before lcm(K, kappa) makes Q from it
+        raise ValueError(f"kappa={kappa} must be at least 2 survivors")
     Q = args.Q if args.Q is not None else lcm(con.matrix.K, kappa)
     T = args.T if args.T is not None else 4
     spec = shuffle.JobSpec(con.matrix, cover, Q, T, file_seed=args.seed)

@@ -9,6 +9,7 @@ scheme families (ids "I" to "V") with and without full stragglers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,22 +41,33 @@ def _colex_subsets(universe: range, size: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(universe, size), key=lambda a: a[::-1])
 
 
+@functools.lru_cache(maxsize=8)
+def _man_columns(K: int, r: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The columns of the subset placement MAN(K, r), built once per (K, r).
+
+    Returns the (N, r) array of the colex r-subsets of [K], read-only,
+    and the tuple of their labels; ``man_matrix`` and ``man_cover`` share
+    both.
+    """
+    if not 1 <= r < K:
+        raise ValueError(f"need 1 <= r < K, got r={r}, K={K}")
+    subsets = _colex_subsets(range(1, K + 1), r)
+    labels = tuple(subset_label(map(str, a)) for a in subsets)
+    subset_array = np.array(subsets, dtype=np.intp)
+    subset_array.flags.writeable = False
+    return subset_array, labels
+
+
 def man_matrix(K: int, r: int) -> BinaryComputingMatrix:
     """All-r-subsets placement: column f_A has zeros exactly on A.
 
     Columns are indexed by the r-subsets A of [K] in colex order, so
     N = C(K, r) and every column has r zeros.
     """
-    if not 1 <= r < K:
-        raise ValueError(f"need 1 <= r < K, got r={r}, K={K}")
-    subsets = _colex_subsets(range(1, K + 1), r)
-    rows = tuple(str(k) for k in range(1, K + 1))
-    cols = tuple(subset_label(map(str, a)) for a in subsets)
-    bits = np.ones((K, len(subsets)), dtype=np.uint8)
-    for j, a in enumerate(subsets):
-        for k in a:
-            bits[k - 1, j] = 0
-    return BinaryComputingMatrix(rows, cols, bits, r)
+    subsets, cols = _man_columns(K, r)
+    bits = np.ones((K, len(cols)), dtype=np.uint8)
+    bits[subsets.T - 1, np.arange(len(cols))] = 0
+    return BinaryComputingMatrix(tuple(str(k) for k in range(1, K + 1)), cols, bits, r)
 
 
 def t_subset_matrix(v: int, t: int) -> BinaryComputingMatrix:

@@ -17,8 +17,7 @@ import random
 import numpy as np
 
 from .constructions import (
-    _colex_subsets,
-    man_matrix,
+    _man_columns,
     subset_label,
     t_subset_matrix,
     transversal_block_label,
@@ -52,9 +51,17 @@ def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
     """Analytic cover of a subset-placement matrix: one member per
     (r+1)-subset B, rows B, row k matched with column B minus k."""
     K, r = m.K, m.r
-    if not _matrices_equal(m, man_matrix(K, r)):
+    subsets, labels = _man_columns(K, r)
+    # the rows and labels of man_matrix(K, r), and zeros exactly on each
+    # column's subset: r per column, all of them at the subset's rows
+    if (
+        m.rows != tuple(str(k) for k in range(1, K + 1))
+        or m.cols != labels
+        or m.bits[subsets.T - 1, np.arange(m.N)].any()
+        or m.N * r != m.bits.size - np.count_nonzero(m.bits)
+    ):
         raise MatrixShapeError("matrix is not the subset placement for its (K, r)")
-    label = dict(zip(_colex_subsets(range(1, K + 1), r), m.cols))
+    label = dict(zip(map(tuple, subsets.tolist()), labels))
     members = []
     for B in itertools.combinations(range(1, K + 1), r + 1):
         rows = tuple(str(k) for k in B)

@@ -288,10 +288,13 @@ def load_formula(K: int, r: int, g: int) -> Fraction:
 
 
 def format_matrix(m: BinaryComputingMatrix) -> str:
-    lines = [f"{m.K} {m.N} {m.r}", " ".join(m.cols), " ".join(m.rows)]
-    for i in range(m.K):
-        lines.append(" ".join(str(int(b)) for b in m.bits[i]))
-    return "\n".join(lines) + "\n"
+    header = f"{m.K} {m.N} {m.r}\n{' '.join(m.cols)}\n{' '.join(m.rows)}\n"
+    # Every bit row at once: the digits at even offsets, spaces between
+    # them and a newline last (alone on a row of an empty matrix).
+    text = np.full((m.K, max(2 * m.N, 1)), ord(" "), dtype=np.uint8)
+    text[:, : 2 * m.N : 2] = m.bits + ord("0")
+    text[:, -1] = ord("\n")
+    return header + text.tobytes().decode("ascii")
 
 
 def parse_matrix(text: str) -> BinaryComputingMatrix:

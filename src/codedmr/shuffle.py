@@ -3,6 +3,12 @@
 Subfiles are seeded pseudorandom byte strings and the map and reduce
 functions are keyed digests, so every run is deterministic and decode
 correctness can be checked byte-for-byte against a central oracle.
+Each digest stream hashes a counter and its length-prefixed parts.
+Framing is concatenative, so ``_digest_streams`` absorbs a shared head
+of parts once per output block and finishes every output from a
+``copy()`` of that blake2b state.  ``make_subfile``, ``synth_map`` and
+``reduce_digest`` make one-tail calls of it, and the job tables below
+share heads across whole rows with the same bytes.
 
 Every intermediate value (IVA) is a pure function of (q, f), so a job
 computes each one exactly once: ``JobSpec.ivas`` is a read-only
@@ -71,15 +77,44 @@ class ShuffleError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _frame(parts: Iterable[bytes]) -> bytes:
+    """Each part with a 4-byte big-endian length prefix, concatenated.
+
+    Framing is concatenative: ``_frame(a + b) == _frame(a) + _frame(b)``.
+    """
+    return b"".join([len(p).to_bytes(4, "big") + p for p in parts])
+
+
+def _digest_streams(
+    tag: bytes, head: Iterable[bytes], tails: Iterable[bytes], length: int
+) -> list[bytes]:
+    """For each already framed tail, the *length*-byte stream of the
+    parts ``[*head, *tail]``.
+
+    Block c of the stream of parts P is the 64-byte blake2b digest,
+    personalised by *tag*, of ``c (4 bytes) + _frame(P)``.  Framing is
+    concatenative, so each block's state absorbs ``c + _frame(head)``
+    once, and each tail costs a ``copy()``, an update and a digest.
+    """
+    framed = _frame(head)
+    states = [
+        hashlib.blake2b(c.to_bytes(4, "big") + framed, digest_size=64, person=tag[:16])
+        for c in range(-(-length // 64))
+    ]
+    streams = []
+    for tail in tails:
+        blocks = []
+        for state in states:
+            h = state.copy()
+            h.update(tail)
+            blocks.append(h.digest())
+        streams.append(b"".join(blocks)[:length])
+    return streams
+
+
 def _digest_stream(tag: bytes, parts: Iterable[bytes], length: int) -> bytes:
     """Deterministic byte stream of *length* from length-prefixed parts."""
-    material = b"".join([len(p).to_bytes(4, "big") + p for p in parts])
-    blocks = []
-    for counter in range(-(-length // 64)):
-        blocks.append(hashlib.blake2b(
-            counter.to_bytes(4, "big") + material, digest_size=64, person=tag[:16]
-        ).digest())
-    return b"".join(blocks)[:length]
+    return _digest_streams(tag, parts, [b""], length)[0]
 
 
 def make_subfile(file_seed: int, f: str, size: int) -> bytes:
@@ -140,14 +175,24 @@ class JobSpec:
 
     @cached_property
     def ivas(self) -> np.ndarray:
-        """Read-only (Q, N, T) table: ``ivas[q - 1, j]`` is IVA (q, cols[j])."""
-        cols = self.matrix.cols
-        subfiles = [make_subfile(self.file_seed, f, self.subfile_bytes) for f in cols]
-        flat = b"".join(
-            synth_map(q, f, sub, self.iva_bytes)
-            for q in range(1, self.num_functions + 1)
-            for f, sub in zip(cols, subfiles)
+        """Read-only (Q, N, T) table: ``ivas[q - 1, j]`` is IVA (q, cols[j]).
+
+        IVA (q, f) is ``synth_map`` of q on f's subfile, which hashes the
+        parts ``[q, f, subfile]``: a head shared by the row of q and a tail
+        shared by the column of f.  So the N subfiles are one
+        ``_digest_streams`` call with the seed as head, the N column tails
+        are framed once, and each row is one call with q as head.
+        """
+        cols = [f.encode() for f in self.matrix.cols]
+        subfiles = _digest_streams(
+            b"subfile", [str(self.file_seed).encode()], [_frame([f]) for f in cols],
+            self.subfile_bytes,
         )
+        tails = [_frame(pair) for pair in zip(cols, subfiles)]
+        flat = b"".join([
+            b"".join(_digest_streams(b"iva", [q.to_bytes(8, "big")], tails, self.iva_bytes))
+            for q in range(1, self.num_functions + 1)
+        ])
         # an array over a bytes object is read-only
         return np.frombuffer(flat, dtype=np.uint8).reshape(
             self.num_functions, len(cols), self.iva_bytes
@@ -172,10 +217,18 @@ class JobSpec:
     def reduce_outputs(self) -> tuple[bytes, ...]:
         """The Q reduce outputs: ``reduce_outputs[q - 1]`` is the
         ``reduce_digest`` of q over its ``ivas`` row, worked out once per
-        spec."""
-        return tuple(
-            reduce_digest(q, [v.tobytes() for v in row]) for q, row in enumerate(self.ivas, 1)
-        )
+        spec.  ``reduce_digest`` hashes the parts ``[q, *row]``, so the
+        tail after the head q is the row's N values, each framed by a
+        4-byte big-endian T: one ``tobytes()`` of an (N, 4 + T) array.
+        """
+        _, N, T = self.ivas.shape
+        framed = np.empty((N, 4 + T), dtype=np.uint8)
+        framed[:, :4] = np.frombuffer(T.to_bytes(4, "big"), dtype=np.uint8)
+        outputs = []
+        for q, row in enumerate(self.ivas, 1):
+            framed[:, 4:] = row
+            outputs += _digest_streams(b"reduce", [q.to_bytes(8, "big")], [framed.tobytes()], 32)
+        return tuple(outputs)
 
     @cached_property
     def cover_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -648,30 +701,25 @@ def job_digest(spec: JobSpec) -> bytes:
 
 
 def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(">B", 1))
-        fh.write(job_digest(spec))
-        fh.write(
-            struct.pack(
-                ">7I",
-                spec.matrix.K,
-                spec.matrix.N,
-                spec.matrix.r,
-                spec.g,
-                spec.cover.size,
-                spec.num_functions,
-                spec.iva_bytes,
-            )
+    m = spec.matrix
+    parts = [
+        _MAGIC,
+        struct.pack(">B", 1),
+        job_digest(spec),
+        struct.pack(">7I", m.K, m.N, m.r, spec.g, spec.cover.size, spec.num_functions,
+                    spec.iva_bytes),
+        struct.pack(">I", len(transcript.transmissions)),
+    ]
+    for tx in transcript.transmissions:
+        sender = tx.sender.encode()
+        parts += (
+            struct.pack(">H", len(sender)),
+            sender,
+            struct.pack(">IBI", tx.member, _KIND_CODE[tx.kind], len(tx.payload)),
+            tx.payload,
         )
-        fh.write(struct.pack(">I", len(transcript.transmissions)))
-        for tx in transcript.transmissions:
-            sender = tx.sender.encode()
-            fh.write(struct.pack(">H", len(sender)))
-            fh.write(sender)
-            fh.write(struct.pack(">IB", tx.member, _KIND_CODE[tx.kind]))
-            fh.write(struct.pack(">I", len(tx.payload)))
-            fh.write(tx.payload)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def load_transcript(path) -> tuple[dict, tuple[Transmission, ...]]:

@@ -143,6 +143,8 @@ def worst_case_sweep(
     """
     if cap < 1:
         raise ValueError(f"cap={cap} must be at least 1")
+    if kappa < 2:
+        raise ValueError(f"kappa={kappa} must be at least 2 survivors")
     rows = spec.matrix.rows
     n_stragglers = spec.matrix.K - kappa
     if n_stragglers < 0:

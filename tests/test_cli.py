@@ -297,6 +297,16 @@ class TestSweep:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("kappa", ["-1", "0", "1"])
+    def test_kappa_below_two_exits_2_naming_kappa(self, capsys, kappa):
+        code, out, err = run_cli(
+            capsys, "sweep", "--construction", "man", "--K", "5", "--r", "2",
+            "--kappa", kappa,
+        )
+        assert code == 2
+        assert f"error: kappa={kappa} must be at least 2 survivors" in err
+        assert out == ""
+
 
 # sha256 of standard output and of every --out artifact; any change to
 # how a run is sequenced must reproduce them byte for byte.

@@ -60,6 +60,29 @@ class TestManCover:
         with pytest.raises(MatrixShapeError):
             man_cover(fano_matrix())
 
+    @pytest.mark.parametrize(
+        "change",
+        ["extra zero", "missing zero", "swapped zero patterns", "row label", "column label",
+         "declared r"],
+    )
+    def test_rejects_any_change_to_the_subset_placement(self, change):
+        m = man_matrix(6, 3)
+        rows, cols, bits, r = list(m.rows), list(m.cols), m.bits.copy(), m.r
+        if change == "extra zero":
+            bits[np.flatnonzero(bits[:, 4])[0], 4] = 0
+        elif change == "missing zero":
+            bits[np.flatnonzero(bits[:, 4] == 0)[0], 4] = 1
+        elif change == "swapped zero patterns":
+            bits[:, [0, 7]] = bits[:, [7, 0]]
+        elif change == "row label":
+            rows[2] = "x"
+        elif change == "column label":
+            cols[9] = "x"
+        else:
+            r = 2
+        with pytest.raises(MatrixShapeError):
+            man_cover(BinaryComputingMatrix(tuple(rows), tuple(cols), bits, r))
+
 
 class TestTSubsetCover:
     def test_7_3(self):

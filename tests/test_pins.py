@@ -1,4 +1,5 @@
-"""sha256 pins of pipeline outputs: saved transcripts, reduce outputs, sweeps.
+"""sha256 pins of pipeline outputs: saved transcripts, reduce outputs, sweeps,
+and the IVA tables they are built from.
 
 Each pin was taken from the dict-backed shuffle engine and must hold for
 any later engine: a changed transcript byte, reduce output, load or
@@ -10,6 +11,7 @@ import hashlib
 import pytest
 
 from codedmr import (
+    BinaryComputingMatrix,
     JobSpec,
     StragglerScenario,
     fano_matrix,
@@ -18,6 +20,8 @@ from codedmr import (
     run_pipeline,
     search_cover,
     straggler_run,
+    transversal_cover,
+    transversal_matrix,
     worst_case_sweep,
 )
 from codedmr.shuffle import save_transcript
@@ -101,3 +105,39 @@ def test_worst_case_sweep_runs_pin():
     assert _sha(repr(sweep.runs).encode()) == (
         "9c18431539b7de9b8397c3852e31975e620fa81b9a2bad86098225e15611f2d6"
     )
+
+
+def _utf8_fano():
+    """The Fano plane with column labels of two-, three- and four-byte UTF-8."""
+    m = fano_matrix()
+    cols = tuple(f"{c}{label}" for c, label in zip("äß€東𝔽ø𝄞", m.cols))
+    m = BinaryComputingMatrix(m.rows, cols, m.bits, m.r)
+    return m, search_cover(m, 3, mode="exact")
+
+
+@pytest.mark.parametrize(
+    "case, Q, T, seed, subfile_bytes, pin",
+    [
+        ((5, 2), 10, 1, 0, 64,
+         "1296a32b9e25aef50ecbd794e58ea180b578fc25459f1078189e5f17b2ba4d9d"),
+        ("fano", 14, 64, 0, 64,
+         "042768e6239bde82ec1d0a3e4401db60f42eb9a62e80ff6f6125aac2edb0af4a"),
+        ((6, 3), 12, 65, 7, 100,
+         "84c045130402ea5b055e71d35ffb8e481c605b1a9396dea81208655749d05041"),
+        ("TD(3,3)", 9, 130, -1, 1,
+         "d67afefc85b9c299046a01d45017999bbf4bd82027acf4f958d4d23efc9b5140"),
+        ("utf8 fano", 7, 16, 3, 64,
+         "f60bdb26ef0ad9227a2f23b4b3a566b6b53d00f5a05d4a6dcbed9d469c4ece3f"),
+    ],
+)
+def test_iva_table_and_reduce_output_pins(case, Q, T, seed, subfile_bytes, pin):
+    if case == "TD(3,3)":
+        m = transversal_matrix(3, 3)
+        cover = transversal_cover(m)
+    elif case == "utf8 fano":
+        m, cover = _utf8_fano()
+    else:
+        base = _spec(case, Q, T)
+        m, cover = base.matrix, base.cover
+    spec = JobSpec(m, cover, Q, T, file_seed=seed, subfile_bytes=subfile_bytes)
+    assert _sha(spec.ivas.tobytes() + b"".join(spec.reduce_outputs)) == pin

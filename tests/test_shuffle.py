@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from codedmr import (
     BalanceError,
+    BinaryComputingMatrix,
     FormatError,
     IdentityCover,
     IdentitySubmatrix,
@@ -691,3 +693,66 @@ def test_length_changing_tamper_fails_as_in_the_reference(job, data):
     got = _outcome(lambda: _library_pipeline(spec, **kwargs))
     assert got == _outcome(lambda: _reference_pipeline(spec, **kwargs))
     assert got[0] in (ShuffleError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-call digest stream, which frames and hashes the whole
+# input anew for every value, kept test-only so that the prefix-sharing
+# table is checked against it.
+# ---------------------------------------------------------------------------
+
+
+def reference_digest_stream(tag, parts, length):
+    material = b"".join([len(p).to_bytes(4, "big") + p for p in parts])
+    blocks = [
+        hashlib.blake2b(
+            c.to_bytes(4, "big") + material, digest_size=64, person=tag[:16]
+        ).digest()
+        for c in range(-(-length // 64))
+    ]
+    return b"".join(blocks)[:length]
+
+
+def reference_iva(spec, q, f):
+    seed = str(spec.file_seed).encode()
+    sub = reference_digest_stream(b"subfile", [seed, f.encode()], spec.subfile_bytes)
+    return reference_digest_stream(b"iva", [q.to_bytes(8, "big"), f.encode(), sub], spec.iva_bytes)
+
+
+@st.composite
+def digest_specs(draw):
+    """A spec over MAN(K <= 7, r), Fano or TD(3,3), its columns optionally
+    relabelled with arbitrary text, with T and the subfile size in 1..200
+    and any seed."""
+    m, cover = _reference_case(draw(st.sampled_from(REFERENCE_CASES)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(
+            st.text(min_size=1, max_size=3), min_size=m.N, max_size=m.N, unique=True
+        ))
+        rename = dict(zip(m.cols, labels))
+        m = BinaryComputingMatrix(m.rows, tuple(labels), m.bits, m.r)
+        cover = IdentityCover(tuple(
+            IdentitySubmatrix(member.rows, tuple(rename[f] for f in member.cols))
+            for member in cover.members
+        ))
+    return JobSpec(
+        m, cover, m.K * draw(st.integers(1, 2)), draw(st.integers(1, 200)),
+        file_seed=draw(st.integers(-(2**40), 2**40)), subfile_bytes=draw(st.integers(1, 200)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(digest_specs())
+def test_iva_table_and_reduce_outputs_equal_per_call_digests(spec):
+    cols = spec.matrix.cols
+    for q in range(1, spec.num_functions + 1):
+        row = [reference_iva(spec, q, f) for f in cols]
+        assert [v.tobytes() for v in spec.ivas[q - 1]] == row
+        assert spec.reduce_outputs[q - 1] == reference_digest_stream(
+            b"reduce", [q.to_bytes(8, "big"), *row], 32
+        )
+    sub = make_subfile(spec.file_seed, cols[0], spec.subfile_bytes)
+    assert synth_map(1, cols[0], sub, spec.iva_bytes) == reference_iva(spec, 1, cols[0])
+    assert reduce_digest(1, [b"ab", b""]) == reference_digest_stream(
+        b"reduce", [(1).to_bytes(8, "big"), b"ab", b""], 32
+    )

@@ -188,6 +188,11 @@ class TestWorstCaseSweep:
         with pytest.raises(ValueError, match="cap"):
             worst_case_sweep(man_spec(5, 2, 5), 4, cap=0)
 
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_kappa_below_two_rejected(self, kappa):
+        with pytest.raises(ValueError, match=f"kappa={kappa} must be at least 2"):
+            worst_case_sweep(man_spec(5, 2, 5), kappa)
+
 
 class TestOptimalLoad:
     def test_table_values(self):
