@@ -7,12 +7,24 @@ greedy search.  Both searches number the one-entries in row-major order
 and read one table of int bitmasks: for each one-entry, the one-entries
 that cannot share a member with it.  The exact search is a loop over an
 explicit stack, so no search depth depends on the recursion limit.
+
+The exact search also keeps a table of refuted states.  Below a member
+boundary it depends only on the set of uncovered one-entries: the next
+member opens at the lowest of them and grows in ascending order through
+those it does not conflict with.  So a set that failed once fails again,
+after the same number of nodes.  The table maps each such set to that
+count; meeting it again adds the count and backs up at once, which
+leaves every cover, node count and budget error as they were.  It keeps
+only refutations that spent more than one node (a member whose root has
+no completion is cheap to refute again) and at most ``_REFUTED_LIMIT``
+of them, so an unbounded search cannot grow it without limit.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import numpy as np
 
@@ -25,6 +37,10 @@ from .constructions import (
     transversal_point_label,
 )
 from .matrix import BinaryComputingMatrix, IdentityCover, IdentitySubmatrix
+
+# Most refuted states one exact search remembers; once full it records no
+# more.  A miss only repeats work, so the limit bounds memory, not results.
+_REFUTED_LIMIT = 1 << 16
 
 
 class CoverSearchError(Exception):
@@ -61,12 +77,20 @@ def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
         or m.N * r != m.bits.size - np.count_nonzero(m.bits)
     ):
         raise MatrixShapeError("matrix is not the subset placement for its (K, r)")
-    label = dict(zip(map(tuple, subsets.tolist()), labels))
-    members = []
-    for B in itertools.combinations(range(1, K + 1), r + 1):
-        rows = tuple(str(k) for k in B)
-        cols = tuple(label[B[:i] + B[i + 1 :]] for i in range(len(B)))
-        members.append(IdentitySubmatrix(rows, cols))
+    # the (r+1)-subsets B of [K] in lex order, 0-based, and for each i the
+    # colex rank of B minus B[i]: C(B[j], j+1) summed over j < i plus
+    # C(B[j], j) over j > i, since the entries after i move down one place
+    B = np.array(list(itertools.combinations(range(K), r + 1)), dtype=np.intp)
+    binom = np.array([[comb(n, k) for k in range(r + 2)] for n in range(K)])
+    place = np.arange(r + 1)
+    kept = binom[B, place + 1]     # B[j] keeps its place j
+    moved = binom[B, place]        # B[j] moves down to place j-1
+    before = np.cumsum(kept, axis=1) - kept
+    after = np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
+    cols = before + after
+    row_labels = np.array(m.rows, dtype=object)[B].tolist()
+    col_labels = np.array(labels, dtype=object)[cols].tolist()
+    members = map(IdentitySubmatrix, map(tuple, row_labels), map(tuple, col_labels))
     return IdentityCover(tuple(members))
 
 
@@ -128,11 +152,16 @@ def search_cover(
     remaining one-entry compatible with its picks so far.  At a dead end
     the search backs up to the last pick that has an untried
     alternative, reopening the previous member when a member's first
-    entry fails.  It is complete, so a failure there means no such cover
-    exists.  Greedy mode grows maximal members from the first uncovered
-    entry, first in scan order, then over up to *restarts* - 1 seeded
-    shuffles; it may fail on covers the exact mode would find.  Both
-    modes are deterministic given (matrix, g, mode, seed).
+    entry fails.  It remembers the uncovered sets whose members failed
+    after more than one node, up to a fixed number of them; meeting one
+    again counts the nodes it spent the first time and backs up, so the
+    cover and the node count at which *max_nodes* stops the search are
+    those of the plain search.  It is complete, so a failure there means
+    no such cover exists.  Greedy mode grows maximal members from the
+    first uncovered entry, first in scan order, then over up to
+    *restarts* - 1 seeded shuffles; it may fail on covers the exact mode
+    would find.  Both modes are deterministic given (matrix, g, mode,
+    seed).
     """
     if g < 2:
         raise CoverInfeasibleError("member size g must be at least 2")
@@ -195,15 +224,21 @@ def _exact_search(
     uncovered = (1 << len(conflict)) - 1
     picks: list[int] = []    # chosen one-entries, g per member, members in order
     untried: list[int] = []  # untried[d]: alternatives to picks[d] not yet tried
+    opened: list[tuple[int, int]] = []  # (uncovered, nodes before) per open member
+    refuted: dict[int, int] = {}  # uncovered -> nodes its failed subtree spent
     nodes = 0
     while uncovered:
-        nodes += 1
+        opened.append((uncovered, nodes))
+        spent = refuted.get(uncovered)
+        nodes += spent or 1
         if max_nodes is not None and nodes > max_nodes:
             raise CoverBudgetError(f"exact search exceeded {max_nodes} nodes")
         root = (uncovered & -uncovered).bit_length() - 1
         picks.append(root)
         untried.append(0)
-        alternatives = uncovered & ~conflict[root]
+        # a refuted state fails again after the same nodes: its root has
+        # no alternatives, so the search backs up at once
+        alternatives = 0 if spent else uncovered & ~conflict[root]
         while len(picks) % g:
             if alternatives:
                 low = alternatives & -alternatives
@@ -223,7 +258,11 @@ def _exact_search(
                 elif not picks:
                     return None
                 else:
-                    # a member's root failed: reopen the member before it
+                    # a member's root failed: remember the refuted state,
+                    # then reopen the member before it
+                    state, before = opened.pop()
+                    if nodes - before > 1 and len(refuted) < _REFUTED_LIMIT:
+                        refuted[state] = nodes - before
                     for t in picks[-g:]:
                         uncovered |= 1 << t
         for t in picks[-g:]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -27,6 +28,8 @@ from codedmr import (
     transversal_matrix,
     verify_cover,
 )
+from codedmr import covers
+from codedmr.constructions import BlockDesign
 from codedmr.covers import MatrixShapeError
 from codedmr.matrix import format_cover
 
@@ -56,6 +59,12 @@ class TestManCover:
         assert cover.uniform_size == 5
         assert verify_cover(m, cover).ok
 
+    @pytest.mark.parametrize("K", range(2, 10))
+    def test_equals_combinations_construction(self, K):
+        for r in range(1, K):
+            m = man_matrix(K, r)
+            assert man_cover(m) == reference_man_cover(m)
+
     def test_rejects_non_man_matrix(self):
         with pytest.raises(MatrixShapeError):
             man_cover(fano_matrix())
@@ -82,6 +91,22 @@ class TestManCover:
             r = 2
         with pytest.raises(MatrixShapeError):
             man_cover(BinaryComputingMatrix(tuple(rows), tuple(cols), bits, r))
+
+
+def reference_man_cover(m):
+    """One member per (r+1)-subset B in lex order, row k of B matched with
+    the column labelled B minus k."""
+    # each column's label, keyed by the rows of its zeros
+    label = {
+        tuple(np.flatnonzero(m.bits[:, j] == 0) + 1): col
+        for j, col in enumerate(m.cols)
+    }
+    members = []
+    for B in itertools.combinations(range(1, m.K + 1), m.r + 1):
+        rows = tuple(str(k) for k in B)
+        cols = tuple(label[B[:i] + B[i + 1 :]] for i in range(len(B)))
+        members.append(IdentitySubmatrix(rows, cols))
+    return IdentityCover(tuple(members))
 
 
 class TestTSubsetCover:
@@ -315,6 +340,45 @@ class TestPinnedCovers:
                 assert _sha(search_cover(m, g, mode="greedy", seed=seed)) == pin
 
 
+def _pg2_4_matrix():
+    """PG(2,4) from the difference set {0, 1, 4, 14, 16} mod 21."""
+    blocks = tuple(
+        tuple(str((i + d) % 21) for d in (0, 1, 4, 14, 16)) for i in range(21)
+    )
+    return bibd_matrix(BlockDesign(tuple(str(i) for i in range(21)), blocks, 5))
+
+
+# the exact search opens 111,154 members to find the PG(2,3) cover
+PG2_3_NODES = 111_154
+MAN_10_4_EXACT_SHA = "7d72fc271262644d892516c2a8f030342550b93d59ade91ad590e26eb3ae50d2"
+
+
+class TestExactSearchPins:
+    """Covers and node counts of the exact search, taken before it kept a
+    table of refuted states."""
+
+    def test_pg2_3_node_boundary(self):
+        m = bibd_matrix(pg2_3_design())
+        cover = search_cover(m, 4, mode="exact", max_nodes=PG2_3_NODES)
+        assert _sha(cover) == EXACT_PINS["pg(2,3)"]
+        with pytest.raises(CoverBudgetError) as err:
+            search_cover(m, 4, mode="exact", max_nodes=PG2_3_NODES - 1)
+        assert str(err.value) == f"exact search exceeded {PG2_3_NODES - 1} nodes"
+
+    def test_pg2_4_budget_error(self):
+        with pytest.raises(CoverBudgetError) as err:
+            search_cover(_pg2_4_matrix(), 5, mode="exact", max_nodes=10_000)
+        assert str(err.value) == "exact search exceeded 10000 nodes"
+
+    def test_man_10_4_cover_sha256(self):
+        cover = search_cover(man_matrix(10, 4), 5, mode="exact")
+        assert _sha(cover) == MAN_10_4_EXACT_SHA
+
+    def test_results_do_not_depend_on_the_table_limit(self, monkeypatch):
+        monkeypatch.setattr(covers, "_REFUTED_LIMIT", 4)
+        self.test_pg2_3_node_boundary()
+
+
 def _man_10_4_exact():
     m = man_matrix(10, 4)
     cover = search_cover(m, 5, mode="exact")
@@ -348,7 +412,10 @@ def _compatible(bits, rows, cols, i, j):
 
 def reference_exact_search(bits, ones, g, max_nodes):
     """Recursive backtracking over one-entries in row-major order, always
-    opening a member at the first uncovered one-entry."""
+    opening a member at the first uncovered one-entry.
+
+    Returns the chosen members (None when no cover exists) and the number
+    of members opened, the nodes that *max_nodes* bounds."""
     n_ones = len(ones)
     covered = bytearray(n_ones)
     chosen = []
@@ -402,7 +469,7 @@ def reference_exact_search(bits, ones, g, max_nodes):
 
         return grow(t0 + 1)
 
-    return chosen if solve(0) else None
+    return (chosen if solve(0) else None), nodes
 
 
 def reference_greedy_search(bits, ones, g, seed, restarts):
@@ -456,7 +523,7 @@ def reference_cover(m, g, mode, seed, restarts, max_nodes):
     ones = [(int(i), int(j)) for i, j in zip(*np.nonzero(m.bits))]
     try:
         if mode == "exact":
-            found = reference_exact_search(m.bits, ones, g, max_nodes)
+            found, _ = reference_exact_search(m.bits, ones, g, max_nodes)
             missing = CoverInfeasibleError
         else:
             found = reference_greedy_search(m.bits, ones, g, seed, restarts)
@@ -516,3 +583,57 @@ def test_search_equals_recursive_reference(m, g, mode, seed, restarts, max_nodes
     assert got == expected
     if isinstance(got, IdentityCover):
         assert verify_cover(m, got).ok
+
+
+# reference searches past this many nodes are not run to the end
+REFERENCE_NODES = 5000
+
+
+@st.composite
+def backtracking_matrices(draw):
+    """Matrices on which the exact search backs up far enough to meet the
+    same uncovered set again: a row- and column-permuted MAN(6, r) or Fano
+    plane, or random columns of one weight, up to K=7 and N=14."""
+    kind = draw(st.sampled_from(["man", "fano", "random"]))
+    if kind == "man":
+        base = man_matrix(6, draw(st.integers(1, 5))).bits
+    elif kind == "fano":
+        base = fano_matrix().bits
+    else:
+        K = draw(st.integers(2, 7))
+        N = draw(st.integers(1, 14))
+        weight = draw(st.integers(1, K))
+        base = np.zeros((K, N), dtype=np.uint8)
+        for j in range(N):
+            base[draw(st.permutations(range(K)))[:weight], j] = 1
+    bits = base[draw(st.permutations(range(base.shape[0])))][
+        :, draw(st.permutations(range(base.shape[1])))
+    ]
+    rows = tuple(str(k) for k in range(1, bits.shape[0] + 1))
+    cols = tuple(f"f{j}" for j in range(bits.shape[1]))
+    return BinaryComputingMatrix.from_bits(rows, cols, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(backtracking_matrices(), st.data())
+def test_exact_search_equals_reference_at_its_node_count(m, data):
+    """Same cover or same error as the reference, with budgets of None,
+    the reference's node count, one less, and any value."""
+    total = m.ones_count()
+    g = data.draw(st.sampled_from([d for d in range(2, 8) if total % d == 0] or [2]))
+    ones = [(int(i), int(j)) for i, j in zip(*np.nonzero(m.bits))]
+    try:
+        _, count = reference_exact_search(m.bits, ones, g, REFERENCE_NODES)
+        budgets = [None, count - 1, count]
+    except CoverBudgetError:
+        count, budgets = REFERENCE_NODES, [REFERENCE_NODES]
+    max_nodes = data.draw(
+        st.one_of(st.sampled_from(budgets), st.integers(0, count + 1)),
+        label="max_nodes",
+    )
+    expected = reference_cover(m, g, "exact", 0, 1, max_nodes)
+    try:
+        got = search_cover(m, g, mode="exact", max_nodes=max_nodes)
+    except (CoverInfeasibleError, CoverBudgetError) as exc:
+        got = type(exc)
+    assert got == expected
