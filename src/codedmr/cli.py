@@ -104,6 +104,8 @@ def build_cover(c: Construction, args) -> tuple[IdentityCover, str]:
     g = args.g if args.g is not None else c.default_g
     if g is None:
         raise FormatError("cover search needs --g for this construction")
+    if g < 2:   # a usage error, not a search that found no cover
+        raise ValueError(f"g={g} must be at least 2")
     cover = covers.search_cover(c.matrix, g, mode=mode, seed=args.seed)
     return cover, mode
 

@@ -20,8 +20,21 @@ import numpy as np
 from .matrix import BinaryComputingMatrix, FormatError
 
 
+# Most cells K*N a generated matrix may have.  Larger ones are refused
+# before a subset is listed or an array allocated; MAN(18,8) has 787,644.
+MAX_CELLS = 1 << 24
+
+
 class DesignError(ValueError):
     """Raised when a block design violates the declared parameters."""
+
+
+def _check_cells(name: str, K: int, N: int) -> None:
+    if K * N > MAX_CELLS:
+        raise ValueError(
+            f"{name} would have K={K} rows and N={N} columns, {K * N} cells, "
+            f"over the limit of {MAX_CELLS}"
+        )
 
 
 def subset_label(elems) -> str:
@@ -51,6 +64,7 @@ def _man_columns(K: int, r: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """
     if not 1 <= r < K:
         raise ValueError(f"need 1 <= r < K, got r={r}, K={K}")
+    _check_cells(f"MAN({K},{r})", K, comb(K, r))
     subsets = _colex_subsets(range(1, K + 1), r)
     labels = tuple(subset_label(map(str, a)) for a in subsets)
     subset_array = np.array(subsets, dtype=np.intp)
@@ -74,6 +88,7 @@ def t_subset_matrix(v: int, t: int) -> BinaryComputingMatrix:
     """t-subset scheme: column A has ones exactly on A, so r = v - t."""
     if not 1 <= t < v:
         raise ValueError(f"need 1 <= t < v, got t={t}, v={v}")
+    _check_cells(f"the t-subset scheme (v={v}, t={t})", v, comb(v, t))
     subsets = _colex_subsets(range(1, v + 1), t)
     rows = tuple(str(k) for k in range(1, v + 1))
     cols = tuple(subset_label(map(str, a)) for a in subsets)
@@ -195,6 +210,8 @@ def transversal_matrix(k: int, n: int) -> BinaryComputingMatrix:
     r = n(n-1).  Composite n would need mutually orthogonal Latin
     squares, which this generator does not build.
     """
+    # before the trial division, which makes up to sqrt(n) divisions
+    _check_cells(f"TD({k},{n})", n * n, k * n)
     if not _is_prime(n):
         raise ValueError(
             f"n={n} is not prime; the line construction needs Z_n arithmetic "

@@ -18,6 +18,13 @@ leaves every cover, node count and budget error as they were.  It keeps
 only refutations that spent more than one node (a member whose root has
 no completion is cheap to refute again) and at most ``_REFUTED_LIMIT``
 of them, so an unbounded search cannot grow it without limit.
+
+Inside a member the exact search counts the picks the member still
+needs and cuts a partial member once fewer alternatives remain than it
+needs: every further pick takes one of them, so that branch cannot
+complete.  Nodes count member openings only, so the cut skips no
+completion and leaves the first member that completes, and every count,
+as they were.
 """
 
 from __future__ import annotations
@@ -152,13 +159,16 @@ def search_cover(
     remaining one-entry compatible with its picks so far.  At a dead end
     the search backs up to the last pick that has an untried
     alternative, reopening the previous member when a member's first
-    entry fails.  It remembers the uncovered sets whose members failed
-    after more than one node, up to a fixed number of them; meeting one
-    again counts the nodes it spent the first time and backs up, so the
-    cover and the node count at which *max_nodes* stops the search are
-    those of the plain search.  It is complete, so a failure there means
-    no such cover exists.  Greedy mode grows maximal members from the
-    first uncovered entry, first in scan order, then over up to
+    entry fails.  A member counts the picks it still needs and is cut as
+    soon as its alternatives are fewer, which skips only branches that
+    cannot complete and opens no node.  The search remembers the
+    uncovered sets whose members failed after more than one node, up to
+    a fixed number of them; meeting one again counts the nodes it spent
+    the first time and backs up.  So the cover and the node count at
+    which *max_nodes* stops the search are those of the plain search,
+    which grows every branch to its end.  It is complete, so a failure
+    there means no such cover exists.  Greedy mode grows maximal members
+    from the first uncovered entry, first in scan order, then over up to
     *restarts* - 1 seeded shuffles; it may fail on covers the exact mode
     would find.  Both modes are deterministic given (matrix, g, mode,
     seed).
@@ -221,53 +231,58 @@ def _conflicts(bits: np.ndarray, ones: list[tuple[int, int]]) -> list[int]:
 def _exact_search(
     conflict: list[int], g: int, max_nodes: int | None
 ) -> list[list[int]] | None:
+    bits = [1 << t for t in range(len(conflict))]
     uncovered = (1 << len(conflict)) - 1
-    picks: list[int] = []    # chosen one-entries, g per member, members in order
-    untried: list[int] = []  # untried[d]: alternatives to picks[d] not yet tried
-    opened: list[tuple[int, int]] = []  # (uncovered, nodes before) per open member
+    # per open member: (uncovered at its opening, nodes before it, its
+    # picks, and for each pick the alternatives to it not yet tried)
+    opened: list[tuple[int, int, list[int], list[int]]] = []
     refuted: dict[int, int] = {}  # uncovered -> nodes its failed subtree spent
+    limit = _REFUTED_LIMIT
     nodes = 0
     while uncovered:
-        opened.append((uncovered, nodes))
+        root = (uncovered & -uncovered).bit_length() - 1
+        picks, untried = [root], [0]
+        opened.append((uncovered, nodes, picks, untried))
         spent = refuted.get(uncovered)
         nodes += spent or 1
         if max_nodes is not None and nodes > max_nodes:
             raise CoverBudgetError(f"exact search exceeded {max_nodes} nodes")
-        root = (uncovered & -uncovered).bit_length() - 1
-        picks.append(root)
-        untried.append(0)
         # a refuted state fails again after the same nodes: its root has
         # no alternatives, so the search backs up at once
         alternatives = 0 if spent else uncovered & ~conflict[root]
-        while len(picks) % g:
-            if alternatives:
+        need = g - 1                 # picks the member still needs
+        while need:
+            # grow only while enough alternatives remain to complete it
+            if alternatives.bit_count() >= need:
                 low = alternatives & -alternatives
                 t = low.bit_length() - 1
                 alternatives ^= low
                 picks.append(t)
                 untried.append(alternatives)
                 alternatives &= ~conflict[t]
+                need -= 1
                 continue
-            # dead end: back up to the last pick with an untried alternative
+            # dead end: back up to the last pick with enough untried alternatives
             while True:
                 picks.pop()
                 alternatives = untried.pop()
-                if len(picks) % g:
-                    if alternatives:
+                need += 1
+                if picks:
+                    if alternatives.bit_count() >= need:
                         break
-                elif not picks:
+                    continue
+                # a member's root failed: remember the refuted state,
+                # then reopen the member before it
+                state, before, _, _ = opened.pop()
+                if nodes - before > 1 and len(refuted) < limit:
+                    refuted[state] = nodes - before
+                if not opened:
                     return None
-                else:
-                    # a member's root failed: remember the refuted state,
-                    # then reopen the member before it
-                    state, before = opened.pop()
-                    if nodes - before > 1 and len(refuted) < _REFUTED_LIMIT:
-                        refuted[state] = nodes - before
-                    for t in picks[-g:]:
-                        uncovered |= 1 << t
-        for t in picks[-g:]:
-            uncovered &= ~(1 << t)
-    return [picks[k : k + g] for k in range(0, len(picks), g)]
+                uncovered, _, picks, untried = opened[-1]
+                need = 0
+        for t in picks:
+            uncovered ^= bits[t]
+    return [member for _, _, member, _ in opened]
 
 
 def _greedy_search(

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -383,3 +384,80 @@ def test_class_matching_equals_reference_on_copies(drawn):
     expected = {r: copy[0] for copy, r in reference_matching(copies).items()}
     assert perfect_matching(adj) == expected
     assert sorted(expected) == list(range(len(adj) * gamma))
+
+
+def reference_class_matching(adj):
+    """The class-level Kuhn search as it stood before its masks were
+    precomputed: the seen set grows by an OR per step and the path is
+    flipped with a shift per right.  It returns ``{right: left}``."""
+    left = list(adj)
+    rights = sorted({r for l in left for r in adj[l]})
+    if len(rights) < len(left) or len(rights) % max(len(left), 1):
+        raise BalanceError(
+            f"sides differ: {len(rights)} right vertices are not a positive "
+            f"multiple of {len(left)} left"
+        )
+    left_degrees = {len(adj[l]) for l in left}
+    right_degrees = set(Counter(r for l in left for r in adj[l]).values())
+    if len(left_degrees) != 1 or len(right_degrees) != 1:
+        raise BalanceError(
+            f"graph is not biregular (left degrees {sorted(left_degrees)}, "
+            f"right degrees {sorted(right_degrees)})"
+        )
+
+    bit = {r: 1 << i for i, r in enumerate(rights)}
+    nbrs = [sum(bit[r] for r in set(adj[l])) for l in left]
+    avail = nbrs[:]
+    owner = [-1] * len(rights)
+    share = len(rights) // len(left)
+    for root in (k for k in range(len(left)) for _ in range(share)):
+        seen = 0
+        path = [root]
+        taken: list[int] = []
+        while path:
+            k = path[-1]
+            free = avail[k] & ~seen
+            if not free:
+                seen |= nbrs[k]
+                path.pop()
+                if taken:
+                    taken.pop()
+                continue
+            low = free & -free
+            seen |= nbrs[k] & ((low << 1) - 1)
+            r = low.bit_length() - 1
+            taken.append(r)
+            if owner[r] < 0:
+                for l, rr in zip(path, taken):
+                    if owner[rr] >= 0:
+                        avail[owner[rr]] |= 1 << rr
+                    avail[l] &= ~(1 << rr)
+                    owner[rr] = l
+                break
+            path.append(owner[r])
+        else:
+            raise RuntimeError("no perfect matching found")
+    return {r: left[owner[i]] for i, r in enumerate(rights)}
+
+
+def _outcome(matching, adj):
+    """The matching, or the type and text of the error it raised."""
+    try:
+        return matching(adj)
+    except BalanceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(biregular_graphs())
+def test_class_matching_equals_reference_kernel(drawn):
+    """The masked kernel makes the reference's choices on the graph and on
+    its residual after the first matching, the second call's input; the
+    residual of a one-permutation graph is empty, and both reject it."""
+    _, adj = drawn
+    first = perfect_matching(adj)
+    assert first == reference_class_matching(adj)
+    residual = {l: [r for r in rs if first[r] != l] for l, rs in adj.items()}
+    assert _outcome(perfect_matching, residual) == _outcome(
+        reference_class_matching, residual
+    )

@@ -308,6 +308,41 @@ class TestSweep:
         assert out == ""
 
 
+@pytest.mark.parametrize("command", [("run",), ("sweep", "--kappa", "6")])
+@pytest.mark.parametrize("g", ["-3", "0", "1"])
+def test_g_below_two_exits_2_naming_g(capsys, command, g):
+    code, out, err = run_cli(
+        capsys, *command, "--construction", "fano", "--cover", "exact", "--g", g,
+    )
+    assert code == 2
+    assert f"error: g={g} must be at least 2" in err
+    assert out == ""
+
+
+# each would list about 1.4e11 subsets, or allocate 2e9 cells, unguarded
+@pytest.mark.parametrize("argv, K, N", [
+    (("run", "--construction", "man", "--K", "40", "--r", "20"), 40, 137846528820),
+    (("run", "--construction", "tsubset", "--v", "40", "--t", "20"), 40, 137846528820),
+    (("run", "--construction", "transversal", "--k", "2", "--n", "1009"), 1018081, 2018),
+    (("sweep", "--construction", "man", "--K", "40", "--r", "20", "--kappa", "39"),
+     40, 137846528820),
+])
+def test_oversized_construction_exits_2(capsys, argv, K, N):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"K={K} rows and N={N} columns" in err
+    assert out == ""
+
+
+def test_oversized_table1_row_exits_2(capsys, tmp_path):
+    params = tmp_path / "params.txt"
+    params.write_text("IV v=40 t=20 kappa=5\n")
+    code, out, err = run_cli(capsys, "table1", "--params", str(params))
+    assert code == 2
+    assert "K=40 rows and N=137846528820 columns" in err
+    assert out == ""
+
+
 # sha256 of standard output and of every --out artifact; any change to
 # how a run is sequenced must reproduce them byte for byte.
 _MAN_5_2 = ("run", "--construction", "man", "--K", "5", "--r", "2")

@@ -21,7 +21,8 @@ from codedmr import (
     transversal_matrix,
     validate_matrix,
 )
-from codedmr.constructions import format_design
+from codedmr import constructions
+from codedmr.constructions import MAX_CELLS, format_design
 
 
 def pg2_3_design() -> BlockDesign:
@@ -172,6 +173,38 @@ class TestTransversalMatrix:
     def test_composite_n_unsupported(self):
         with pytest.raises(ValueError, match="prime"):
             transversal_matrix(2, 4)
+
+
+class TestSizeLimit:
+    """Oversized generated matrices are refused before anything is listed
+    or allocated; unguarded, each case below runs out of memory."""
+
+    @pytest.mark.parametrize("build, K, N", [
+        (lambda: man_matrix(40, 20), 40, comb(40, 20)),
+        (lambda: t_subset_matrix(40, 20), 40, comb(40, 20)),
+        (lambda: transversal_matrix(2, 1009), 1009**2, 2 * 1009),
+        # a Mersenne prime: refused before its trial division
+        (lambda: transversal_matrix(2, 2**61 - 1), (2**61 - 1) ** 2, 2 * (2**61 - 1)),
+    ])
+    def test_oversized_rejected_naming_K_and_N(self, build, K, N):
+        with pytest.raises(ValueError, match=f"K={K} rows and N={N} columns"):
+            build()
+
+    def test_admits_man_18_8(self):
+        m = man_matrix(18, 8)
+        assert m.bits.size == 787_644 <= MAX_CELLS
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # MAN(5,2) and the t-subset scheme (5,3) have 50 cells, TD(2,3) 54
+        monkeypatch.setattr(constructions, "MAX_CELLS", 50)
+        assert man_matrix(5, 2).bits.size == t_subset_matrix(5, 3).bits.size == 50
+        with pytest.raises(ValueError, match="54 cells"):
+            transversal_matrix(2, 3)
+        monkeypatch.setattr(constructions, "MAX_CELLS", 49)
+        constructions._man_columns.cache_clear()   # MAN(5,2) is cached above
+        for build in (lambda: man_matrix(5, 2), lambda: t_subset_matrix(5, 3)):
+            with pytest.raises(ValueError, match="50 cells"):
+                build()
 
 
 class TestSchemeLoads:
