@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from .matrix import BinaryComputingMatrix, IdentityCover
 from .shuffle import ShuffleTranscript
 
@@ -92,13 +94,17 @@ def balance_preconditions(
     servers = m.rows if servers is None else tuple(servers)
     if not servers or len(set(servers)) != len(servers) or not set(servers) <= set(m.rows):
         raise ValueError(f"servers {servers} are not a non-empty set of matrix rows")
-    counts = {k: 0 for k in servers}
+    index = c.index(m)
+    # rows of the set by index; labels the matrix lacks are in no set
+    in_set = np.zeros(len(index.rows), dtype=bool)
+    in_set[[m.row_index(k) for k in servers]] = True
+    appearances = np.zeros(len(index.rows), dtype=np.int64)
     member_rows: set[int] = set()
-    for member in c.members:
-        in_set = [k for k in member.rows if k in counts]
-        member_rows.add(len(in_set))
-        for k in in_set:
-            counts[k] += 1
+    for _, R, _ in index.groups:
+        hit = in_set[R]
+        member_rows.update(hit.sum(axis=1).tolist())
+        appearances += np.bincount(R[hit], minlength=len(index.rows))
+    counts = {k: int(appearances[m.row_index(k)]) for k in servers}
     gamma = Fraction(c.size, len(servers))
     return BalanceReport(
         gamma=gamma,
@@ -233,11 +239,14 @@ def build_sender_plan(
         raise BalanceError(f"gamma = S/|servers| = {report.gamma} is not an integer")
     if not report.row_regular:
         raise BalanceError("servers appear in differing numbers of members")
-    membership: dict[str, list[int]] = {k: [] for k in report.counts}
-    for idx, member in enumerate(c.members):
-        for k in member.rows:
-            if k in membership:
-                membership[k].append(idx)
+    groups = c.index(m).groups
+    membership: dict[str, list[int]] = {}
+    for k in report.counts:
+        i = m.row_index(k)
+        # the members listing k, in member order, once per listing
+        membership[k] = sorted(
+            s for ids, R, _ in groups for s in ids[np.nonzero(R == i)[0]].tolist()
+        )
 
     coded_by_member = perfect_matching(membership)
 

@@ -40,6 +40,11 @@ from .matrix import (
 USAGE_ERROR = 2
 INVARIANT_ERROR = 1
 
+# Most nodes an exact cover search of `run` or `sweep` may open before it
+# fails (exit 1).  The PG(2,3) cover takes 111,154; PG(2,4) with g=5 has
+# none within reach, and a million nodes take a few seconds.
+CLI_MAX_NODES = 1_000_000
+
 
 def _load_json_value(x: Fraction) -> dict[str, str]:
     return {"fraction": fraction_str(x), "decimal": decimal_str(x, 4)}
@@ -106,7 +111,7 @@ def build_cover(c: Construction, args) -> tuple[IdentityCover, str]:
         raise FormatError("cover search needs --g for this construction")
     if g < 2:   # a usage error, not a search that found no cover
         raise ValueError(f"g={g} must be at least 2")
-    cover = covers.search_cover(c.matrix, g, mode=mode, seed=args.seed)
+    cover = covers.search_cover(c.matrix, g, mode=mode, seed=args.seed, max_nodes=CLI_MAX_NODES)
     return cover, mode
 
 

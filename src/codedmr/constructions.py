@@ -84,19 +84,22 @@ def man_matrix(K: int, r: int) -> BinaryComputingMatrix:
     return BinaryComputingMatrix(tuple(str(k) for k in range(1, K + 1)), cols, bits, r)
 
 
-def t_subset_matrix(v: int, t: int) -> BinaryComputingMatrix:
-    """t-subset scheme: column A has ones exactly on A, so r = v - t."""
+def _t_subset_columns(v: int, t: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The columns of the t-subset scheme: the colex t-subsets of [v] and
+    their labels, which are those of MAN(v, t); ``t_subset_matrix`` and
+    ``t_subset_cover`` share them."""
     if not 1 <= t < v:
         raise ValueError(f"need 1 <= t < v, got t={t}, v={v}")
     _check_cells(f"the t-subset scheme (v={v}, t={t})", v, comb(v, t))
-    subsets = _colex_subsets(range(1, v + 1), t)
-    rows = tuple(str(k) for k in range(1, v + 1))
-    cols = tuple(subset_label(map(str, a)) for a in subsets)
-    bits = np.zeros((v, len(subsets)), dtype=np.uint8)
-    for j, a in enumerate(subsets):
-        for k in a:
-            bits[k - 1, j] = 1
-    return BinaryComputingMatrix(rows, cols, bits, v - t)
+    return _man_columns(v, t)
+
+
+def t_subset_matrix(v: int, t: int) -> BinaryComputingMatrix:
+    """t-subset scheme: column A has ones exactly on A, so r = v - t."""
+    subsets, cols = _t_subset_columns(v, t)
+    bits = np.zeros((v, len(cols)), dtype=np.uint8)
+    bits[subsets.T - 1, np.arange(len(cols))] = 1
+    return BinaryComputingMatrix(tuple(str(k) for k in range(1, v + 1)), cols, bits, v - t)
 
 
 FANO_BLOCKS = ("127", "145", "136", "467", "256", "357", "234")
@@ -201,15 +204,12 @@ def transversal_block_label(a: int, b: int) -> str:
     return f"{a},{b}"
 
 
-def transversal_matrix(k: int, n: int) -> BinaryComputingMatrix:
-    """Transversal design TD(k, n) from lines over Z_n, n prime.
-
-    Points (i, x) for groups i in [k] and values x in Z_n are the N = kn
-    columns; the K = n^2 rows are the blocks {(i, a*(i-1)+b mod n)} for
-    slopes a and intercepts b.  Each point lies in n blocks, so
-    r = n(n-1).  Composite n would need mutually orthogonal Latin
-    squares, which this generator does not build.
-    """
+def _transversal_layout(
+    k: int, n: int
+) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Row and column labels of TD(k, n) and the (n^2, k) array of the
+    columns holding each row's ones; ``transversal_matrix`` and
+    ``transversal_cover`` share them."""
     # before the trial division, which makes up to sqrt(n) divisions
     _check_cells(f"TD({k},{n})", n * n, k * n)
     if not _is_prime(n):
@@ -219,14 +219,27 @@ def transversal_matrix(k: int, n: int) -> BinaryComputingMatrix:
         )
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    points = [(i, x) for i in range(1, k + 1) for x in range(n)]
-    cols = tuple(transversal_point_label(i, x) for i, x in points)
+    cols = tuple(transversal_point_label(i, x) for i in range(1, k + 1) for x in range(n))
     rows = tuple(transversal_block_label(a, b) for a in range(n) for b in range(n))
+    # block (a, b) is row a*n + b and meets group i at point a*(i-1) + b
+    a, b = np.divmod(np.arange(n * n), n)
+    group = np.arange(k)
+    ones = group * n + (a[:, None] * group + b[:, None]) % n
+    return rows, cols, ones
+
+
+def transversal_matrix(k: int, n: int) -> BinaryComputingMatrix:
+    """Transversal design TD(k, n) from lines over Z_n, n prime.
+
+    Points (i, x) for groups i in [k] and values x in Z_n are the N = kn
+    columns; the K = n^2 rows are the blocks {(i, a*(i-1)+b mod n)} for
+    slopes a and intercepts b.  Each point lies in n blocks, so
+    r = n(n-1).  Composite n would need mutually orthogonal Latin
+    squares, which this generator does not build.
+    """
+    rows, cols, ones = _transversal_layout(k, n)
     bits = np.zeros((n * n, k * n), dtype=np.uint8)
-    col_idx = {pt: j for j, pt in enumerate(points)}
-    for ri, (a, b) in enumerate((a, b) for a in range(n) for b in range(n)):
-        for i in range(1, k + 1):
-            bits[ri, col_idx[(i, (a * (i - 1) + b) % n)]] = 1
+    bits[np.arange(n * n)[:, None], ones] = 1
     return BinaryComputingMatrix(rows, cols, bits, n * (n - 1))
 
 

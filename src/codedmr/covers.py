@@ -3,9 +3,17 @@
 Analytic covers exist for the three generated families (subset placement,
 t-subset scheme, transversal design); arbitrary matrices, e.g. ingested
 block designs, go through the exact backtracking search or the seeded
-greedy search.  Both searches number the one-entries in row-major order
-and read one table of int bitmasks: for each one-entry, the one-entries
-that cannot share a member with it.  The exact search is a loop over an
+greedy search.  Every cover is returned in index form
+(``IdentityCover.from_index``): the analytic covers work out their (S, g)
+row and column indices by rank arithmetic, and check the matrix's shape
+arithmetically (its labels, then ones or zeros exactly where the family
+puts them) rather than against a rebuilt matrix; the searches gather
+theirs from the one-entries they pick.  So no cover builds an
+``IdentitySubmatrix``.
+
+Both searches number the one-entries in row-major order and read one
+table of int bitmasks: for each one-entry, the one-entries that cannot
+share a member with it.  The exact search is a loop over an
 explicit stack, so no search depth depends on the recursion limit.
 
 The exact search also keeps a table of refuted states.  Below a member
@@ -35,15 +43,8 @@ from math import comb
 
 import numpy as np
 
-from .constructions import (
-    _man_columns,
-    subset_label,
-    t_subset_matrix,
-    transversal_block_label,
-    transversal_matrix,
-    transversal_point_label,
-)
-from .matrix import BinaryComputingMatrix, IdentityCover, IdentitySubmatrix
+from .constructions import _man_columns, _t_subset_columns, _transversal_layout
+from .matrix import BinaryComputingMatrix, IdentityCover
 
 # Most refuted states one exact search remembers; once full it records no
 # more.  A miss only repeats work, so the limit bounds memory, not results.
@@ -66,10 +67,6 @@ class MatrixShapeError(ValueError):
     """The matrix does not have the shape the analytic cover requires."""
 
 
-def _matrices_equal(a: BinaryComputingMatrix, b: BinaryComputingMatrix) -> bool:
-    return a.rows == b.rows and a.cols == b.cols and np.array_equal(a.bits, b.bits)
-
-
 def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
     """Analytic cover of a subset-placement matrix: one member per
     (r+1)-subset B, rows B, row k matched with column B minus k."""
@@ -86,19 +83,20 @@ def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
         raise MatrixShapeError("matrix is not the subset placement for its (K, r)")
     # the (r+1)-subsets B of [K] in lex order, 0-based, and for each i the
     # colex rank of B minus B[i]: C(B[j], j+1) summed over j < i plus
-    # C(B[j], j) over j > i, since the entries after i move down one place
-    B = np.array(list(itertools.combinations(range(K), r + 1)), dtype=np.intp)
+    # C(B[j], j) over j > i, since the entries after i move down one place.
+    # The sums run over places, so places are the first axis.
+    S = comb(K, r + 1)
+    B = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(K), r + 1)),
+        dtype=np.intp, count=S * (r + 1),
+    ).reshape(S, r + 1)
     binom = np.array([[comb(n, k) for k in range(r + 2)] for n in range(K)])
-    place = np.arange(r + 1)
-    kept = binom[B, place + 1]     # B[j] keeps its place j
-    moved = binom[B, place]        # B[j] moves down to place j-1
-    before = np.cumsum(kept, axis=1) - kept
-    after = np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
-    cols = before + after
-    row_labels = np.array(m.rows, dtype=object)[B].tolist()
-    col_labels = np.array(labels, dtype=object)[cols].tolist()
-    members = map(IdentitySubmatrix, map(tuple, row_labels), map(tuple, col_labels))
-    return IdentityCover(tuple(members))
+    place = np.arange(r + 1)[:, None]
+    kept = binom[B.T, place + 1]    # B[j] keeps its place j
+    moved = binom[B.T, place]       # B[j] moves down to place j-1
+    before = np.cumsum(kept, axis=0) - kept
+    after = np.cumsum(moved[::-1], axis=0)[::-1] - moved
+    return IdentityCover.from_index(m, B, (before + after).T)
 
 
 def t_subset_cover(m: BinaryComputingMatrix) -> IdentityCover:
@@ -109,15 +107,30 @@ def t_subset_cover(m: BinaryComputingMatrix) -> IdentityCover:
     """
     v = m.K
     t = v - m.r
-    if not _matrices_equal(m, t_subset_matrix(v, t)):
+    subsets, labels = _t_subset_columns(v, t)
+    # the rows and labels of t_subset_matrix(v, t), and ones exactly on
+    # each column's subset: t per column, all of them at the subset's rows
+    if (
+        m.rows != tuple(str(k) for k in range(1, v + 1))
+        or m.cols != labels
+        or not m.bits[subsets.T - 1, np.arange(m.N)].all()
+        or m.N * t != np.count_nonzero(m.bits)
+    ):
         raise MatrixShapeError("matrix is not the t-subset scheme for its (v, t)")
-    members = []
-    for D in itertools.combinations(range(1, v + 1), t - 1):
-        outside = [k for k in range(1, v + 1) if k not in D]
-        rows = tuple(str(k) for k in outside)
-        cols = tuple(subset_label(str(x) for x in sorted((*D, k))) for k in outside)
-        members.append(IdentitySubmatrix(rows, cols))
-    return IdentityCover(tuple(members))
+    # the (t-1)-subsets D of [v] in lex order, 0-based, the rows outside
+    # each, and the colex rank of D + {k}: C(e_j, j+1) summed over its
+    # sorted entries e_j
+    D = np.array(list(itertools.combinations(range(v), t - 1)), dtype=np.intp)
+    D = D.reshape(len(D), t - 1)
+    outside = np.ones((len(D), v), dtype=bool)
+    outside[np.arange(len(D))[:, None], D] = False
+    R = np.nonzero(outside)[1].reshape(len(D), v - t + 1)
+    joined = np.concatenate(
+        [np.broadcast_to(D[:, None, :], (*R.shape, t - 1)), R[:, :, None]], axis=2
+    )
+    binom = np.array([[comb(n, k) for k in range(t + 1)] for n in range(v)])
+    C = binom[np.sort(joined, axis=2), np.arange(1, t + 1)].sum(axis=2)
+    return IdentityCover.from_index(m, R, C)
 
 
 def transversal_cover(m: BinaryComputingMatrix) -> IdentityCover:
@@ -130,17 +143,21 @@ def transversal_cover(m: BinaryComputingMatrix) -> IdentityCover:
     if n * n != m.K or m.N % n:
         raise MatrixShapeError("matrix dimensions do not fit a transversal design")
     k = m.N // n
-    if not _matrices_equal(m, transversal_matrix(k, n)):
+    rows, cols, ones = _transversal_layout(k, n)
+    # the labels of transversal_matrix(k, n), and ones exactly where it
+    # puts them: k per row
+    if (
+        m.rows != rows
+        or m.cols != cols
+        or not m.bits[np.arange(m.K)[:, None], ones].all()
+        or ones.size != np.count_nonzero(m.bits)
+    ):
         raise MatrixShapeError("matrix is not the transversal design for its (k, n)")
-    members = []
-    for i in range(1, k + 1):
-        for a in range(n):
-            rows = tuple(transversal_block_label(a, b) for b in range(n))
-            cols = tuple(
-                transversal_point_label(i, (a * (i - 1) + b) % n) for b in range(n)
-            )
-            members.append(IdentitySubmatrix(rows, cols))
-    return IdentityCover(tuple(members))
+    # member (i, a) lists the blocks a*n + b of slope a, each matched
+    # with its point of group i
+    R = np.tile(np.arange(n * n).reshape(n, n), (k, 1))
+    C = ones[R, np.repeat(np.arange(k), n)[:, None]]
+    return IdentityCover.from_index(m, R, C)
 
 
 def search_cover(
@@ -196,14 +213,10 @@ def search_cover(
             )
     else:
         raise ValueError(f"unknown search mode {mode!r}")
-    members = tuple(
-        IdentitySubmatrix(
-            tuple(m.rows[ones[t][0]] for t in member),
-            tuple(m.cols[ones[t][1]] for t in member),
-        )
-        for member in member_idx
-    )
-    return IdentityCover(members)
+    picked = np.array(ones, dtype=np.intp).reshape(-1, 2)[
+        np.array(member_idx, dtype=np.intp).reshape(-1, g)
+    ]
+    return IdentityCover.from_index(m, picked[..., 0], picked[..., 1])
 
 
 def _conflicts(bits: np.ndarray, ones: list[tuple[int, int]]) -> list[int]:

@@ -8,6 +8,21 @@ values the shuffle phase must deliver, and a non-overlapping identity
 submatrix cover partitions them into units that a single two-transmission
 exchange round can serve.
 
+An identity cover is held as index arrays: member s has the rows
+``rows[R[s]]`` matched in order with the columns ``cols[C[s]]`` of one
+matrix's label tuples.  The analytic covers and the cover searches build
+these (S, g) arrays directly (``IdentityCover.from_index``), and the
+consumers (verification, the shuffle's member index and default plan,
+the balancer, the cover text) read only them.  A cover given as
+``IdentitySubmatrix`` members, as ``parse_cover`` and tests build it,
+passes once through one adapter that numbers its labels and groups its
+members by shape; a label the matrix lacks gets an index past the
+matrix's own, so the same array checks name it.  The checks run in the
+order and with the reasons of the former per-member check, and the text
+is gathered from the same labels in the same order, so reports, cover
+bytes and every digest built on them are unchanged.  ``members`` is
+built from the arrays only when asked for.
+
 All types here are immutable after construction and safe to share across
 concurrent tasks.  Validation operations are pure functions that report
 violations rather than raise.
@@ -17,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -120,24 +135,179 @@ class IdentitySubmatrix:
         return tuple(zip(self.rows, self.cols))
 
 
-@dataclass(frozen=True)
-class IdentityCover:
-    """A family of identity submatrices meant to cover every one-entry."""
+@dataclass(frozen=True, eq=False)
+class MemberIndex:
+    """A cover's members as row and column indices over one matrix.
 
-    members: tuple[IdentitySubmatrix, ...]
+    ``rows`` and ``cols`` are the matrix's labels followed by the labels
+    the members use that the matrix lacks, so an index of at least K (or
+    N) names an unknown label.  ``groups`` holds, for each (row count,
+    column count) of the members, their member numbers and their (n, a)
+    row and (n, b) column indices.
+    """
+
+    rows: tuple[str, ...]
+    cols: tuple[str, ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _label_index(members: tuple[IdentitySubmatrix, ...]) -> MemberIndex:
+    """The adapter from label members to the index form: each distinct
+    label gets the next index in order of first use, and the members are
+    grouped by their (row count, column count)."""
+    row_of: dict[str, int] = {}
+    col_of: dict[str, int] = {}
+    grouped: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for idx, sub in enumerate(members):
+        ids, rs, cs = grouped.setdefault((len(sub.rows), len(sub.cols)), ([], [], []))
+        ids.append(idx)
+        rs.append([row_of.setdefault(k, len(row_of)) for k in sub.rows])
+        cs.append([col_of.setdefault(f, len(col_of)) for f in sub.cols])
+    groups = tuple(
+        (
+            _read_only(np.array(ids, dtype=np.intp)),
+            _read_only(np.array(rs, dtype=np.intp).reshape(len(ids), a)),
+            _read_only(np.array(cs, dtype=np.intp).reshape(len(ids), b)),
+        )
+        for (a, b), (ids, rs, cs) in grouped.items()
+    )
+    return MemberIndex(tuple(row_of), tuple(col_of), groups)
+
+
+def _translate(
+    labels: tuple[str, ...], known: dict[str, int]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Map *labels* to indices of a matrix side whose label -> index map
+    is *known*; labels it lacks get the indices after its own, in order."""
+    unknown = [k for k in labels if k not in known]
+    extra = {k: len(known) + u for u, k in enumerate(unknown)}
+    table = np.array([known[k] if k in known else extra[k] for k in labels], dtype=np.intp)
+    return table, tuple(unknown)
+
+
+class IdentityCover:
+    """A family of identity submatrices meant to cover every one-entry.
+
+    Its one working form is index arrays over label tuples: member s has
+    rows ``rows[R[s]]`` and columns ``cols[C[s]]``.  A cover built by
+    :meth:`from_index` holds one (S, g) pair of arrays over a matrix's
+    own labels.  A cover built from ``IdentitySubmatrix`` members (a
+    parsed file, a test) goes through one adapter on first use, which
+    numbers its labels and groups its members by shape.  ``members`` is
+    built from the arrays on first use and kept, so code that reads only
+    the arrays never builds an ``IdentitySubmatrix``.  Two covers are
+    equal when their members have the same labels in the same order,
+    whichever form they were built in.
+    """
+
+    def __init__(self, members: Iterable[IdentitySubmatrix] = ()) -> None:
+        self._members: tuple[IdentitySubmatrix, ...] | None = tuple(members)
+        self._index: MemberIndex | None = None
+
+    @classmethod
+    def from_index(cls, m: BinaryComputingMatrix, R, C) -> "IdentityCover":
+        """The cover whose member s has rows ``m.rows[R[s]]`` matched in
+        order with columns ``m.cols[C[s]]``.
+
+        R and C must be 2-d integer arrays of one shape (S, g) holding
+        row indices below K and column indices below N; they are copied.
+        Whether the members are identity submatrices is the job of
+        :func:`verify_cover`.
+        """
+        R, C = np.asarray(R), np.asarray(C)
+        if R.ndim != 2 or C.ndim != 2:
+            raise ValueError(f"R and C must be 2-d arrays, got {R.ndim}-d and {C.ndim}-d")
+        if R.shape != C.shape:
+            raise ValueError(f"R shape {R.shape} differs from C shape {C.shape}")
+        for name, a, bound in (("row", R, m.K), ("column", C, m.N)):
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"{name} indices must be integers, got {a.dtype}")
+            if a.size and not (0 <= a.min() and a.max() < bound):
+                raise ValueError(f"{name} indices must lie in [0, {bound})")
+        groups = ()
+        if len(R):
+            arrays = (np.arange(len(R)), *(a.astype(np.intp, order="C") for a in (R, C)))
+            groups = (tuple(map(_read_only, arrays)),)
+        cover = cls.__new__(cls)
+        cover._members = None
+        cover._index = MemberIndex(m.rows, m.cols, groups)
+        return cover
+
+    def _own_index(self) -> MemberIndex:
+        if self._index is None:
+            self._index = _label_index(self._members)   # type: ignore[arg-type]
+        return self._index
+
+    def index(self, m: BinaryComputingMatrix) -> MemberIndex:
+        """The members as indices over *m*'s labels.
+
+        A cover built over *m*'s labels returns its own arrays; any other
+        maps its label tuples, one lookup per distinct label rather than
+        per member entry.
+        """
+        own = self._own_index()
+        if own.rows == m.rows and own.cols == m.cols:
+            return own
+        rmap, rows = _translate(own.rows, m._row_idx)   # type: ignore[attr-defined]
+        cmap, cols = _translate(own.cols, m._col_idx)   # type: ignore[attr-defined]
+        return MemberIndex(
+            m.rows + rows,
+            m.cols + cols,
+            tuple((ids, rmap[R], cmap[C]) for ids, R, C in own.groups),
+        )
 
     @property
     def size(self) -> int:
         """Number of members S."""
-        return len(self.members)
+        return sum(len(ids) for ids, _, _ in self._own_index().groups)
 
     @property
     def uniform_size(self) -> int | None:
-        """Common member size g, or None when sizes are mixed or S = 0."""
-        sizes = {m.size for m in self.members}
+        """Common member size g (its row count), or None when sizes are
+        mixed or S = 0."""
+        sizes = {R.shape[1] for _, R, _ in self._own_index().groups}
         if len(sizes) == 1:
             return next(iter(sizes))
         return None
+
+    def _labels(self) -> list[tuple[list[str], list[str]]]:
+        """Each member's row labels and column labels, in member order,
+        gathered from the arrays."""
+        own = self._own_index()
+        rows, cols = np.array(own.rows, dtype=object), np.array(own.cols, dtype=object)
+        labels = [
+            pair for _, R, C in own.groups for pair in zip(rows[R].tolist(), cols[C].tolist())
+        ]
+        if len(own.groups) < 2:
+            return labels
+        ids = np.concatenate([ids for ids, _, _ in own.groups])
+        return [labels[i] for i in np.argsort(ids).tolist()]
+
+    def _key(self) -> tuple:
+        return tuple((tuple(r), tuple(c)) for r, c in self._labels())
+
+    @property
+    def members(self) -> tuple[IdentitySubmatrix, ...]:
+        """The members as ``IdentitySubmatrix`` objects, built once."""
+        if self._members is None:
+            self._members = tuple(IdentitySubmatrix(r, c) for r, c in self._key())
+        return self._members
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IdentityCover):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"IdentityCover(S={self.size}, g={self.uniform_size})"
 
 
 @dataclass
@@ -194,27 +364,74 @@ def validate_matrix(m: BinaryComputingMatrix) -> MatrixReport:
     return MatrixReport(ok=not violations, r=m.r, violations=violations, warnings=warnings)
 
 
-def _check_member(m: BinaryComputingMatrix, sub: IdentitySubmatrix) -> str | None:
-    """Reason why *sub*'s shape or labels disqualify it, else None.
+def _member_faults(
+    m: BinaryComputingMatrix, idx: MemberIndex, R: np.ndarray, C: np.ndarray
+) -> tuple[list[tuple[int, str]], np.ndarray]:
+    """Why each member of one group is not an identity submatrix of *m*.
 
-    Its entries are checked against the identity by verify_cover, for all
-    members of one size at once.
+    Returns (position in the group, reason) for the faulty members and a
+    mask of the sound ones.  The checks run in a fixed order, each over
+    the whole group, and a member gets the reason of the first it fails:
+    counts, size, repeated row, repeated column, unknown row, unknown
+    column, then the entries, of which the first wrong one in row-major
+    order is named.  Only faulty members are visited one by one.
     """
-    if len(sub.rows) != len(sub.cols):
-        return "row and column counts differ"
-    if sub.size < 2:
-        return "size < 2 admits no exchange round"
-    if len(set(sub.rows)) != sub.size:
-        return "repeated row label"
-    if len(set(sub.cols)) != sub.size:
-        return "repeated column label"
-    for k in sub.rows:
-        if k not in m._row_idx:  # type: ignore[attr-defined]
-            return f"unknown server label {k!r}"
-    for f in sub.cols:
-        if f not in m._col_idx:  # type: ignore[attr-defined]
-            return f"unknown subfile label {f!r}"
-    return None
+    n, a = R.shape
+    b = C.shape[1]
+    if a != b or a < 2:
+        reason = "row and column counts differ" if a != b else "size < 2 admits no exchange round"
+        return [(s, reason) for s in range(n)], np.zeros(n, dtype=bool)
+
+    def repeated(X):
+        X = np.sort(X, axis=1)
+        return (X[:, 1:] == X[:, :-1]).any(axis=1)
+
+    checks = (
+        (repeated(R), lambda s: "repeated row label"),
+        (repeated(C), lambda s: "repeated column label"),
+        ((R >= m.K).any(axis=1),
+         lambda s: f"unknown server label {idx.rows[R[s][R[s] >= m.K][0]]!r}"),
+        ((C >= m.N).any(axis=1),
+         lambda s: f"unknown subfile label {idx.cols[C[s][C[s] >= m.N][0]]!r}"),
+    )
+    faults: list[tuple[int, str]] = []
+    sound = np.ones(n, dtype=bool)
+    for fails, reason in checks:
+        hit = np.flatnonzero(fails & sound)
+        faults += [(s, reason(s)) for s in hit.tolist()]
+        sound[hit] = False
+    at = np.flatnonzero(sound)
+    held = _identities(m.bits, R, C) if len(at) == n else _identities(m.bits, R[at], C[at])
+    wrong = at[~held]
+    for s in wrong.tolist():
+        bad = m.bits[R[s, :, None], C[s]] != np.eye(a, dtype=np.uint8)
+        i, j = divmod(int(np.argmax(bad)), a)
+        want = int(i == j)
+        faults.append(
+            (s, f"entry ({idx.rows[R[s, i]]},{idx.cols[C[s, j]]}) is {1 - want}, expected {want}")
+        )
+    sound[wrong] = False
+    return faults, sound
+
+
+def _identities(bits: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Whether each member, with distinct rows R[s] and columns C[s] of
+    *bits*, holds the identity: 1 at (R[s, i], C[s, i]), 0 across.
+
+    Each column's ones are a bitmask over the rows in 64-bit words, so a
+    member holds the identity when every column C[s, j] meets the
+    member's rows in row R[s, j] alone: g word tests per member, not g*g
+    entries.
+    """
+    K, N = bits.shape
+    words = -(-K // 64)
+    packed = np.zeros((N, 8 * words), dtype=np.uint8)
+    packed[:, : -(-K // 8)] = np.packbits(bits, axis=0, bitorder="little").T
+    column = packed.view("<u8")                                   # (N, words)
+    bit = np.uint64(1) << (R % 64).astype(np.uint64)
+    own = np.where((R // 64)[..., None] == np.arange(words), bit[..., None], np.uint64(0))
+    rows = np.bitwise_or.reduce(own, axis=1)[:, None]             # each member's rows
+    return ((column[C] & rows) == own).all(axis=(1, 2))
 
 
 def verify_cover(m: BinaryComputingMatrix, c: IdentityCover) -> CoverReport:
@@ -224,37 +441,25 @@ def verify_cover(m: BinaryComputingMatrix, c: IdentityCover) -> CoverReport:
     may appear in several members as long as the covered one-entries
     differ.  Malformed members are reported and excluded from counting;
     a member with wrong entries is named by its first one in row-major
-    order.
+    order.  The check reads the cover's index arrays over *m*, one group
+    of equally shaped members at a time, so a cover of one size is one
+    array pass; a label cover reaches them through its adapter and gets
+    the reasons and lists a per-member check would give.
     """
-    reasons: dict[int, str] = {}
-    by_size: dict[int, list[int]] = {}
-    for idx, sub in enumerate(c.members):
-        reason = _check_member(m, sub)
-        if reason is not None:
-            reasons[idx] = reason
-        else:
-            by_size.setdefault(sub.size, []).append(idx)
-    counts = np.zeros(m.bits.shape, dtype=np.int64)
-    for g, idxs in by_size.items():
-        ri = np.array([[m.row_index(k) for k in c.members[i].rows] for i in idxs])
-        ci = np.array([[m.col_index(f) for f in c.members[i].cols] for i in idxs])
-        # bad[n, i, j]: entry (rows[i], cols[j]) of member idxs[n] is not eye(g)[i, j]
-        bad = m.bits[ri[:, :, None], ci[:, None, :]] != np.eye(g, dtype=np.uint8)
-        flat = bad.reshape(len(idxs), g * g)
-        wrong = flat.any(axis=1)
-        for n in np.flatnonzero(wrong):
-            i, j = divmod(int(np.argmax(flat[n])), g)
-            sub = c.members[idxs[n]]
-            want = int(i == j)
-            reasons[idxs[n]] = (
-                f"entry ({sub.rows[i]},{sub.cols[j]}) is {1 - want}, expected {want}"
-            )
-        np.add.at(counts, (ri[~wrong], ci[~wrong]), 1)
-    malformed = sorted(reasons.items())
-    oi, oj = np.nonzero(m.bits)
-    n = counts[oi, oj]
-    missing = [(m.rows[i], m.cols[j]) for i, j in zip(oi[n == 0], oj[n == 0])]
-    overlapping = [(m.rows[i], m.cols[j]) for i, j in zip(oi[n > 1], oj[n > 1])]
+    idx = c.index(m)
+    malformed: list[tuple[int, str]] = []
+    counts = np.zeros(m.K * m.N, dtype=np.int64)
+    for ids, R, C in idx.groups:
+        faults, sound = _member_faults(m, idx, R, C)
+        malformed += [(int(ids[s]), reason) for s, reason in faults]
+        if faults:
+            R, C = R[sound], C[sound]
+        counts += np.bincount((R * m.N + C).ravel(), minlength=m.K * m.N)
+    malformed.sort()
+    ones = np.flatnonzero(m.bits)       # row-major, as (row, column) = divmod(., N)
+    n = counts[ones]
+    missing = [(m.rows[i], m.cols[j]) for i, j in zip(*np.divmod(ones[n == 0], m.N))]
+    overlapping = [(m.rows[i], m.cols[j]) for i, j in zip(*np.divmod(ones[n > 1], m.N))]
     ok = not malformed and not missing and not overlapping
     return CoverReport(ok=ok, malformed=malformed, missing=missing, overlapping=overlapping)
 
@@ -330,8 +535,7 @@ def parse_matrix(text: str) -> BinaryComputingMatrix:
 
 def format_cover(c: IdentityCover) -> str:
     lines = [str(c.size)]
-    for sub in c.members:
-        lines.append(" ".join([str(sub.size), *sub.rows, *sub.cols]))
+    lines += [" ".join([str(len(rows)), *rows, *cols]) for rows, cols in c._labels()]
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,16 @@ is one comparison of the delivered table with ``ivas``.
 plan, shuffle, late map, reduce, load), for the full server set, full
 stragglers (which map nothing and whose functions the survivors split)
 and partial stragglers (which never send and map, before the shuffle,
-only what their own decodes need) alike.
+only what their own decodes need) alike.  It checks the cover first, so
+a broken cover is the one ``ShuffleError`` ``run_shuffle`` names, before
+any plan or map work.
+
+The shuffle reads the cover as ``JobSpec.cover_index``, its (S, g) row
+and column index arrays over the matrix: an analytic or searched cover's
+own arrays, or those the label adapter of ``matrix`` builds once.  The
+default plan, the partial stragglers' needs and the straggler survivor
+check are array passes over them, and a malformed member is a
+``ShuffleError`` there too, never a failed label lookup.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -199,19 +208,23 @@ class JobSpec:
         )
 
     @cached_property
-    def cover_fault(self) -> str | None:
-        """What verify_cover found wrong with the cover, or None when it
-        passes; worked out once per spec."""
-        # Only the verdict is kept: the report's lists, allocated among
+    def _cover_faults(self) -> tuple[int, int, int]:
+        """How many members verify_cover found malformed and how many
+        one-entries it found missing and overlapping; worked out once per
+        spec."""
+        # Only the counts are kept: the report's lists, allocated among
         # verify_cover's temporaries, would pin their heap pages for as
         # long as the spec lives.
         report = verify_cover(self.matrix, self.cover)
-        if report.ok:
+        return len(report.malformed), len(report.missing), len(report.overlapping)
+
+    @property
+    def cover_fault(self) -> str | None:
+        """What verify_cover found wrong with the cover, or None when it
+        passes."""
+        if not any(self._cover_faults):
             return None
-        return (
-            f"{len(report.malformed)} malformed, {len(report.missing)} missing, "
-            f"{len(report.overlapping)} overlapping"
-        )
+        return "{} malformed, {} missing, {} overlapping".format(*self._cover_faults)
 
     @cached_property
     def reduce_outputs(self) -> tuple[bytes, ...]:
@@ -233,12 +246,19 @@ class JobSpec:
     @cached_property
     def cover_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, g) matrix row and column indices of the cover members'
-        entries, in member order."""
-        m = self.matrix
-        shape = (self.cover.size, self.g)
-        rows = [m.row_index(k) for member in self.cover.members for k in member.rows]
-        cols = [m.col_index(f) for member in self.cover.members for f in member.cols]
-        return np.reshape(rows, shape), np.reshape(cols, shape)
+        entries, in member order: the cover's own arrays when it was built
+        over this matrix's labels.
+
+        Raises ShuffleError, with the text ``run_shuffle`` gives, when a
+        member is malformed: its labels need not be the matrix's, nor its
+        rows distinct.  Sound members that do not cover the matrix keep
+        their indices, so ``round_for_member`` can run one of them.
+        """
+        if self._cover_faults[0]:
+            raise ShuffleError(f"cover failed verification: {self.cover_fault}")
+        # sound members of one size are one group of every member, in order
+        ((_, R, C),) = self.cover.index(self.matrix).groups
+        return R, C
 
 
 @dataclass(frozen=True)
@@ -505,20 +525,26 @@ def round_for_member(
 def default_plan(
     spec: JobSpec, assignment: ReduceAssignment, forbidden: frozenset[str] = frozenset()
 ) -> dict[int, tuple[str, str]]:
-    """First-two-participating-rows sender plan (deliberately unbalanced)."""
-    order = {k: i for i, k in enumerate(spec.matrix.rows)}
-    plan: dict[int, tuple[str, str]] = {}
-    for idx, member in enumerate(spec.cover.members):
-        eligible = sorted(
-            (k for k in member.rows if k in assignment.duties and k not in forbidden),
-            key=order.__getitem__,
+    """First-two-participating-rows sender plan (deliberately unbalanced).
+
+    Reads ``spec.cover_index``, so a malformed member raises ShuffleError.
+    """
+    m = spec.matrix
+    R, _ = spec.cover_index
+    eligible = np.array([k in assignment.duties and k not in forbidden for k in m.rows])
+    # the two lowest eligible rows of each member, K standing for none
+    # (a verified cover has distinct rows in each member)
+    ranked = np.where(eligible[R], R, m.K)
+    first = ranked.min(axis=1)
+    second = np.where(ranked == first[:, None], m.K, ranked).min(axis=1)
+    short = np.flatnonzero(second == m.K)
+    if short.size:
+        idx = int(short[0])
+        raise ShuffleError(
+            f"member {idx} has {int(eligible[R[idx]].sum())} eligible senders, needs 2"
         )
-        if len(eligible) < 2:
-            raise ShuffleError(
-                f"member {idx} has {len(eligible)} eligible senders, needs 2"
-            )
-        plan[idx] = (eligible[0], eligible[1])
-    return plan
+    labels = np.array(m.rows, dtype=object)
+    return dict(enumerate(zip(labels[first].tolist(), labels[second].tolist())))
 
 
 def run_shuffle(
@@ -623,18 +649,21 @@ def partial_straggler_needs(
 
     A partial straggler cancels, per member it belongs to, the values of
     the other participating rows except the coded sender's own column.
+    Reads ``spec.cover_index``, so a malformed member raises ShuffleError.
     """
     needs: dict[str, set[str]] = {k: set() for k in partial}
     if not partial:
         return needs
-    for idx, member in enumerate(spec.cover.members):
-        coded_sender = plan[idx][0]
-        for k in member.rows:
-            if k not in partial:
-                continue
-            for k_j, f_j in zip(member.rows, member.cols):
-                if k_j not in (k, coded_sender):
-                    needs[k].add(f_j)
+    m = spec.matrix
+    R, C = spec.cover_index
+    row_of = {k: i for i, k in enumerate(m.rows)}
+    coded = np.array([row_of.get(plan[idx][0], -1) for idx in range(len(R))])
+    for k in partial:
+        i = row_of.get(k, -1)
+        # in the members holding k, the columns of the rows besides k and the coded sender
+        own = (R == i).any(axis=1)
+        cancel = (R[own] != i) & (R[own] != coded[own, None])
+        needs[k].update(m.cols[j] for j in C[own][cancel].tolist())
     return needs
 
 
@@ -661,6 +690,8 @@ def run_pipeline(
         raise ValueError(f"unknown server labels {sorted(unknown)}")
     survivors = [k for k in spec.matrix.rows if k not in stragglers]
     assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
+    if spec.cover_fault is not None:
+        raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     plan_mode = "default" if plan is None else "explicit"
     if plan is None:
         plan = default_plan(spec, assignment, forbidden=partial)

@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping
 
+import numpy as np
+
 from . import balance, shuffle
 from .covers import man_cover
 from .constructions import man_matrix
@@ -94,11 +96,13 @@ def straggler_run(
         raise ValueError(
             f"{n_stragglers} stragglers exceed the tolerance g-2 = {g - 2}"
         )
+    R, _ = spec.cover_index   # a ShuffleError on a malformed member
     survivor_set = set(scenario.survivors)
-    for idx, member in enumerate(spec.cover.members):
-        alive = sum(1 for k in member.rows if k in survivor_set)
-        if alive < 2:
-            raise ValueError(f"member {idx} has {alive} surviving rows, needs 2")
+    alive = np.array([k in survivor_set for k in spec.matrix.rows])[R].sum(axis=1)
+    short = np.flatnonzero(alive < 2)
+    if short.size:
+        idx = int(short[0])
+        raise ValueError(f"member {idx} has {alive[idx]} surviving rows, needs 2")
 
     plan_mode = plan if isinstance(plan, str) else "explicit"
     resolved = None if isinstance(plan, str) else dict(plan)

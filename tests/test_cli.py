@@ -438,3 +438,37 @@ def test_outputs_are_pinned(capsys, tmp_path, argv, pins):
     got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
     got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in tmp_path.iterdir())
     assert got == pins
+
+
+def _pg2_4_design(tmp_path):
+    """PG(2,4) developed from the difference set {0, 1, 4, 14, 16} mod 21:
+    no exact cover with g=5 is found within any budget the tests can spend."""
+    blocks = [" ".join(str((i + d) % 21) for d in (0, 1, 4, 14, 16)) for i in range(21)]
+    path = tmp_path / "pg2_4.txt"
+    path.write_text("\n".join(["21 21 5", " ".join(map(str, range(21))), *blocks]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--Q", "21", "--T", "1"],
+    ["sweep", "--kappa", "20"],
+])
+def test_exact_search_budget_exits_1(capsys, monkeypatch, tmp_path, command):
+    from codedmr import cli
+
+    monkeypatch.setattr(cli, "CLI_MAX_NODES", 10_000)
+    code, out, err = run_cli(
+        capsys, *command, "--construction", "bibd", "--design", _pg2_4_design(tmp_path),
+        "--cover", "exact", "--g", "5",
+    )
+    assert code == 1
+    assert err == "failure: exact search exceeded 10000 nodes\n"
+    assert out == ""
+
+
+def test_exact_search_budget_admits_pg2_3():
+    from codedmr import cli
+
+    from test_covers import PG2_3_NODES
+
+    assert cli.CLI_MAX_NODES == 1_000_000 > PG2_3_NODES

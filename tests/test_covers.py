@@ -144,6 +144,141 @@ class TestTSubsetCover:
         assert t_pairs == man_pairs
 
 
+def reference_t_subset_cover(m):
+    """The label construction t_subset_cover replaced: one member per
+    (t-1)-subset D, the rows outside D, row k matched with D + {k}."""
+    from codedmr.constructions import subset_label
+
+    v, t = m.K, m.K - m.r
+    members = []
+    for D in itertools.combinations(range(1, v + 1), t - 1):
+        outside = [k for k in range(1, v + 1) if k not in D]
+        rows = tuple(str(k) for k in outside)
+        cols = tuple(subset_label(str(x) for x in sorted((*D, k))) for k in outside)
+        members.append(IdentitySubmatrix(rows, cols))
+    return IdentityCover(tuple(members))
+
+
+def reference_transversal_cover(m):
+    """The label construction transversal_cover replaced: per group i and
+    slope a, the blocks (a, b) matched with the points (i, a(i-1)+b)."""
+    n = int(round(m.K**0.5))
+    members = []
+    for i in range(1, m.N // n + 1):
+        for a in range(n):
+            rows = tuple(f"{a},{b}" for b in range(n))
+            cols = tuple(f"{i}:{(a * (i - 1) + b) % n}" for b in range(n))
+            members.append(IdentitySubmatrix(rows, cols))
+    return IdentityCover(tuple(members))
+
+
+def reference_search_labels(m, member_idx):
+    """The label members search_cover used to build from its one-entry
+    numbers."""
+    ones = [(int(i), int(j)) for i, j in zip(*np.nonzero(m.bits))]
+    return IdentityCover(tuple(
+        IdentitySubmatrix(
+            tuple(m.rows[ones[t][0]] for t in member),
+            tuple(m.cols[ones[t][1]] for t in member),
+        )
+        for member in member_idx
+    ))
+
+
+def _same_cover(cover, reference):
+    assert cover == reference and hash(cover) == hash(reference)
+    assert format_cover(cover) == format_cover(reference)
+
+
+def test_analytic_and_searched_covers_equal_the_label_constructions(suite):
+    for name, m, cover in suite:
+        if name.startswith("man"):
+            _same_cover(cover, reference_man_cover(m))
+        elif name.startswith("tsubset"):
+            _same_cover(cover, reference_t_subset_cover(m))
+        elif name.startswith("transversal"):
+            _same_cover(cover, reference_transversal_cover(m))
+        ones = [(int(i), int(j)) for i, j in zip(*np.nonzero(m.bits))]
+        conflict = covers._conflicts(m.bits, ones)
+        g = cover.uniform_size
+        _same_cover(
+            search_cover(m, g, mode="exact"),
+            reference_search_labels(m, covers._exact_search(conflict, g, None)),
+        )
+        found = covers._greedy_search(conflict, g, 3, 8)
+        if found is not None:
+            _same_cover(
+                search_cover(m, g, mode="greedy", seed=3, restarts=8),
+                reference_search_labels(m, found),
+            )
+
+
+def test_man_18_8_cover_equals_the_label_construction():
+    m = man_matrix(18, 8)
+    _same_cover(man_cover(m), reference_man_cover(m))
+
+
+def _edited(m, change):
+    rows, cols, bits = list(m.rows), list(m.cols), m.bits.copy()
+    if change == "flipped one":
+        bits[np.flatnonzero(bits[:, 1])[0], 1] = 0
+    elif change == "flipped zero":
+        bits[np.flatnonzero(bits[:, 1] == 0)[0], 1] = 1
+    elif change == "row label":
+        rows[1] = "x"
+    elif change == "column label":
+        cols[1] = "x"
+    else:
+        bits[:, [0, 2]] = bits[:, [2, 0]]
+    return BinaryComputingMatrix(tuple(rows), tuple(cols), bits, m.r)
+
+
+CHANGES = ["flipped one", "flipped zero", "row label", "column label", "swapped columns"]
+
+
+@pytest.mark.parametrize("change", CHANGES)
+@pytest.mark.parametrize("v, t", [(5, 2), (6, 3), (7, 4)])
+def test_t_subset_cover_rejects_an_edited_matrix(v, t, change):
+    with pytest.raises(MatrixShapeError, match="t-subset scheme"):
+        t_subset_cover(_edited(t_subset_matrix(v, t), change))
+
+
+@pytest.mark.parametrize("change", CHANGES)
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 3), (3, 5)])
+def test_transversal_cover_rejects_an_edited_matrix(k, n, change):
+    with pytest.raises(MatrixShapeError, match="transversal design for its"):
+        transversal_cover(_edited(transversal_matrix(k, n), change))
+
+
+@pytest.mark.parametrize(
+    "build, bits, r, error, text",
+    [
+        ("tsubset", np.ones((4, 4), dtype=np.uint8), 0, ValueError,
+         "need 1 <= t < v, got t=4, v=4"),
+        ("tsubset", np.eye(4, dtype=np.uint8), 3, MatrixShapeError,
+         "matrix is not the t-subset scheme for its (v, t)"),
+        ("transversal", np.ones((16, 8), dtype=np.uint8), 12, ValueError,
+         "n=4 is not prime; the line construction needs Z_n arithmetic "
+         "(composite n is unsupported)"),
+        ("transversal", np.ones((9, 12), dtype=np.uint8), 6, ValueError,
+         "need 2 <= k <= n, got k=4, n=3"),
+        ("transversal", np.ones((9, 4), dtype=np.uint8), 6, MatrixShapeError,
+         "matrix dimensions do not fit a transversal design"),
+    ],
+)
+def test_analytic_covers_refuse_other_shapes_as_before(build, bits, r, error, text):
+    """The exception classes and texts of the matrix rebuild the covers
+    used to compare against."""
+    m = BinaryComputingMatrix(
+        tuple(str(k) for k in range(1, bits.shape[0] + 1)),
+        tuple(f"f{j}" for j in range(bits.shape[1])), bits, r,
+    )
+    cover = t_subset_cover if build == "tsubset" else transversal_cover
+    with pytest.raises(error) as err:
+        cover(m)
+    assert type(err.value) is error and str(err.value) == text
+
+
 class TestTransversalCover:
     @pytest.mark.parametrize("k,n", [(2, 2), (3, 3), (2, 5), (5, 5)])
     def test_analytic_cover(self, k, n):

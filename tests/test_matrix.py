@@ -281,36 +281,146 @@ SMALL_COVERS = _small_covers()
 
 @st.composite
 def corrupted_covers(draw):
+    """A small cover after one to three drops, column swaps inside a
+    member, duplicates and unknown labels, as a label cover and, when no
+    label is unknown, as an index cover the same edits were made to."""
     m, cover = draw(st.sampled_from(SMALL_COVERS))
     members = list(cover.members)
+    R, C = (np.array(a) for a in cover.index(m).groups[0][1:])
+    unknown = False
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "swap", "duplicate", "unknown")))
         i = draw(st.integers(0, len(members) - 1))
         sub = members[i]
         if op == "drop" and len(members) > 1:
             del members[i]
+            R, C = np.delete(R, i, axis=0), np.delete(C, i, axis=0)
         elif op == "swap":
             a, b = draw(st.permutations(range(sub.size)))[:2]
             cols = list(sub.cols)
             cols[a], cols[b] = cols[b], cols[a]
             members[i] = IdentitySubmatrix(sub.rows, tuple(cols))
+            C[i, [a, b]] = C[i, [b, a]]
         elif op == "duplicate":
-            members.insert(draw(st.integers(0, len(members))), sub)
+            at = draw(st.integers(0, len(members)))
+            members.insert(at, sub)
+            R, C = np.insert(R, at, R[i], axis=0), np.insert(C, at, C[i], axis=0)
         elif op == "unknown":
+            unknown = True
             side = draw(st.sampled_from(("rows", "cols")))
             labels = list(getattr(sub, side))
             labels[draw(st.integers(0, sub.size - 1))] = "?"
             members[i] = IdentitySubmatrix(
                 *((tuple(labels), sub.cols) if side == "rows" else (sub.rows, tuple(labels)))
             )
-    return m, IdentityCover(tuple(members))
+    index_cover = None if unknown else IdentityCover.from_index(m, R, C)
+    return m, IdentityCover(tuple(members)), index_cover
 
 
 @settings(max_examples=200, deadline=None)
 @given(corrupted_covers())
 def test_verify_cover_matches_the_per_entry_reference(case):
-    m, cover = case
+    m, cover, index_cover = case
+    expected = _reference_verify_cover(m, cover)
+    assert verify_cover(m, cover) == expected
+    if index_cover is not None:
+        assert index_cover == cover and hash(index_cover) == hash(cover)
+        assert format_cover(index_cover) == format_cover(cover)
+        assert verify_cover(m, index_cover) == expected
+        assert _reference_verify_cover(m, index_cover) == expected
+
+
+def test_mixed_and_misshapen_label_covers_verify_by_size_group():
+    m = fano_matrix()
+    members = (
+        IdentitySubmatrix(("1", "3"), ("467", "127")),           # wrong entries
+        IdentitySubmatrix(("1",), ("127", "145")),               # counts differ
+        IdentitySubmatrix(("3", "5", "7"), ("234", "256", "127")),
+        IdentitySubmatrix(("1", "1"), ("9", "127")),             # repeated row first
+        IdentitySubmatrix(("1", "2"), ("9", "127")),             # unknown column
+        IdentitySubmatrix(("x", "2"), ("y", "127")),             # unknown row first
+        IdentitySubmatrix(("4",), ("467",)),                     # size 1
+    )
+    cover = IdentityCover(members)
+    assert cover.uniform_size is None and cover.size == 7
     assert verify_cover(m, cover) == _reference_verify_cover(m, cover)
+
+
+class TestIndexCover:
+    def test_from_index_equals_the_label_cover(self):
+        m = fano_matrix()
+        R = np.array([[2, 4, 6]])
+        C = np.array([[6, 4, 0]])
+        cover = IdentityCover.from_index(m, R, C)
+        label = IdentityCover((IdentitySubmatrix(("3", "5", "7"), ("234", "256", "127")),))
+        assert cover == label and hash(cover) == hash(label)
+        assert cover.size == 1 and cover.uniform_size == 3
+        assert format_cover(cover) == format_cover(label) == "1\n3 3 5 7 234 256 127\n"
+        assert cover.members is cover.members
+        R[0, 0] = 0     # the cover holds its own copy
+        assert cover == label
+
+    def test_empty_index_cover(self):
+        empty = np.zeros((0, 3), dtype=int)
+        cover = IdentityCover.from_index(fano_matrix(), empty, empty)
+        assert cover == IdentityCover(()) and cover.size == 0 and cover.uniform_size is None
+        assert verify_cover(fano_matrix(), cover) == _reference_verify_cover(fano_matrix(), cover)
+
+    @pytest.mark.parametrize(
+        "R, C, match",
+        [
+            ([0, 1], [0, 1], "2-d"),
+            ([[[0, 1]]], [[[0, 1]]], "2-d"),
+            ([[0, 1]], [[0, 1, 2]], "shape"),
+            ([[0, 1]], [[0], [1]], "shape"),
+            ([[0, 7]], [[0, 1]], "row indices"),
+            ([[-1, 1]], [[0, 1]], "row indices"),
+            ([[0, 1]], [[0, 7]], "column indices"),
+            ([[0, 1]], [[-1, 1]], "column indices"),
+            ([[0.0, 1.0]], [[0, 1]], "row indices must be integers"),
+        ],
+    )
+    def test_from_index_rejects(self, R, C, match):
+        with pytest.raises(ValueError, match=match):
+            IdentityCover.from_index(fano_matrix(), np.array(R), np.array(C))
+
+    def test_index_cover_over_relabelled_matrix(self):
+        """An index cover checked against a matrix with other labels is
+        read through its labels, as a label cover would be."""
+        m = fano_matrix()
+        cover = IdentityCover.from_index(m, [[2, 4, 6]], [[6, 4, 0]])
+        other = BinaryComputingMatrix(
+            ("7", "6", "5", "4", "3", "2", "1"), m.cols, m.bits[::-1], m.r
+        )
+        assert verify_cover(other, cover) == _reference_verify_cover(other, cover)
+        relabelled = BinaryComputingMatrix(tuple("abcdefg"), m.cols, m.bits, m.r)
+        report = verify_cover(relabelled, cover)
+        assert report == _reference_verify_cover(relabelled, cover)
+        assert report.malformed == [(0, "unknown server label '3'")]
+
+    def test_no_identity_submatrix_in_a_run(self, monkeypatch, tmp_path):
+        """Building, verifying, planning, balancing, running and saving a
+        job reads the index arrays only."""
+        from codedmr import JobSpec, StragglerScenario, man_cover, run_pipeline, straggler_run
+        from codedmr import matrix
+        from codedmr.shuffle import save_transcript
+
+        built = []
+        init = matrix.IdentitySubmatrix.__init__
+        monkeypatch.setattr(
+            matrix.IdentitySubmatrix, "__init__",
+            lambda self, *a, **kw: (built.append(1), init(self, *a, **kw))[1],
+        )
+        m = man_matrix(5, 2)
+        spec = JobSpec(m, man_cover(m), 5, 4)
+        result = run_pipeline(spec, stragglers=(), partial=frozenset({"2"}))
+        save_transcript(tmp_path / "t.bin", spec, result.transcript)
+        balanced = straggler_run(spec, StragglerScenario(m.rows, ()), "balanced")
+        assert result.reduce_result.ok and verify_cover(m, spec.cover).ok
+        assert balanced.plan_mode == "balanced" and balanced.reduce_result.ok
+        assert built == []
+        spec.cover.members
+        assert len(built) == spec.cover.size
 
 
 def test_verify_cover_reference_on_the_suite(suite):

@@ -756,3 +756,126 @@ def test_iva_table_and_reduce_outputs_equal_per_call_digests(spec):
     assert reduce_digest(1, [b"ab", b""]) == reference_digest_stream(
         b"reduce", [(1).to_bytes(8, "big"), b"ab", b""], 32
     )
+
+
+def _broken_man_5_2(kind):
+    """MAN(5,2)'s cover with member 0 given an unknown row label, an
+    unknown column label or a repeated row, as a label cover."""
+    m = man_matrix(5, 2)
+    members = man_cover(m).members
+    sub = members[0]
+    if kind == "unknown row":
+        sub = IdentitySubmatrix(("9",) + sub.rows[1:], sub.cols)
+    elif kind == "unknown column":
+        sub = IdentitySubmatrix(sub.rows, ("9",) + sub.cols[1:])
+    else:
+        sub = IdentitySubmatrix((sub.rows[1],) + sub.rows[1:], sub.cols)
+    return m, IdentityCover((sub,) + members[1:])
+
+
+BROKEN_COVER_TEXT = "cover failed verification: 1 malformed, 3 missing, 0 overlapping"
+BROKEN_KINDS = ["unknown row", "unknown column", "repeated row"]
+
+
+@pytest.mark.parametrize("kind", BROKEN_KINDS)
+@pytest.mark.parametrize("call", [
+    "cover_index", "pipeline default", "pipeline explicit", "pipeline partial",
+    "straggler default", "straggler balanced", "straggler one down",
+])
+def test_broken_label_cover_is_a_cover_fault(kind, call):
+    """A malformed member is reported as the cover fault run_shuffle
+    names, never as a KeyError or IndexError of a label or index lookup."""
+    from codedmr import StragglerScenario, straggler_run
+
+    m, cover = _broken_man_5_2(kind)
+    spec = JobSpec(m, cover, 20, 4)
+    plan = {i: member.rows[1:3] for i, member in enumerate(man_cover(m).members)}
+    calls = {
+        "cover_index": lambda: spec.cover_index,
+        "pipeline default": lambda: run_pipeline(spec),
+        "pipeline explicit": lambda: run_pipeline(spec, plan),
+        "pipeline partial": lambda: run_pipeline(spec, partial=frozenset({"5"})),
+        "straggler default": lambda: straggler_run(spec, StragglerScenario((*m.rows,), ())),
+        "straggler balanced": lambda: straggler_run(
+            spec, StragglerScenario((*m.rows,), ()), "balanced"
+        ),
+        "straggler one down": lambda: straggler_run(
+            spec, StragglerScenario.from_stragglers(spec, ("5",))
+        ),
+    }
+    with pytest.raises(ShuffleError) as err:
+        calls[call]()
+    assert str(err.value) == BROKEN_COVER_TEXT
+
+
+@pytest.mark.parametrize("kind", BROKEN_KINDS)
+def test_balance_counts_skip_unknown_labels(kind):
+    """``codedmr verify`` prints these counts: each listed known row counts
+    once per time it is listed, unknown labels not at all."""
+    from codedmr import balance_preconditions
+
+    m, cover = _broken_man_5_2(kind)
+    expected = {k: 0 for k in m.rows}
+    for member in cover.members:
+        for k in member.rows:
+            if k in expected:
+                expected[k] += 1
+    assert balance_preconditions(m, cover).counts == expected
+
+
+def reference_default_plan(spec, assignment, forbidden=frozenset()):
+    """The per-member label loop default_plan replaced."""
+    order = {k: i for i, k in enumerate(spec.matrix.rows)}
+    plan = {}
+    for idx, member in enumerate(spec.cover.members):
+        eligible = sorted(
+            (k for k in member.rows if k in assignment.duties and k not in forbidden),
+            key=order.__getitem__,
+        )
+        if len(eligible) < 2:
+            raise ShuffleError(f"member {idx} has {len(eligible)} eligible senders, needs 2")
+        plan[idx] = (eligible[0], eligible[1])
+    return plan
+
+
+def reference_partial_needs(spec, plan, partial):
+    """The per-member label loop partial_straggler_needs replaced."""
+    needs = {k: set() for k in partial}
+    for idx, member in enumerate(spec.cover.members):
+        for k in member.rows:
+            if k in partial:
+                needs[k].update(
+                    f for k_j, f in zip(member.rows, member.cols)
+                    if k_j not in (k, plan[idx][0])
+                )
+    return needs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(REFERENCE_CASES))), st.data())
+def test_default_plan_and_partial_needs_equal_label_loops(case, data):
+    """Any survivor set and forbidden set, over a cover permuted within
+    each member so that rows are not in row order."""
+    m, cover = _reference_case(REFERENCE_CASES[case])
+    members = []
+    for member in cover.members:
+        order = data.draw(st.permutations(range(member.size)))
+        members.append(IdentitySubmatrix(
+            tuple(member.rows[i] for i in order), tuple(member.cols[i] for i in order)
+        ))
+    spec = JobSpec(m, IdentityCover(tuple(members)), m.K, 4)
+    survivors = data.draw(st.lists(st.sampled_from(m.rows), min_size=1, unique=True))
+    assignment = ReduceAssignment({k: (i + 1,) for i, k in enumerate(survivors)})
+    forbidden = frozenset(data.draw(st.lists(st.sampled_from(m.rows), unique=True)))
+    try:
+        expected = reference_default_plan(spec, assignment, forbidden)
+    except ShuffleError as exc:
+        with pytest.raises(ShuffleError) as err:
+            default_plan(spec, assignment, forbidden)
+        assert str(err.value) == str(exc)
+        return
+    plan = default_plan(spec, assignment, forbidden)
+    assert plan == expected
+    assert partial_straggler_needs(spec, plan, forbidden) == reference_partial_needs(
+        spec, plan, forbidden
+    )
