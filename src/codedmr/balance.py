@@ -29,7 +29,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .matrix import BinaryComputingMatrix, IdentityCover
+from .matrix import BinaryComputingMatrix, FormatError, IdentityCover
 from .shuffle import ShuffleTranscript
 
 
@@ -78,12 +78,21 @@ class SenderPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "SenderPlan":
-        payload = json.loads(text)
-        duties = [
-            (payload[str(i)]["coded"], payload[str(i)]["uncoded"])
-            for i in range(len(payload))
-        ]
-        return cls(tuple(duties))
+        """Read ``to_json`` text: an object whose keys are the members "0"
+        to "S-1", each with string ``coded`` and ``uncoded`` fields.
+        Anything else raises FormatError."""
+        try:
+            payload = json.loads(text)
+            duties = tuple(
+                (payload[str(i)]["coded"], payload[str(i)]["uncoded"]) for i in range(len(payload))
+            )
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise FormatError(f"malformed sender plan ({type(exc).__name__}: {exc})") from None
+        if not isinstance(payload, dict) or any(
+            type(label) is not str for pair in duties for label in pair
+        ):
+            raise FormatError("sender plan must map members to string server labels")
+        return cls(duties)
 
 
 def balance_preconditions(

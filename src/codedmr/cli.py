@@ -55,64 +55,66 @@ class Construction:
     name: str
     matrix: BinaryComputingMatrix
     analytic: Callable[[BinaryComputingMatrix], IdentityCover] | None
-    default_g: int | None
+    default_g: int
     params: dict[str, int]
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise FormatError(
-            f"construction {args.construction!r} needs --" + " --".join(missing)
-        )
+# the flags a construction may read, each None when not given
+_CONSTRUCTION_FLAGS = ("K", "r", "v", "t", "n", "k", "design")
 
 
-def build_construction(args) -> Construction:
-    name = args.construction
+def build_construction(
+    name: str, *, K=None, r=None, v=None, t=None, n=None, k=None, design=None
+) -> Construction:
+    """The matrix, analytic cover and default g of a ``run`` construction,
+    from its flag values (*design* is a design file path)."""
+    def need(**flags) -> None:
+        missing = [flag for flag, value in flags.items() if value is None]
+        if missing:
+            raise FormatError(f"construction {name!r} needs --" + " --".join(missing))
+
     if name == "man":
-        _require(args, ["K", "r"])
-        m = constructions.man_matrix(args.K, args.r)
-        return Construction(name, m, covers.man_cover, args.r + 1,
-                            {"K": args.K, "r": args.r})
+        need(K=K, r=r)
+        m = constructions.man_matrix(K, r)
+        return Construction(name, m, covers.man_cover, r + 1, {"K": K, "r": r})
     if name == "tsubset":
-        _require(args, ["v", "t"])
-        m = constructions.t_subset_matrix(args.v, args.t)
-        return Construction(name, m, covers.t_subset_cover, args.v - args.t + 1,
-                            {"v": args.v, "t": args.t})
+        need(v=v, t=t)
+        m = constructions.t_subset_matrix(v, t)
+        return Construction(name, m, covers.t_subset_cover, v - t + 1, {"v": v, "t": t})
     if name == "fano":
         m = constructions.fano_matrix()
         return Construction(name, m, None, 3, {})
     if name == "transversal":
-        _require(args, ["k", "n"])
-        m = constructions.transversal_matrix(args.k, args.n)
-        return Construction(name, m, covers.transversal_cover, args.n,
-                            {"k": args.k, "n": args.n})
+        need(k=k, n=n)
+        m = constructions.transversal_matrix(k, n)
+        return Construction(name, m, covers.transversal_cover, n, {"k": k, "n": n})
     if name == "bibd":
-        if args.design is None:
+        if design is None:
             raise FormatError("construction 'bibd' needs --design FILE")
-        design = constructions.ingest_design(Path(args.design).read_text())
-        m = constructions.bibd_matrix(design)
-        v, k = design.v, design.block_size
-        g = (v - 1) // (k - 1) if (v - 1) % (k - 1) == 0 else None
-        return Construction(name, m, None, g, {"v": v, "k": k})
+        d = constructions.ingest_design(Path(design).read_text())
+        m = constructions.bibd_matrix(d)
+        # bibd_matrix admits only (v, k, 1) designs: each point lies in
+        # (v - 1)/(k - 1) blocks, an integer
+        v, k = d.v, d.block_size
+        return Construction(name, m, None, (v - 1) // (k - 1), {"v": v, "k": k})
     raise FormatError(f"unknown construction {name!r}")
 
 
-def build_cover(c: Construction, args) -> tuple[IdentityCover, str]:
-    mode = args.cover
+def build_cover(
+    c: Construction, mode: str | None = None, g: int | None = None, seed: int = 0
+) -> tuple[IdentityCover, str]:
+    """The cover of *mode* (analytic when the construction has one, else
+    exact) at member size *g* (the construction's default when None)."""
     if mode is None:
         mode = "analytic" if c.analytic is not None else "exact"
     if mode == "analytic":
         if c.analytic is None:
             raise FormatError(f"no analytic cover for construction {c.name!r}")
         return c.analytic(c.matrix), "analytic"
-    g = args.g if args.g is not None else c.default_g
-    if g is None:
-        raise FormatError("cover search needs --g for this construction")
+    g = c.default_g if g is None else g
     if g < 2:   # a usage error, not a search that found no cover
         raise ValueError(f"g={g} must be at least 2")
-    cover = covers.search_cover(c.matrix, g, mode=mode, seed=args.seed, max_nodes=CLI_MAX_NODES)
-    return cover, mode
+    return covers.search_cover(c.matrix, g, mode=mode, seed=seed, max_nodes=CLI_MAX_NODES), mode
 
 
 def _parse_stragglers(spec_text: str, matrix: BinaryComputingMatrix) -> tuple[str, ...]:
@@ -151,12 +153,20 @@ _RUN_CONFIG_KEYS = {
 }
 
 
-def cmd_run(args) -> int:
+def _construct(args, command: str) -> tuple[Construction, IdentityCover, str]:
+    """The construction, cover and cover mode ``run`` and ``sweep`` build
+    from their flags and config file."""
     _apply_config(args, _RUN_CONFIG_KEYS)
     if args.construction is None:
-        raise FormatError("run needs --construction (flag or config)")
-    con = build_construction(args)
-    cover, cover_mode = build_cover(con, args)
+        raise FormatError(f"{command} needs --construction (flag or config)")
+    con = build_construction(
+        args.construction, **{flag: getattr(args, flag) for flag in _CONSTRUCTION_FLAGS}
+    )
+    return (con, *build_cover(con, args.cover, args.g, args.seed))
+
+
+def cmd_run(args) -> int:
+    con, cover, cover_mode = _construct(args, "run")
     Q = args.Q if args.Q is not None else con.matrix.K
     T = args.T if args.T is not None else 16
     spec = shuffle.JobSpec(con.matrix, cover, Q, T, file_seed=args.seed)
@@ -302,28 +312,21 @@ def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
     return rows
 
 
-def _scheme_params(scheme: str, kv: dict[str, int]) -> constructions.SchemeParameters:
-    build, keys = _SCHEMES[scheme]
-    return build(*(kv[key] for key in keys))
+# scheme id -> the `run` construction that builds its rows' matrices
+_SIMULATED = {"IV": "tsubset", "V": "transversal"}
 
 
-def _simulate_scheme(scheme: str, kv: dict[str, int]) -> Fraction | None:
-    """Measured load when a matrix generator exists for the row."""
-    if scheme == "I":
-        if kv.get("v") == 7 and kv.get("k") == 3:
-            m = constructions.fano_matrix()
-            cover = covers.search_cover(m, 3, mode="exact")
-        else:
-            return None   # general block-design generation is out of scope
-    elif scheme == "IV":
-        m = constructions.t_subset_matrix(kv["v"], kv["t"])
-        cover = covers.t_subset_cover(m)
-    elif scheme == "V":
-        m = constructions.transversal_matrix(kv["k"], kv["n"])
-        cover = covers.transversal_cover(m)
+def _simulate_scheme(scheme: str, params: dict[str, int]) -> Fraction | None:
+    """Measured load when a ``run`` construction builds the matrix of the
+    row whose own keys are *params*."""
+    if scheme == "I" and params == {"v": 7, "k": 3}:
+        con = build_construction("fano")
+    elif scheme in _SIMULATED:
+        con = build_construction(_SIMULATED[scheme], **params)
     else:
-        return None
-    spec = shuffle.JobSpec(m, cover, m.K, 2)
+        return None   # general block-design generation is out of scope
+    cover, _ = build_cover(con)
+    spec = shuffle.JobSpec(con.matrix, cover, con.matrix.K, 2)
     return shuffle.run_pipeline(spec).load
 
 
@@ -337,13 +340,15 @@ def cmd_table1(args) -> int:
     failures = []
     for scheme, kv in rows:
         kappa = kv.pop("kappa", None)
-        p = _scheme_params(scheme, kv)
+        build, keys = _SCHEMES[scheme]
+        own = {key: kv[key] for key in keys}   # a row may carry other keys
+        p = build(**own)
         load = constructions.scheme_load(p)
         s_frac = s_dec = ""
         if kappa is not None:
             s_load = constructions.scheme_load(p, survivors=kappa)
             s_frac, s_dec = fraction_str(s_load), decimal_str(s_load)
-        simulated = _simulate_scheme(scheme, kv)
+        simulated = _simulate_scheme(scheme, own)
         if simulated is None:
             sim_frac = sim_dec = ""
             note = "formula-only (no generator)"
@@ -380,7 +385,9 @@ def cmd_table2(args) -> int:
     table = straggler.comparison_table()
     rows = list(table.rows)
     if args.extended:
-        rows.extend(straggler.extended_comparison_rows(list(_EXTENDED_ROWS)))
+        rows.extend(
+            straggler.comparison_row(K, r, kappa, simulate=False) for K, r, kappa in _EXTENDED_ROWS
+        )
     lines = [
         "K,r,N,g,kappa,load_ours,load_optimal,load_ours_fraction,"
         "load_optimal_fraction,printed_ours,printed_optimal,simulated,"
@@ -418,9 +425,9 @@ def cmd_verify(args) -> int:
     if cover.uniform_size is not None:
         counting_ok = count_identity_check(cover, matrix)
     # how many members hold each server; regular when all counts are equal
-    counts = balance.balance_preconditions(matrix, cover).counts
+    report = balance.balance_preconditions(matrix, cover)
+    counts, regular = report.counts, report.row_regular
     expected = Fraction(sum(counts.values()), matrix.K)
-    regular = all(n == expected for n in counts.values())
     ok = m_report.ok and c_report.ok and counting_ok is not False
     payload = {
         "matrix": {
@@ -475,11 +482,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _apply_config(args, _RUN_CONFIG_KEYS)
-    if args.construction is None:
-        raise FormatError("sweep needs --construction (flag or config)")
-    con = build_construction(args)
-    cover, cover_mode = build_cover(con, args)
+    con, cover, _ = _construct(args, "sweep")
     kappa = args.kappa
     if kappa < 2:   # before lcm(K, kappa) makes Q from it
         raise ValueError(f"kappa={kappa} must be at least 2 survivors")
@@ -494,11 +497,8 @@ def cmd_sweep(args) -> int:
             f"{'+'.join(subset)},{fraction_str(load)},{decimal_str(load)},{str(ok).lower()}"
         )
     _emit_csv(args, "\n".join(lines) + "\n", "sweep.csv")
-    all_ok = (
-        result.all_equal
-        and result.max_load == expected
-        and all(ok for _, _, ok in result.runs)
-    )
+    # worst_case_sweep raises when the loads differ
+    all_ok = result.max_load == expected and all(ok for _, _, ok in result.runs)
     print(
         f"sweep: kappa={kappa} subsets={len(result.runs)}/{result.total_subsets}"
         f"{' (sampled)' if result.sampled else ''} "

@@ -3,8 +3,9 @@
 Covers the subset-indexed MAN placement, the t-subset scheme, the
 built-in Fano plane, incidence matrices of ingested (v,k,1)-block
 designs, and transversal designs built from prime-field lines.  Also
-provides the closed-form communication loads for the five design-based
-scheme families (ids "I" to "V") with and without full stragglers.
+provides the closed-form communication load of the five design-based
+scheme families (ids "I" to "V"), with and without full stragglers: one
+formula over each family's own (K, r, g).
 """
 
 from __future__ import annotations
@@ -116,12 +117,7 @@ def fano_design() -> "BlockDesign":
 
 def fano_matrix() -> BinaryComputingMatrix:
     """The built-in 7x7 incidence matrix of the Fano plane, r = 4."""
-    rows = tuple(str(k) for k in range(1, 8))
-    bits = np.zeros((7, 7), dtype=np.uint8)
-    for j, block in enumerate(FANO_BLOCKS):
-        for p in block:
-            bits[int(p) - 1, j] = 1
-    return BinaryComputingMatrix(rows, FANO_BLOCKS, bits, 4)
+    return bibd_matrix(fano_design())
 
 
 @dataclass(frozen=True)
@@ -312,39 +308,17 @@ class SchemeParameters:
 def scheme_load(p: SchemeParameters, survivors: int | None = None) -> Fraction:
     """Closed-form communication load of a scheme family.
 
-    With ``survivors`` (the count of non-straggling servers) the
-    full-straggler variant of the formula is returned instead.
+    Every family is the paper's two-transmission scheme at its own
+    (K, r, g): the load is (2/g)(K - r)/kappa, with kappa = K when no
+    *survivors* (the count of non-straggling servers) are given.  Family
+    III exposes no cover, so its g is the ratio C(v-1, t-1)/C(k-1, t-1)
+    its formula implies, which need not be an integer.
     """
-    kappa = survivors
-    if kappa is not None and not 1 <= kappa <= p.K:
-        raise ValueError(f"survivors={kappa} out of range [1, K={p.K}]")
-    if p.scheme == "I":
-        v, k = p.v, p.k
-        if kappa is None:
-            return Fraction(2 * k * (k - 1), v * (v - 1))
-        return Fraction(2 * k * (k - 1), kappa * (v - 1))
-    if p.scheme == "II":
-        if kappa is None:
-            return Fraction(2, p.v)
-        return Fraction(2, kappa)
-    if p.scheme == "III":
-        v, k, t = p.v, p.k, p.t
-        if kappa is None:
-            return Fraction(
-                2 * (v - t + 1) * comb(k - 1, t - 1) ** 2,
-                v * comb(v - 1, t - 1) ** 2,
-            )
-        return Fraction(2 * comb(k - 1, t - 1) ** 2, kappa * comb(v - 1, t - 1))
-    if p.scheme == "IV":
-        v, t = p.v, p.t
-        if kappa is None:
-            return Fraction(2 * t, v * (v - t + 1))
-        return Fraction(2 * t, kappa * (v - t + 1))
-    if p.scheme == "V":
-        if kappa is None:
-            return Fraction(2, p.n * p.n)
-        return Fraction(2, kappa)
-    raise ValueError(f"unknown scheme family {p.scheme!r}")
+    if survivors is not None and not 1 <= survivors <= p.K:
+        raise ValueError(f"survivors={survivors} out of range [1, K={p.K}]")
+    kappa = p.K if survivors is None else survivors
+    g = p.g if p.g is not None else Fraction(comb(p.v - 1, p.t - 1), comb(p.k - 1, p.t - 1))
+    return 2 * Fraction(p.K - p.r) / (g * kappa)
 
 
 def ingest_design(text: str) -> BlockDesign:

@@ -35,9 +35,11 @@ any plan or map work.
 The shuffle reads the cover as ``JobSpec.cover_index``, its (S, g) row
 and column index arrays over the matrix: an analytic or searched cover's
 own arrays, or those the label adapter of ``matrix`` builds once.  The
-default plan, the partial stragglers' needs and the straggler survivor
-check are array passes over them, and a malformed member is a
-``ShuffleError`` there too, never a failed label lookup.
+default plan and the partial stragglers' needs are array passes over
+them, and a malformed member is a ``ShuffleError`` there too, never a
+failed label lookup.  A sender plan is read by ``plan_senders`` alone,
+which names the first member it misses or maps to anything but two
+labels.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -547,6 +549,34 @@ def default_plan(
     return dict(enumerate(zip(labels[first].tolist(), labels[second].tolist())))
 
 
+def plan_senders(
+    spec: JobSpec, plan: Mapping[int, tuple[str, str]]
+) -> list[tuple[str, str]]:
+    """The (coded, uncoded) pair of every cover member in member order, as
+    *plan* maps members 0 to S-1 to two server labels.
+
+    Raises ShuffleError naming the first member the plan misses or maps to
+    anything else, or else a key that is no member.
+    """
+    def read(members) -> list[tuple[str, str]]:
+        try:
+            return [(c, u) for c, u in map(plan.__getitem__, members) if type(c) is type(u) is str]
+        except (KeyError, TypeError, ValueError):
+            return []
+
+    S = spec.cover.size
+    senders = read(range(S))
+    if len(senders) == S == len(plan):
+        return senders
+    for idx in range(S):   # the first fault in member order
+        if idx not in plan:
+            raise ShuffleError(f"sender plan misses member {idx}")
+        if not read([idx]):
+            raise ShuffleError(f"member {idx}: sender plan gives {plan[idx]!r}, not two server labels")
+    extra = next(key for key in plan if key not in range(S))
+    raise ShuffleError(f"sender plan names member {extra!r}; the cover has {S} members")
+
+
 def run_shuffle(
     spec: JobSpec,
     assignment: ReduceAssignment,
@@ -565,7 +595,7 @@ def run_shuffle(
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if plan is None:
         plan = default_plan(spec, assignment)
-    senders = [plan[idx] for idx in range(spec.cover.size)]
+    senders = plan_senders(spec, plan)
     transmissions = _exchange(spec, assignment, store, range(spec.cover.size), senders, tamper)
     # Every broadcast has beta*T bytes, and a reducing server receives both
     # broadcasts of each of its members except the ones it sends.
@@ -657,7 +687,7 @@ def partial_straggler_needs(
     m = spec.matrix
     R, C = spec.cover_index
     row_of = {k: i for i, k in enumerate(m.rows)}
-    coded = np.array([row_of.get(plan[idx][0], -1) for idx in range(len(R))])
+    coded = np.array([row_of.get(c, -1) for c, _ in plan_senders(spec, plan)])
     for k in partial:
         i = row_of.get(k, -1)
         # in the members holding k, the columns of the rows besides k and the coded sender
@@ -695,7 +725,7 @@ def run_pipeline(
     plan_mode = "default" if plan is None else "explicit"
     if plan is None:
         plan = default_plan(spec, assignment, forbidden=partial)
-    for idx, (cs, us) in plan.items():
+    for idx, (cs, us) in enumerate(plan_senders(spec, plan)):
         if cs in partial or us in partial:
             raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
     needs = partial_straggler_needs(spec, plan, partial)

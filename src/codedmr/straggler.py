@@ -25,8 +25,6 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping
 
-import numpy as np
-
 from . import balance, shuffle
 from .covers import man_cover
 from .constructions import man_matrix
@@ -82,27 +80,20 @@ def straggler_run(
 ) -> PipelineResult:
     """Simulate one straggler scenario end to end.
 
-    Stragglers map nothing and never transmit; every member must keep at
-    least two surviving rows.  The transcript has 2S transmissions of
-    (Q/kappa)*T bytes.  *plan* is "default", "balanced" (over the
+    Stragglers map nothing and never transmit; at most g - 2 may fail,
+    so every member keeps two surviving rows.  The transcript has 2S
+    transmissions of (Q/kappa)*T bytes.  *plan* is "default", "balanced" (over the
     survivors, kept on ``result.plan``; when the balancing preconditions
     fail, the default plan, with the reason on ``result.plan_fallback``)
     or an explicit member -> (coded, uncoded) map.
     """
-    K = spec.matrix.K
-    g = spec.g
-    n_stragglers = K - scenario.kappa
-    if not 0 <= n_stragglers <= g - 2:
-        raise ValueError(
-            f"{n_stragglers} stragglers exceed the tolerance g-2 = {g - 2}"
-        )
-    R, _ = spec.cover_index   # a ShuffleError on a malformed member
-    survivor_set = set(scenario.survivors)
-    alive = np.array([k in survivor_set for k in spec.matrix.rows])[R].sum(axis=1)
-    short = np.flatnonzero(alive < 2)
-    if short.size:
-        idx = int(short[0])
-        raise ValueError(f"member {idx} has {alive[idx]} surviving rows, needs 2")
+    n_stragglers = spec.matrix.K - scenario.kappa
+    if not 0 <= n_stragglers <= spec.g - 2:
+        raise ValueError(f"{n_stragglers} stragglers exceed the tolerance g-2 = {spec.g - 2}")
+    # A ShuffleError on a malformed member, before any balancing.  Every
+    # sound member has g distinct rows, so at most g - 2 stragglers leave
+    # each at least two survivors.
+    spec.cover_index
 
     plan_mode = plan if isinstance(plan, str) else "explicit"
     resolved = None if isinstance(plan, str) else dict(plan)
@@ -169,8 +160,7 @@ def worst_case_sweep(
         result = straggler_run(spec, scenario, plan)
         runs.append((subset, result.load, result.reduce_result.ok))
     loads = [load for _, load, _ in runs]
-    all_equal = len(set(loads)) == 1
-    if not all_equal:
+    if len(set(loads)) != 1:
         raise RuntimeError(
             "straggler load varied across subsets of a uniform cover: "
             f"{sorted(set(loads))}"
@@ -179,7 +169,7 @@ def worst_case_sweep(
         runs=runs,
         max_load=max(loads),
         min_load=min(loads),
-        all_equal=all_equal,
+        all_equal=True,
         sampled=sampled,
         total_subsets=total,
     )
@@ -263,7 +253,6 @@ def comparison_row(
     printed_ours: str | None = None,
     printed_optimal: str | None = None,
     simulate: bool = True,
-    iva_bytes: int = 4,
 ) -> ComparisonRow:
     """Build one comparison row, optionally backing ours by simulation."""
     g = r + 1
@@ -274,7 +263,7 @@ def comparison_row(
     decode_ok = None
     if simulate:
         matrix = man_matrix(K, r)
-        spec = JobSpec(matrix, man_cover(matrix), lcm(K, kappa), iva_bytes)
+        spec = JobSpec(matrix, man_cover(matrix), lcm(K, kappa), 4)   # the load is T-free
         stragglers = matrix.rows[kappa:]
         result = straggler_run(spec, StragglerScenario.from_stragglers(spec, stragglers))
         simulated = result.load
@@ -297,21 +286,10 @@ def comparison_row(
     )
 
 
-def comparison_table(simulate: bool = True, iva_bytes: int = 4) -> ComparisonTable:
+def comparison_table(simulate: bool = True) -> ComparisonTable:
     """The four golden benchmark rows, simulation-backed by default."""
     rows = [
-        comparison_row(K, r, kappa, po, popt, simulate=simulate, iva_bytes=iva_bytes)
+        comparison_row(K, r, kappa, po, popt, simulate=simulate)
         for K, r, kappa, po, popt in GOLDEN_ROWS
     ]
     return ComparisonTable(rows)
-
-
-def extended_comparison_rows(
-    params: list[tuple[int, int, int]], iva_bytes: int = 4
-) -> list[ComparisonRow]:
-    """Formula-only rows beyond the golden set, marked non-golden."""
-    out = []
-    for K, r, kappa in params:
-        row = comparison_row(K, r, kappa, simulate=False, iva_bytes=iva_bytes)
-        out.append(row)
-    return out

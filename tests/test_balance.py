@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedmr import (
+    FormatError,
     IdentityCover,
     JobSpec,
     SenderPlan,
@@ -461,3 +463,45 @@ def test_class_matching_equals_reference_kernel(drawn):
     assert _outcome(perfect_matching, residual) == _outcome(
         reference_class_matching, residual
     )
+
+
+_labels = st.text(max_size=4)
+_duties = st.lists(st.tuples(_labels, _labels), max_size=12).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_duties)
+def test_plan_json_round_trips(duties):
+    plan = SenderPlan(duties)
+    assert SenderPlan.from_json(plan.to_json()) == plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(_duties.filter(len), st.data())
+def test_plan_json_without_a_key_or_field_is_a_format_error(duties, data):
+    """Deleting a member other than the last, or a field of any member,
+    leaves no plan; deleting the last member leaves the plan of the others,
+    whose run then misses that member (``shuffle.plan_senders``)."""
+    payload = json.loads(SenderPlan(duties).to_json())
+    member = data.draw(st.sampled_from(sorted(payload, key=int)))
+    field = data.draw(st.sampled_from([None, "coded", "uncoded"]))
+    if field is not None:
+        del payload[member][field]
+    elif int(member) == len(duties) - 1:
+        del payload[member]
+        assert SenderPlan.from_json(json.dumps(payload)) == SenderPlan(duties[:-1])
+        return
+    else:
+        del payload[member]
+    with pytest.raises(FormatError):
+        SenderPlan.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text", [
+    "", "{", "[" * 100_000, "[]", '""', "3", '"0"', '{"0": 5}', '{"0": {"coded": 1, "uncoded": "2"}}',
+    '{"0": {"coded": "1"}}', '{"1": {"coded": "1", "uncoded": "2"}}',
+    '{"00": {"coded": "1", "uncoded": "2"}}',
+], ids=lambda text: text[:40] if len(text) < 100 else "deeply nested")
+def test_plan_json_malformed_is_a_format_error(text):
+    with pytest.raises(FormatError):
+        SenderPlan.from_json(text)

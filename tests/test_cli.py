@@ -9,6 +9,7 @@ from codedmr.cli import main
 DATA = Path(__file__).parent / "data"
 FANO_MATRIX = str(DATA / "fano_matrix.txt")
 FANO_COVER = str(DATA / "fano_cover.txt")
+TABLE1_PARAMS = str(DATA / "table1_params.txt")
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +250,18 @@ class TestTables:
         assert code == 2
         assert "scheme I" in err and "'v'" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("V k=3 n=4", "error: n=4 is not prime; the line construction needs Z_n arithmetic"),
+        ("I v=7 k=3 kappa=0", "error: survivors=0 out of range [1, K=7]"),
+    ], ids=["composite-n", "kappa-0"])
+    def test_table1_bad_row_exits_2(self, capsys, tmp_path, row, message):
+        params = tmp_path / "p.txt"
+        params.write_text(row + "\n")
+        code, out, err = run_cli(capsys, "table1", "--params", str(params))
+        assert code == 2
+        assert err.startswith(message)
+        assert out == ""
+
     def test_table1_params_directory_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "table1", "--params", str(tmp_path))
         assert code == 2
@@ -343,8 +356,9 @@ def test_oversized_table1_row_exits_2(capsys, tmp_path):
     assert out == ""
 
 
-# sha256 of standard output and of every --out artifact; any change to
-# how a run is sequenced must reproduce them byte for byte.
+# sha256 of standard output, of standard error when there is any, and of
+# every --out artifact; any change to how a run is sequenced or a table is
+# built must reproduce them byte for byte.
 _MAN_5_2 = ("run", "--construction", "man", "--K", "5", "--r", "2")
 _MAN_5_2_ARTIFACTS = {
     "cover.txt": "41912649d2477d6c9f50825316eaa171e40c1ad844953ec3fd8db9a088368b18",
@@ -362,6 +376,10 @@ _FANO_BALANCED_PLAN_ARTIFACTS = {
     "plan.json": "2135e3ca58b91f55cbc96bf3c108008f3ec209bcdef24ea74ab88183475e1cbc",
 }
 _VERIFY_JSON = "b322bce2d994628147fd3f0f5bc2666d8d8f4008e2db376f1f737b26b8145127"
+_TABLE1_CSV = "8a98b4dc6b98221a7c0acd170934eff8979d3a312ae06027718c20804c6925dd"
+_TABLE1_PARAMS_CSV = "e5516472df69b6187231ef36eff9213b6cb92f361912f91fbd06e746d4ab373a"
+_TABLE2_EXTENDED_CSV = "54b6c6eef26fc55a32d296dc6cd6f777446d482b1f5e5cac3dbb2d2ee7a96f3e"
+_FANO_SWEEP_CSV = "cc5593196c42f12d6ef4b82cac130e2feed7ea3f39388fe5bc4cf120be5e35ba"
 
 OUTPUT_PINS = {
     "man-5-2": (_MAN_5_2, {
@@ -428,6 +446,27 @@ OUTPUT_PINS = {
         "stdout": _VERIFY_JSON,
         "verify.json": _VERIFY_JSON,
     }),
+    "fano-verify-text": (("verify", FANO_MATRIX, FANO_COVER), {
+        "stdout": "176576e6fc39f9600dd38824ffad69717c9754b43b6b8d5171056ad3b5aaa6d7",
+        "verify.json": _VERIFY_JSON,
+    }),
+    "table1": (("table1",), {
+        "stdout": _TABLE1_CSV,
+        "table1.csv": _TABLE1_CSV,
+    }),
+    "table1-params": (("table1", "--params", TABLE1_PARAMS), {
+        "stdout": _TABLE1_PARAMS_CSV,
+        "table1.csv": _TABLE1_PARAMS_CSV,
+    }),
+    "table2-extended": (("table2", "--extended"), {
+        "stdout": _TABLE2_EXTENDED_CSV,
+        "table2.csv": _TABLE2_EXTENDED_CSV,
+    }),
+    "fano-sweep-kappa-6": (("sweep", "--construction", "fano", "--kappa", "6"), {
+        "stdout": _FANO_SWEEP_CSV,
+        "stderr": "76756159e760cfe9b835740f46c6bcd004629beecaea81959385c888bb0fbf07",
+        "sweep.csv": _FANO_SWEEP_CSV,
+    }),
 }
 
 
@@ -436,6 +475,8 @@ def test_outputs_are_pinned(capsys, tmp_path, argv, pins):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0, err
     got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    if err:
+        got["stderr"] = hashlib.sha256(err.encode()).hexdigest()
     got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in tmp_path.iterdir())
     assert got == pins
 
@@ -464,6 +505,35 @@ def test_exact_search_budget_exits_1(capsys, monkeypatch, tmp_path, command):
     assert code == 1
     assert err == "failure: exact search exceeded 10000 nodes\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("design, g", [("fano", 3), ("PG(2,3)", 4), ("PG(2,4)", 5)])
+def test_bibd_searches_with_the_design_default_g(capsys, monkeypatch, tmp_path, design, g):
+    """Without --g a (v, k, 1) design's cover is searched at g = (v-1)/(k-1)."""
+    from codedmr import covers
+    from codedmr.constructions import format_design
+
+    from test_constructions import pg2_3_design
+
+    if design == "fano":
+        path = str(DATA / "fano_design.txt")
+    elif design == "PG(2,3)":
+        path = str(tmp_path / "pg2_3.txt")
+        Path(path).write_text(format_design(pg2_3_design()))
+    else:
+        path = _pg2_4_design(tmp_path)
+    searched = []
+
+    def record(m, size, **kwargs):
+        searched.append(size)
+        raise covers.CoverSearchError("searched")
+
+    monkeypatch.setattr(covers, "search_cover", record)
+    code, out, err = run_cli(
+        capsys, "run", "--construction", "bibd", "--design", path, "--cover", "exact",
+    )
+    assert (code, out, err) == (1, "", "failure: searched\n")
+    assert searched == [g]
 
 
 def test_exact_search_budget_admits_pg2_3():

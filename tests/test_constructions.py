@@ -207,7 +207,72 @@ class TestSizeLimit:
                 build()
 
 
+def reference_scheme_load(p: SchemeParameters, survivors: int | None = None) -> Fraction:
+    """The per-family load formulas, one pair per family as the paper
+    tabulates them, kept as the reference for ``scheme_load``."""
+    kappa = survivors
+    if p.scheme == "I":
+        v, k = p.v, p.k
+        if kappa is None:
+            return Fraction(2 * k * (k - 1), v * (v - 1))
+        return Fraction(2 * k * (k - 1), kappa * (v - 1))
+    if p.scheme == "II":
+        if kappa is None:
+            return Fraction(2, p.v)
+        return Fraction(2, kappa)
+    if p.scheme == "III":
+        v, k, t = p.v, p.k, p.t
+        if kappa is None:
+            return Fraction(
+                2 * (v - t + 1) * comb(k - 1, t - 1) ** 2,
+                v * comb(v - 1, t - 1) ** 2,
+            )
+        return Fraction(2 * comb(k - 1, t - 1) ** 2, kappa * comb(v - 1, t - 1))
+    if p.scheme == "IV":
+        v, t = p.v, p.t
+        if kappa is None:
+            return Fraction(2 * t, v * (v - t + 1))
+        return Fraction(2 * t, kappa * (v - t + 1))
+    if p.scheme == "V":
+        if kappa is None:
+            return Fraction(2, p.n * p.n)
+        return Fraction(2, kappa)
+    raise ValueError(f"unknown scheme family {p.scheme!r}")
+
+
+def accepted_scheme_parameters():
+    """Every parameter set each family accepts in a small range."""
+    candidates = itertools.chain(
+        ((SchemeParameters.bibd, (v, k)) for v in range(3, 31) for k in range(2, v)),
+        ((SchemeParameters.symmetric_bibd, (v, k)) for v in range(4, 16) for k in range(3, v)),
+        ((SchemeParameters.t_design_1, (v, k, t))
+         for v in range(3, 12) for k in range(2, v) for t in range(2, k + 1)),
+        ((SchemeParameters.t_design_2, (v, t)) for v in range(2, 16) for t in range(1, v)),
+        ((SchemeParameters.transversal, (k, n)) for n in range(2, 14) for k in range(2, n + 1)),
+    )
+    accepted = []
+    for build, args in candidates:
+        try:
+            accepted.append(build(*args))
+        except ValueError:
+            continue
+    return accepted
+
+
 class TestSchemeLoads:
+    def test_one_closed_form_equals_the_family_formulas(self):
+        """(2/g)(K - r)/kappa at each family's own (K, r, g), with kappa = K
+        when no survivors are given, at every kappa in [1, K]."""
+        params = accepted_scheme_parameters()
+        assert {p.scheme for p in params} == {"I", "II", "III", "IV", "V"}
+        # family III's implied g C(v-1, t-1)/C(k-1, t-1) need not be an integer
+        assert any(
+            comb(p.v - 1, p.t - 1) % comb(p.k - 1, p.t - 1) for p in params if p.scheme == "III"
+        )
+        for p in params:
+            for kappa in (None, *range(1, p.K + 1)):
+                assert scheme_load(p, kappa) == reference_scheme_load(p, kappa), (p, kappa)
+
     def test_family_I_fano_instance(self):
         p = SchemeParameters.bibd(7, 3)
         assert (p.K, p.N, p.r, p.g) == (7, 7, 4, 3)

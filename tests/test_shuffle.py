@@ -879,3 +879,47 @@ def test_default_plan_and_partial_needs_equal_label_loops(case, data):
     assert partial_straggler_needs(spec, plan, forbidden) == reference_partial_needs(
         spec, plan, forbidden
     )
+
+
+def _man_5_2_default_plan():
+    """MAN(5,2) at Q=20 and its default plan."""
+    spec = JobSpec(man_matrix(5, 2), man_cover(man_matrix(5, 2)), 20, 4)
+    return spec, default_plan(spec, ReduceAssignment.block_partition(spec.matrix.rows, 20))
+
+
+@pytest.mark.parametrize("call", ["pipeline", "pipeline partial", "straggler explicit"])
+def test_plan_missing_a_member_is_a_shuffle_error(call):
+    """Not a KeyError from whichever reader looks the member up first."""
+    from codedmr import StragglerScenario, straggler_run
+
+    spec, plan = _man_5_2_default_plan()
+    del plan[3]
+    calls = {
+        "pipeline": lambda: run_pipeline(spec, plan),
+        "pipeline partial": lambda: run_pipeline(spec, plan, partial=frozenset({"5"})),
+        "straggler explicit": lambda: straggler_run(
+            spec, StragglerScenario.from_stragglers(spec, ()), plan
+        ),
+    }
+    with pytest.raises(ShuffleError) as err:
+        calls[call]()
+    assert str(err.value) == "sender plan misses member 3"
+
+
+@pytest.mark.parametrize("value", [("1",), ("1", "2", "3"), "1", None, (1, 2), ("1", None)])
+def test_plan_value_not_two_labels_is_a_shuffle_error(value):
+    spec, plan = _man_5_2_default_plan()
+    plan[2] = value
+    with pytest.raises(ShuffleError) as err:
+        run_pipeline(spec, plan)
+    assert str(err.value) == f"member 2: sender plan gives {value!r}, not two server labels"
+
+
+@pytest.mark.parametrize("key", [10, -1, "0"])
+def test_plan_key_past_the_members_is_a_shuffle_error(key):
+    """A key that names no member is an error, not ignored."""
+    spec, plan = _man_5_2_default_plan()
+    plan[key] = plan[0]
+    with pytest.raises(ShuffleError) as err:
+        run_pipeline(spec, plan)
+    assert str(err.value) == f"sender plan names member {key!r}; the cover has 10 members"

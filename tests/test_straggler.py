@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -282,3 +284,31 @@ def test_balanced_plan_exactly_when_preconditions_hold(case):
     for tx in result.transcript.transmissions:
         sent[tx.sender][tx.kind] += len(tx.payload)
     assert len({n for per_kind in sent.values() for n in per_kind.values()}) == 1
+
+
+def _survivor_case(name):
+    from test_constructions import pg2_3_design
+
+    from codedmr import bibd_matrix, transversal_cover, transversal_matrix
+
+    if name.startswith("MAN"):
+        m = man_matrix(*map(int, name[4:-1].split(",")))
+        return m, man_cover(m)
+    if name == "TD(3,3)":
+        m = transversal_matrix(3, 3)
+        return m, transversal_cover(m)
+    m, g = (fano_matrix(), 3) if name == "fano" else (bibd_matrix(pg2_3_design()), 4)
+    return m, search_cover(m, g, mode="exact")
+
+
+@pytest.mark.parametrize("name", ["MAN(5,2)", "MAN(6,3)", "MAN(7,4)", "fano", "TD(3,3)", "PG(2,3)"])
+def test_stragglers_within_tolerance_leave_every_member_two_survivors(name):
+    """Why straggler_run counts no survivors: a sound member has g distinct
+    rows, and at most g - 2 of them can fail."""
+    m, cover = _survivor_case(name)
+    R, _ = JobSpec(m, cover, m.K, 1).cover_index
+    g = R.shape[1]
+    assert all(len(set(rows)) == g for rows in R.tolist())
+    for n in range(g - 1):
+        for failed in itertools.combinations(range(m.K), n):
+            assert (~np.isin(R, failed)).sum(axis=1).min() >= 2, failed
