@@ -442,6 +442,13 @@ OUTPUT_PINS = {
             "summary.json": "7c9b20e1fc80d61d53ca0ca001fc3e15c464eafc445d1c4e5ade524040db19f8",
             "transcript.bin": "fc7e87368c13c7d34cbefc54ad121379535c8a269c1b2e454c2535f1dc3dee2f",
         }),
+    "tsubset-6-2": (("run", "--construction", "tsubset", "--v", "6", "--t", "2"), {
+        "stdout": "af55d0a9108d097ca4bf99f85eb61f8991a9f41a9c98b310154de9714c063554",
+        "cover.txt": "cefcd90ead3e24b3e31e9649656d077278c609d175aacbec9940d123b7371fd6",
+        "matrix.txt": "fc02301655682500617e164c27e69c7f490a0ef7356a1766a3ab4cead6711a7d",
+        "summary.json": "7447e511d5623190da95fc5fbe10415f6663cbb8581139bdd583bc1773acd8bd",
+        "transcript.bin": "cdae040ade4a07e68e9dd04044ae8ac7357f9c559b1651bfd68f77dc1a8ba3b0",
+    }),
     "fano-verify-json": (("verify", FANO_MATRIX, FANO_COVER, "--json"), {
         "stdout": _VERIFY_JSON,
         "verify.json": _VERIFY_JSON,

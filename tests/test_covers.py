@@ -456,6 +456,31 @@ GREEDY_PINS = {
 }
 
 
+# sha256 of the format_cover texts of man_cover(man_matrix(v, r)) for
+# r = 1..v-1, or of t_subset_cover(t_subset_matrix(v, t)) for t = 1..v-1,
+# joined in that order; taken when each family had its own rank arithmetic
+ANALYTIC_PINS = {
+    ("man", 2): "712ef0fc943226f7134960523c238515afc8052f223538a56c2b6dd57ce11a34",
+    ("man", 3): "d6e99768104e41d647f897be49f5d512de59214c359d757b1b00c9041b7e42b8",
+    ("man", 4): "c68753e77eb20d28abb9efedfffacf4a502e8aa4d61e567a347474c52831562e",
+    ("man", 5): "83edb2562d00d5db9df4e3c2460b882bff6d6efb4eaf63ceb3858c0ff999ff56",
+    ("man", 6): "7dd7002d46abdefc1447dd6c4b0b8f1321f22f5b20e125bc08ff44f1bda8ec62",
+    ("man", 7): "ed4b7761f67de41930d44c9aaa515c901919fd66c389617583c9841000a7c82a",
+    ("man", 8): "75dbadf70f679bf8d41ed991a54c2563244896d022fe41daa54cb260eb8ea49a",
+    ("man", 9): "2d0caefaf533115b57c55f5f9872d47e67676f81ed9132a90854010daad8c185",
+    ("man", 10): "210f0335fbc660985afddccfebdee911af74a8073ff3ded196b8cca3ab966ba4",
+    ("tsubset", 2): "1c67edc0f5d31045bca14b77d18f9241d1ab766c125e0a8fd3a004c0c0861ffa",
+    ("tsubset", 3): "05993041376477eb2c3bead9b8ab9529f709fbc5a50973daf77e1133fb38fc46",
+    ("tsubset", 4): "9a80ed1f12511cd372b8c25ce9c13f8e483046102e53e08be0d9ee6d890ac264",
+    ("tsubset", 5): "18b61fb0226dae66e7dbcc83d955093edd519f3d055e8cd0e421de832de595bd",
+    ("tsubset", 6): "d9887af6ffc2516c3c171cd24eb7bcbabc2b9ce656cf598c5eb6f1e436576230",
+    ("tsubset", 7): "0f1ddff2674a891848f9d07b55f86be58a4ed96ceb13c0afdd8d918918ce0498",
+    ("tsubset", 8): "bcdaee0f5f7899e9ef03dc285d8c4a7b21d7a6524c6e3f03bcb0465fc1ed5f57",
+    ("tsubset", 9): "6b24a2939e94f8872af4f257c99f8fb5c4c8f3035e6353c2f46b31f7c692a9f4",
+    ("tsubset", 10): "496f82c6be6634dd6b0f422cdf04484c8406a1ed431cba337bd3a1c8f6d3a57c",
+}
+
+
 class TestPinnedCovers:
     @pytest.mark.parametrize("name", sorted(EXACT_PINS))
     def test_exact_cover_sha256(self, name):
@@ -473,6 +498,15 @@ class TestPinnedCovers:
                     search_cover(m, g, mode="greedy", seed=seed)
             else:
                 assert _sha(search_cover(m, g, mode="greedy", seed=seed)) == pin
+
+    @pytest.mark.parametrize("family, v", sorted(ANALYTIC_PINS))
+    def test_analytic_covers_sha256_at_every_t(self, family, v):
+        if family == "man":
+            covers_ = [man_cover(man_matrix(v, r)) for r in range(1, v)]
+        else:
+            covers_ = [t_subset_cover(t_subset_matrix(v, t)) for t in range(1, v)]
+        text = "".join(format_cover(cover) for cover in covers_)
+        assert hashlib.sha256(text.encode()).hexdigest() == ANALYTIC_PINS[family, v]
 
 
 def _pg2_4_matrix():

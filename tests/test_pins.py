@@ -6,6 +6,7 @@ any later engine: a changed transcript byte, reduce output, load or
 sweep row changes a digest.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -105,6 +106,36 @@ def test_worst_case_sweep_runs_pin():
     assert _sha(repr(sweep.runs).encode()) == (
         "9c18431539b7de9b8397c3852e31975e620fa81b9a2bad86098225e15611f2d6"
     )
+
+
+def _flip_one_byte(member, kind, offset):
+    def tamper(tx):
+        if tx.member != member or tx.kind != kind:
+            return tx
+        payload = bytearray(tx.payload)
+        payload[offset] ^= 0x01
+        return dataclasses.replace(tx, payload=bytes(payload))
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "name, Q, mismatches, pin",
+    [
+        ("fano", 14, [("2", 3, "256"), ("3", 6, "136"), ("7", 13, "467")],
+         "bc557903a156ef53fee45cef44f6d59f4c12b5c80d2d6e652c9afb6148afde96"),
+        ((5, 2), 10, [("1", 2, "35"), ("2", 3, "14"), ("4", 7, "12")],
+         "955d605a03c42976a7b81aa83fa01f1a1a0305d8a99e307d07cf23c729c05e22"),
+    ],
+)
+def test_tampered_pipeline_pins(name, Q, mismatches, pin):
+    """One flipped byte of member 1's coded broadcast reaches the rows that
+    decode it, one of member 4's uncoded broadcast reaches its coded
+    sender; every other function still reduces."""
+    spec = _spec(name, Q, 8)
+    coded, uncoded = _flip_one_byte(1, "coded", 3), _flip_one_byte(4, "uncoded", 10)
+    result = run_pipeline(spec, tamper=lambda tx: uncoded(coded(tx))).reduce_result
+    assert result.mismatches == mismatches
+    assert _sha(repr((result.mismatches, sorted(result.outputs.items()))).encode()) == pin
 
 
 def _utf8_fano():
