@@ -67,37 +67,39 @@ def build_construction(
     name: str, *, K=None, r=None, v=None, t=None, n=None, k=None, design=None
 ) -> Construction:
     """The matrix, analytic cover and default g of a ``run`` construction,
-    from its flag values (*design* is a design file path)."""
-    def need(**flags) -> None:
+    from its flag values (*design* is a design file path).  A design
+    family's g is its ``SchemeParameters`` g, for parameters that the
+    generator has already accepted."""
+    def need(**flags) -> dict[str, int]:
         missing = [flag for flag, value in flags.items() if value is None]
         if missing:
             raise FormatError(f"construction {name!r} needs --" + " --".join(missing))
+        return flags
 
+    family = constructions.SchemeParameters
     if name == "man":
-        need(K=K, r=r)
+        own = need(K=K, r=r)
         m = constructions.man_matrix(K, r)
-        return Construction(name, m, covers.man_cover, r + 1, {"K": K, "r": r})
+        return Construction(name, m, covers.man_cover, r + 1, own)
     if name == "tsubset":
-        need(v=v, t=t)
+        own = need(v=v, t=t)
         m = constructions.t_subset_matrix(v, t)
-        return Construction(name, m, covers.t_subset_cover, v - t + 1, {"v": v, "t": t})
-    if name == "fano":
-        m = constructions.fano_matrix()
-        return Construction(name, m, None, 3, {})
+        return Construction(name, m, covers.t_subset_cover, family.t_design_2(v, t).g, own)
     if name == "transversal":
-        need(k=k, n=n)
+        own = need(k=k, n=n)
         m = constructions.transversal_matrix(k, n)
-        return Construction(name, m, covers.transversal_cover, n, {"k": k, "n": n})
-    if name == "bibd":
+        return Construction(name, m, covers.transversal_cover, family.transversal(k, n).g, own)
+    if name == "fano":
+        d, own = constructions.fano_design(), {}
+    elif name == "bibd":
         if design is None:
             raise FormatError("construction 'bibd' needs --design FILE")
         d = constructions.ingest_design(Path(design).read_text())
-        m = constructions.bibd_matrix(d)
-        # bibd_matrix admits only (v, k, 1) designs: each point lies in
-        # (v - 1)/(k - 1) blocks, an integer
-        v, k = d.v, d.block_size
-        return Construction(name, m, None, (v - 1) // (k - 1), {"v": v, "k": k})
-    raise FormatError(f"unknown construction {name!r}")
+        own = {"v": d.v, "k": d.block_size}
+    else:
+        raise FormatError(f"unknown construction {name!r}")
+    m = constructions.bibd_matrix(d)
+    return Construction(name, m, None, family.bibd(d.v, d.block_size).g, own)
 
 
 def build_cover(
@@ -157,6 +159,9 @@ def _construct(args, command: str) -> tuple[Construction, IdentityCover, str]:
     """The construction, cover and cover mode ``run`` and ``sweep`` build
     from their flags and config file."""
     _apply_config(args, _RUN_CONFIG_KEYS)
+    # defaults after the config file, which fills only flags not given
+    args.plan = "default" if args.plan is None else args.plan
+    args.seed = 0 if args.seed is None else args.seed
     if args.construction is None:
         raise FormatError(f"{command} needs --construction (flag or config)")
     con = build_construction(
@@ -528,10 +533,10 @@ def _add_construction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--design", help="design file for construction 'bibd'")
     p.add_argument("--Q", type=int, help="number of reduce functions")
     p.add_argument("--T", type=int, help="intermediate value size in bytes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--cover", choices=["analytic", "exact", "greedy"])
     p.add_argument("--g", type=int, help="member size for cover search")
-    p.add_argument("--plan", choices=["default", "balanced"], default="default")
+    p.add_argument("--plan", choices=["default", "balanced"])
     p.add_argument("--out", help="artifact directory")
     p.add_argument("--config", help="flat key=value config file (flags win)")
 

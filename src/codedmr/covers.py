@@ -5,7 +5,8 @@ t-subset scheme, transversal design); arbitrary matrices, e.g. ingested
 block designs, go through the exact backtracking search or the seeded
 greedy search.  Every cover is returned in index form
 (``IdentityCover.from_index``): the analytic covers work out their (S, g)
-row and column indices by rank arithmetic, and check the matrix's shape
+row and column indices by rank arithmetic (the t-subset cover is the
+MAN cover read through complements), and check the matrix's shape
 arithmetically (its labels, then ones or zeros exactly where the family
 puts them) rather than against a rebuilt matrix; the searches gather
 theirs from the one-entries they pick.  So no cover builds an
@@ -81,6 +82,11 @@ def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
         or m.N * r != m.bits.size - np.count_nonzero(m.bits)
     ):
         raise MatrixShapeError("matrix is not the subset placement for its (K, r)")
+    return IdentityCover.from_index(m, *_man_members(K, r))
+
+
+def _man_members(K: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, r+1) row and column indices of ``man_cover`` on MAN(K, r)."""
     # the (r+1)-subsets B of [K] in lex order, 0-based, and for each i the
     # colex rank of B minus B[i]: C(B[j], j+1) summed over j < i plus
     # C(B[j], j) over j > i, since the entries after i move down one place.
@@ -96,14 +102,17 @@ def man_cover(m: BinaryComputingMatrix) -> IdentityCover:
     moved = binom[B.T, place]       # B[j] moves down to place j-1
     before = np.cumsum(kept, axis=0) - kept
     after = np.cumsum(moved[::-1], axis=0)[::-1] - moved
-    return IdentityCover.from_index(m, B, (before + after).T)
+    return B, (before + after).T
 
 
 def t_subset_cover(m: BinaryComputingMatrix) -> IdentityCover:
     """Analytic cover of a t-subset matrix.
 
     One member per (t-1)-subset D: rows are the v-t+1 servers outside D,
-    and row k is matched with the column D + {k}.
+    and row k is matched with the column D + {k}.  Complementing a subset
+    reverses colex and lex order, so the matrix is MAN(v, v-t) with its
+    columns reversed, and member D is ``man_cover``'s member [v] minus D,
+    taken in reverse member order with column j read as N-1-j.
     """
     v = m.K
     t = v - m.r
@@ -117,20 +126,8 @@ def t_subset_cover(m: BinaryComputingMatrix) -> IdentityCover:
         or m.N * t != np.count_nonzero(m.bits)
     ):
         raise MatrixShapeError("matrix is not the t-subset scheme for its (v, t)")
-    # the (t-1)-subsets D of [v] in lex order, 0-based, the rows outside
-    # each, and the colex rank of D + {k}: C(e_j, j+1) summed over its
-    # sorted entries e_j
-    D = np.array(list(itertools.combinations(range(v), t - 1)), dtype=np.intp)
-    D = D.reshape(len(D), t - 1)
-    outside = np.ones((len(D), v), dtype=bool)
-    outside[np.arange(len(D))[:, None], D] = False
-    R = np.nonzero(outside)[1].reshape(len(D), v - t + 1)
-    joined = np.concatenate(
-        [np.broadcast_to(D[:, None, :], (*R.shape, t - 1)), R[:, :, None]], axis=2
-    )
-    binom = np.array([[comb(n, k) for k in range(t + 1)] for n in range(v)])
-    C = binom[np.sort(joined, axis=2), np.arange(1, t + 1)].sum(axis=2)
-    return IdentityCover.from_index(m, R, C)
+    R, C = _man_members(v, v - t)
+    return IdentityCover.from_index(m, R[::-1], m.N - 1 - C[::-1])
 
 
 def transversal_cover(m: BinaryComputingMatrix) -> IdentityCover:

@@ -39,7 +39,8 @@ default plan and the partial stragglers' needs are array passes over
 them, and a malformed member is a ``ShuffleError`` there too, never a
 failed label lookup.  A sender plan is read by ``plan_senders`` alone,
 which names the first member it misses or maps to anything but two
-labels.
+labels: once a run, in ``run_shuffle``, and once more in
+``partial_straggler_needs`` when the run has partial stragglers.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -48,9 +49,9 @@ sender itself is missing).  Payloads are exactly beta*T bytes, where
 beta is the number of reduce functions per participating server and T
 the intermediate-value size in bytes.  All rounds of a shuffle run as
 one array kernel: one gather of the missing values of every member
-slot, one XOR reduce over the slots for every coded payload, prefix and
-suffix XORs over the slots to decode, and one boolean gather of the
-mapped masks to check every cancellation.  ``round_for_member`` is the
+slot, one XOR reduce over the slots for every coded payload, one XOR to
+decode, and one boolean gather of the mapped masks to check every
+cancellation.  ``round_for_member`` is the
 same kernel on one member.
 """
 
@@ -387,9 +388,11 @@ def _exchange(
     block.  One gather fetches the value each slot's row is missing for
     each of its duty functions.  The coded sender's slot and the slots of
     rows that do not take part (full stragglers) are zeroed, so one XOR
-    reduce over the slot axis gives every coded payload, and prefix and
-    suffix XORs along that axis decode them.  One boolean gather of the
-    mapped masks checks every value an encoder or decoder cancels.
+    reduce over the slot axis gives every coded payload.  That payload is
+    the XOR of every slot, so slot i decodes the broadcast one as
+    ``values[i] ^ broadcast ^ coded``.  One boolean gather of the mapped
+    masks checks every value an encoder or decoder cancels, which makes
+    that XOR a decode.
     Faults are found for all members at once and raised for the first in
     member order, as one round at a time would meet them.
     """
@@ -477,25 +480,12 @@ def _exchange(
     if tamper is not None:
         # decode what was broadcast: the tampered payloads
         sent = np.frombuffer(b"".join(tx.payload for tx in txs), dtype=np.uint8)
-        coded, uncoded = sent.reshape(n, 2, beta, T).transpose(1, 0, 2, 3)
-
-    # Slot i decodes the coded payload by XORing away the values of the
-    # slots before it and after it; the uncoded payload serves the coded
-    # sender directly.  (A slot loop: ufunc.accumulate over this axis is
-    # some 20-40 times slower on these shapes.)
-    decoded = np.empty_like(values)
-    prefix = coded.copy()
-    for i in range(g):
-        decoded[i] = prefix
-        prefix ^= values[i]
-    suffix = np.zeros_like(coded)
-    for i in range(g - 1, -1, -1):
-        decoded[i] ^= suffix
-        suffix ^= values[i]
-    decoded[cs, at] = uncoded
+        got_coded, uncoded = sent.reshape(n, 2, beta, T).transpose(1, 0, 2, 3)
+        values ^= got_coded ^ coded
+    values[cs, at] = uncoded
     q = duty[R.T][part.T]                                       # (P, beta)
     cols = C.T[part.T][:, None]
-    store.received[q, cols] = decoded[part.T]
+    store.received[q, cols] = values[part.T]
     store.have[q, cols] = True
     return txs
 
@@ -679,7 +669,8 @@ def partial_straggler_needs(
 
     A partial straggler cancels, per member it belongs to, the values of
     the other participating rows except the coded sender's own column.
-    Reads ``spec.cover_index``, so a malformed member raises ShuffleError.
+    Raises ShuffleError on a malformed member, a *plan* that
+    ``plan_senders`` rejects or a plan in which a partial straggler sends.
     """
     needs: dict[str, set[str]] = {k: set() for k in partial}
     if not partial:
@@ -687,7 +678,11 @@ def partial_straggler_needs(
     m = spec.matrix
     R, C = spec.cover_index
     row_of = {k: i for i, k in enumerate(m.rows)}
-    coded = np.array([row_of.get(c, -1) for c, _ in plan_senders(spec, plan)])
+    senders = plan_senders(spec, plan)
+    for idx, (cs, us) in enumerate(senders):
+        if cs in partial or us in partial:
+            raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
+    coded = np.array([row_of.get(c, -1) for c, _ in senders])
     for k in partial:
         i = row_of.get(k, -1)
         # in the members holding k, the columns of the rows besides k and the coded sender
@@ -725,9 +720,6 @@ def run_pipeline(
     plan_mode = "default" if plan is None else "explicit"
     if plan is None:
         plan = default_plan(spec, assignment, forbidden=partial)
-    for idx, (cs, us) in enumerate(plan_senders(spec, plan)):
-        if cs in partial or us in partial:
-            raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
     needs = partial_straggler_needs(spec, plan, partial)
     store = run_map_phase(spec, subfile_filter={**{k: set() for k in stragglers}, **needs})
     transcript = run_shuffle(spec, assignment, store, plan, tamper)

@@ -29,6 +29,7 @@ from . import balance, shuffle
 from .covers import man_cover
 from .constructions import man_matrix
 from .fmt import decimal_trunc, printed_places
+from .matrix import load_formula
 from .shuffle import JobSpec, PipelineResult
 # Not called here: tracing tools swap these module attributes, so they
 # stay bound.
@@ -69,8 +70,9 @@ class StragglerScenario:
 
 
 def straggler_load_formula(K: int, r: int, g: int, kappa: int) -> Fraction:
-    """Closed-form load (2/g) * (K - r) / kappa of a straggler run."""
-    return Fraction(2, g) * Fraction(K - r, kappa)
+    """Closed-form load of a straggler run: ``load_formula``'s
+    (2/g)(1 - r/K) scaled by K/kappa, that is (2/g)(K - r)/kappa."""
+    return load_formula(K, r, g) * Fraction(K, kappa)
 
 
 def straggler_run(

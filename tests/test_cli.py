@@ -109,6 +109,18 @@ class TestRun:
         assert payload["T"] == 4       # flag wins
         assert payload["Q"] == 5       # config used
 
+    @pytest.mark.parametrize("flags, plan, seed", [
+        ((), "balanced", 7),
+        (("--plan", "default", "--seed", "3"), "default", 3),
+    ])
+    def test_config_plan_and_seed_unless_flags_win(self, capsys, tmp_path, flags, plan, seed):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("construction=fano\nplan=balanced\nseed=7\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), *flags, "--json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["plan"], payload["seed"]) == (plan, seed)
+
     def test_exact_cover_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--construction", "fano", "--Q", "7", "--T", "4",
@@ -541,6 +553,24 @@ def test_bibd_searches_with_the_design_default_g(capsys, monkeypatch, tmp_path, 
     )
     assert (code, out, err) == (1, "", "failure: searched\n")
     assert searched == [g]
+
+
+@pytest.mark.parametrize("name, flags, family, g", [
+    ("tsubset", {"v": 6, "t": 2}, ("t_design_2", 6, 2), 5),
+    ("tsubset", {"v": 7, "t": 3}, ("t_design_2", 7, 3), 5),
+    ("tsubset", {"v": 5, "t": 1}, ("t_design_2", 5, 1), 5),
+    ("transversal", {"k": 2, "n": 3}, ("transversal", 2, 3), 3),
+    ("transversal", {"k": 3, "n": 5}, ("transversal", 3, 5), 5),
+    ("fano", {}, ("bibd", 7, 3), 3),
+    ("bibd", {"design": str(DATA / "fano_design.txt")}, ("bibd", 7, 3), 3),
+])
+def test_construction_default_g_is_the_scheme_family_g(name, flags, family, g):
+    from codedmr.cli import build_construction
+    from codedmr.constructions import SchemeParameters
+
+    build, *args = family
+    expected = getattr(SchemeParameters, build)(*args).g
+    assert build_construction(name, **flags).default_g == expected == g
 
 
 def test_exact_search_budget_admits_pg2_3():

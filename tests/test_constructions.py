@@ -71,6 +71,9 @@ class TestManMatrix:
 
                 other = tsub.col_index(subset_label(complement))
                 assert np.array_equal(man.bits[:, j], tsub.bits[:, other])
+                # complementing reverses colex order: t_subset_cover relies on it
+                assert other == man.N - 1 - j
+            assert np.array_equal(tsub.bits, man.bits[:, ::-1])
 
 
 class TestTSubsetMatrix:

@@ -923,3 +923,20 @@ def test_plan_key_past_the_members_is_a_shuffle_error(key):
     with pytest.raises(ShuffleError) as err:
         run_pipeline(spec, plan)
     assert str(err.value) == f"sender plan names member {key!r}; the cover has 10 members"
+
+
+@pytest.mark.parametrize("partial, reads", [(frozenset(), 1), (frozenset({"5"}), 2)])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_a_run_reads_its_plan_once_and_once_more_for_partial_stragglers(
+    monkeypatch, partial, reads, explicit
+):
+    from codedmr import shuffle
+
+    spec, plan = _man_5_2_default_plan()
+    if partial:
+        plan = default_plan(spec, ReduceAssignment.block_partition(spec.matrix.rows, 20), partial)
+    read, calls = shuffle.plan_senders, []
+    monkeypatch.setattr(shuffle, "plan_senders", lambda *args: calls.append(args) or read(*args))
+    result = run_pipeline(spec, plan if explicit else None, partial=partial)
+    assert result.reduce_result.ok
+    assert len(calls) == reads

@@ -219,6 +219,16 @@ class TestOptimalLoad:
         assert optimal_load_is_extrapolated(10, 3, 6)       # index -1, clamped
 
 
+def test_straggler_load_is_the_base_load_scaled_by_K_over_kappa():
+    for K in range(2, 9):
+        for r, g, kappa in itertools.product(range(1, K), range(2, K + 1), range(1, K + 1)):
+            load = straggler_load_formula(K, r, g, kappa)
+            assert load == load_formula(K, r, g) * Fraction(K, kappa)
+            assert load == Fraction(2 * (K - r), g * kappa)
+    with pytest.raises(ValueError, match="size < 2"):
+        straggler_load_formula(5, 2, 1, 4)
+
+
 class TestComparisonTable:
     def test_all_golden_rows_pass(self):
         table = comparison_table()
