@@ -51,8 +51,7 @@ the intermediate-value size in bytes.  All rounds of a shuffle run as
 one array kernel: one gather of the missing values of every member
 slot, one XOR reduce over the slots for every coded payload, one XOR to
 decode, and one boolean gather of the mapped masks to check every
-cancellation.  ``round_for_member`` is the
-same kernel on one member.
+cancellation.  ``round_for_member`` is the same kernel on one member.
 """
 
 from __future__ import annotations

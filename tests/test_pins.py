@@ -126,6 +126,7 @@ def _flip_one_byte(member, kind, offset):
         ((5, 2), 10, [("1", 2, "35"), ("2", 3, "14"), ("4", 7, "12")],
          "955d605a03c42976a7b81aa83fa01f1a1a0305d8a99e307d07cf23c729c05e22"),
     ],
+    ids=["fano", "MAN(5,2)"],
 )
 def test_tampered_pipeline_pins(name, Q, mismatches, pin):
     """One flipped byte of member 1's coded broadcast reaches the rows that
