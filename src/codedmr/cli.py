@@ -502,12 +502,12 @@ def cmd_sweep(args) -> int:
             f"{'+'.join(subset)},{fraction_str(load)},{decimal_str(load)},{str(ok).lower()}"
         )
     _emit_csv(args, "\n".join(lines) + "\n", "sweep.csv")
-    # worst_case_sweep raises when the loads differ
-    all_ok = result.max_load == expected and all(ok for _, _, ok in result.runs)
+    # worst_case_sweep raises when the loads differ, so the worst is the best
+    all_ok = result.load == expected and all(ok for _, _, ok in result.runs)
     print(
         f"sweep: kappa={kappa} subsets={len(result.runs)}/{result.total_subsets}"
         f"{' (sampled)' if result.sampled else ''} "
-        f"worst={fraction_str(result.max_load)} best={fraction_str(result.min_load)} "
+        f"worst={fraction_str(result.load)} best={fraction_str(result.load)} "
         f"formula={fraction_str(expected)} verdict={'ok' if all_ok else 'FAILED'}",
         file=sys.stderr,
     )

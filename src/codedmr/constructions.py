@@ -85,22 +85,23 @@ def man_matrix(K: int, r: int) -> BinaryComputingMatrix:
     return BinaryComputingMatrix(tuple(str(k) for k in range(1, K + 1)), cols, bits, r)
 
 
-def _t_subset_columns(v: int, t: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The columns of the t-subset scheme: the colex t-subsets of [v] and
-    their labels, which are those of MAN(v, t); ``t_subset_matrix`` and
-    ``t_subset_cover`` share them."""
+def _check_t_subset(v: int, t: int) -> None:
     if not 1 <= t < v:
         raise ValueError(f"need 1 <= t < v, got t={t}, v={v}")
     _check_cells(f"the t-subset scheme (v={v}, t={t})", v, comb(v, t))
-    return _man_columns(v, t)
 
 
 def t_subset_matrix(v: int, t: int) -> BinaryComputingMatrix:
-    """t-subset scheme: column A has ones exactly on A, so r = v - t."""
-    subsets, cols = _t_subset_columns(v, t)
-    bits = np.zeros((v, len(cols)), dtype=np.uint8)
-    bits[subsets.T - 1, np.arange(len(cols))] = 1
-    return BinaryComputingMatrix(tuple(str(k) for k in range(1, v + 1)), cols, bits, v - t)
+    """t-subset scheme: column A has ones exactly on A, so r = v - t.
+
+    Column A is MAN(v, v - t)'s column of the complement of A, and
+    complementing reverses colex order: the matrix is ``man_matrix(v,
+    v - t)`` with its columns reversed, labelled as MAN(v, t)'s columns.
+    """
+    _check_t_subset(v, t)
+    man = man_matrix(v, v - t)
+    bits = np.ascontiguousarray(man.bits[:, ::-1])
+    return BinaryComputingMatrix(man.rows, _man_columns(v, t)[1], bits, v - t)
 
 
 FANO_BLOCKS = ("127", "145", "136", "467", "256", "357", "234")

@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .constructions import _man_columns, _t_subset_columns, _transversal_layout
+from .constructions import _check_t_subset, _man_columns, _transversal_layout
 from .matrix import BinaryComputingMatrix, IdentityCover
 
 # Most refuted states one exact search remembers; once full it records no
@@ -113,20 +113,17 @@ def t_subset_cover(m: BinaryComputingMatrix) -> IdentityCover:
     reverses colex and lex order, so the matrix is MAN(v, v-t) with its
     columns reversed, and member D is ``man_cover``'s member [v] minus D,
     taken in reverse member order with column j read as N-1-j.
+    ``man_cover`` on that reversed view checks the shape.
     """
-    v = m.K
-    t = v - m.r
-    subsets, labels = _t_subset_columns(v, t)
-    # the rows and labels of t_subset_matrix(v, t), and ones exactly on
-    # each column's subset: t per column, all of them at the subset's rows
-    if (
-        m.rows != tuple(str(k) for k in range(1, v + 1))
-        or m.cols != labels
-        or not m.bits[subsets.T - 1, np.arange(m.N)].all()
-        or m.N * t != np.count_nonzero(m.bits)
-    ):
-        raise MatrixShapeError("matrix is not the t-subset scheme for its (v, t)")
-    R, C = _man_members(v, v - t)
+    v, t = m.K, m.K - m.r
+    _check_t_subset(v, t)
+    try:
+        if m.cols != _man_columns(v, t)[1]:
+            raise MatrixShapeError
+        view = BinaryComputingMatrix(m.rows, _man_columns(v, m.r)[1], m.bits[:, ::-1], m.r)
+        ((_, R, C),) = man_cover(view).index(view).groups
+    except MatrixShapeError:
+        raise MatrixShapeError("matrix is not the t-subset scheme for its (v, t)") from None
     return IdentityCover.from_index(m, R[::-1], m.N - 1 - C[::-1])
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def _label_index(members: tuple[IdentitySubmatrix, ...]) -> MemberIndex:
 
 
 def _translate(
-    labels: tuple[str, ...], known: dict[str, int]
+    labels: Sequence[str], known: dict[str, int]
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Map *labels* to indices of a matrix side whose label -> index map
     is *known*; labels it lacks get the indices after its own, in order."""

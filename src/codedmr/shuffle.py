@@ -34,13 +34,17 @@ any plan or map work.
 
 The shuffle reads the cover as ``JobSpec.cover_index``, its (S, g) row
 and column index arrays over the matrix: an analytic or searched cover's
-own arrays, or those the label adapter of ``matrix`` builds once.  The
-default plan and the partial stragglers' needs are array passes over
-them, and a malformed member is a ``ShuffleError`` there too, never a
-failed label lookup.  A sender plan is read by ``plan_senders`` alone,
-which names the first member it misses or maps to anything but two
-labels: once a run, in ``run_shuffle``, and once more in
-``partial_straggler_needs`` when the run has partial stragglers.
+own arrays, or those the label adapter of ``matrix`` builds once.
+``run_pipeline`` is the one place a run turns server labels into row
+indices.  Below it the sender plan is an (S, 2) array of coded and
+uncoded sender rows, and what each server maps before the shuffle is a
+(K, N) mask; labels come back only in the transcript, the reduce
+outputs and error texts.  The default plan and the partial stragglers'
+needs are array passes over the cover, and a malformed member is a
+``ShuffleError`` there too, never a failed label lookup.  An explicit
+sender plan is read by ``plan_senders`` alone, once a run and before any
+map work, which names the first member it misses or maps to anything but
+two labels; a default plan is never read.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -58,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,6 +73,7 @@ from .matrix import (
     BinaryComputingMatrix,
     FormatError,
     IdentityCover,
+    _translate,
     format_cover,
     format_matrix,
     verify_cover,
@@ -352,21 +356,14 @@ class ShuffleTranscript:
 # ---------------------------------------------------------------------------
 
 
-def run_map_phase(
-    spec: JobSpec, subfile_filter: Mapping[str, set[str]] | None = None
-) -> ServerStore:
-    """Mark, per server, the zero columns of its row as mapped.
+def run_map_phase(spec: JobSpec, mapped: np.ndarray | None = None) -> ServerStore:
+    """Mark what each server maps before the shuffle: the (K, N) bool mask
+    *mapped*, copied, or else the zero columns of every row.
 
-    Servers listed in *subfile_filter* (stragglers) map only the listed
-    subfiles out of their assigned ones.  The values are the job's
-    ``ivas`` table, built here on first use.
+    The values are the job's ``ivas`` table, built here on first use.
     """
-    m = spec.matrix
     spec.ivas  # the map work itself: builds the table once per spec
-    mapped = m.bits == 0
-    for i, k in enumerate(m.rows):
-        if subfile_filter is not None and k in subfile_filter:
-            mapped[i] &= np.isin(m.cols, list(subfile_filter[k]))
+    mapped = spec.matrix.bits == 0 if mapped is None else np.array(mapped, dtype=bool)
     Q, N, T = spec.ivas.shape
     return ServerStore(mapped, np.zeros((Q, N, T), dtype=np.uint8), np.zeros((Q, N), dtype=bool))
 
@@ -376,11 +373,11 @@ def _exchange(
     assignment: ReduceAssignment,
     store: ServerStore,
     members: Sequence[int],
-    senders: Sequence[tuple[str, str]],
+    senders: np.ndarray,
     tamper: Callable[[Transmission], Transmission] | None,
 ) -> list[Transmission]:
     """The exchange rounds of *members*, ``senders[i]`` being the (coded,
-    uncoded) pair of ``members[i]``: build, broadcast, decode.
+    uncoded) sender rows of ``members[i]``: build, broadcast, decode.
 
     All rounds are one array kernel over the members' g slots, laid out
     slot-major so that every XOR runs over a contiguous (S, beta, T)
@@ -398,21 +395,19 @@ def _exchange(
     m = spec.matrix
     beta, T = assignment.beta, spec.iva_bytes
     size = beta * T
-    row_of = {k: i for i, k in enumerate(m.rows)}
+    reducers = [m.row_index(k) for k in assignment.servers]
     duty = np.zeros((m.K, beta), dtype=np.intp)     # q - 1 of each row's duty functions
+    duty[reducers] = np.subtract(list(assignment.duties.values()), 1)
     active = np.zeros(m.K, dtype=bool)
-    for k, duties in assignment.duties.items():
-        duty[row_of[k]] = np.subtract(duties, 1)
-        active[row_of[k]] = True
+    active[reducers] = True
     R, C = (index[members] for index in spec.cover_index)       # (S, g)
     n, g = R.shape
     at = np.arange(n)
     part = active[R]
-    cs_row = np.array([row_of.get(c, -1) for c, _ in senders], dtype=np.intp)
-    us_row = np.array([row_of.get(u, -1) for _, u in senders], dtype=np.intp)
+    cs_row, us_row = senders.T
     cs = np.argmax(R == cs_row[:, None], axis=1)    # the senders' slots
     us = np.argmax(R == us_row[:, None], axis=1)
-    distinct = np.array([c != u for c, u in senders], dtype=bool)
+    distinct = cs_row != us_row
     takes_part = (R[at, cs] == cs_row) & part[at, cs] & (R[at, us] == us_row) & part[at, us]
     sound = distinct & takes_part
 
@@ -458,12 +453,12 @@ def _exchange(
     # a time and a fault surfaces where a round at a time would meet it.
     pc, pu = coded.tobytes(), uncoded.tobytes()
     txs: list[Transmission] = []
-    for i, (c, u) in enumerate(senders):
+    for i, (c, u) in enumerate(senders.tolist()):
         if i == first_fault:
             raise fault(i)
         pair = (
-            Transmission(c, members[i], "coded", pc[i * size : (i + 1) * size]),
-            Transmission(u, members[i], "uncoded", pu[i * size : (i + 1) * size]),
+            Transmission(m.rows[c], members[i], "coded", pc[i * size : (i + 1) * size]),
+            Transmission(m.rows[u], members[i], "uncoded", pu[i * size : (i + 1) * size]),
         )
         if tamper is not None:
             pair = (tamper(pair[0]), tamper(pair[1]))
@@ -494,11 +489,12 @@ def round_for_member(
     member_index: int,
     assignment: ReduceAssignment,
     store: ServerStore,
-    coded_sender: str,
-    uncoded_sender: str,
+    coded_sender: int,
+    uncoded_sender: int,
     tamper: Callable[[Transmission], Transmission] | None = None,
 ) -> tuple[Transmission, Transmission]:
-    """One exchange round for a cover member: build, broadcast, decode.
+    """One exchange round for a cover member, sent by the rows
+    *coded_sender* and *uncoded_sender*: build, broadcast, decode.
 
     The coded payload carries, for each duty slot b, the XOR over the
     participating rows other than the coded sender of the value that row
@@ -508,21 +504,23 @@ def round_for_member(
     applied to each transmission before decoding.
     """
     tx_coded, tx_uncoded = _exchange(
-        spec, assignment, store, [member_index], [(coded_sender, uncoded_sender)], tamper
+        spec, assignment, store, [member_index], np.array([[coded_sender, uncoded_sender]]), tamper
     )
     return tx_coded, tx_uncoded
 
 
 def default_plan(
-    spec: JobSpec, assignment: ReduceAssignment, forbidden: frozenset[str] = frozenset()
-) -> dict[int, tuple[str, str]]:
-    """First-two-participating-rows sender plan (deliberately unbalanced).
+    spec: JobSpec, assignment: ReduceAssignment, forbidden: Sequence[int] = ()
+) -> np.ndarray:
+    """First-two-participating-rows sender plan (deliberately unbalanced):
+    the (S, 2) coded and uncoded sender rows, none of them in *forbidden*.
 
     Reads ``spec.cover_index``, so a malformed member raises ShuffleError.
     """
     m = spec.matrix
     R, _ = spec.cover_index
-    eligible = np.array([k in assignment.duties and k not in forbidden for k in m.rows])
+    eligible = np.array([k in assignment.duties for k in m.rows])
+    eligible[list(forbidden)] = False
     # the two lowest eligible rows of each member, K standing for none
     # (a verified cover has distinct rows in each member)
     ranked = np.where(eligible[R], R, m.K)
@@ -534,29 +532,31 @@ def default_plan(
         raise ShuffleError(
             f"member {idx} has {int(eligible[R[idx]].sum())} eligible senders, needs 2"
         )
-    labels = np.array(m.rows, dtype=object)
-    return dict(enumerate(zip(labels[first].tolist(), labels[second].tolist())))
+    return np.stack([first, second], axis=1)
 
 
-def plan_senders(
-    spec: JobSpec, plan: Mapping[int, tuple[str, str]]
-) -> list[tuple[str, str]]:
-    """The (coded, uncoded) pair of every cover member in member order, as
-    *plan* maps members 0 to S-1 to two server labels.
+def plan_senders(spec: JobSpec, plan: Mapping[int, tuple[str, str]]) -> np.ndarray:
+    """The (S, 2) coded and uncoded sender rows of the cover members, as
+    *plan* maps members 0 to S-1 to two server labels.  Labels the matrix
+    lacks get the rows after its K, which no member has.
 
     Raises ShuffleError naming the first member the plan misses or maps to
     anything else, or else a key that is no member.
     """
-    def read(members) -> list[tuple[str, str]]:
+    def read(members) -> list[str]:
         try:
-            return [(c, u) for c, u in map(plan.__getitem__, members) if type(c) is type(u) is str]
+            return [
+                k for c, u in map(plan.__getitem__, members) if type(c) is type(u) is str
+                for k in (c, u)
+            ]
         except (KeyError, TypeError, ValueError):
             return []
 
     S = spec.cover.size
-    senders = read(range(S))
-    if len(senders) == S == len(plan):
-        return senders
+    labels = read(range(S))
+    if len(labels) == 2 * S and S == len(plan):
+        rows, _ = _translate(labels, spec.matrix._row_idx)   # type: ignore[attr-defined]
+        return rows.reshape(S, 2)
     for idx in range(S):   # the first fault in member order
         if idx not in plan:
             raise ShuffleError(f"sender plan misses member {idx}")
@@ -570,10 +570,11 @@ def run_shuffle(
     spec: JobSpec,
     assignment: ReduceAssignment,
     store: ServerStore,
-    plan: Mapping[int, tuple[str, str]] | None = None,
+    senders: np.ndarray | None = None,
     tamper: Callable[[Transmission], Transmission] | None = None,
 ) -> ShuffleTranscript:
-    """Run the two broadcasts of every cover member and decode them.
+    """Run the two broadcasts of every cover member and decode them, sent
+    by the (S, 2) sender rows *senders* or else by the default plan's.
 
     The cover's verification is checked first; a broken cover is rejected
     before any transmission.  A verified cover puts every one-entry in
@@ -582,24 +583,23 @@ def run_shuffle(
     """
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
-    if plan is None:
-        plan = default_plan(spec, assignment)
-    senders = plan_senders(spec, plan)
+    if senders is None:
+        senders = default_plan(spec, assignment)
     transmissions = _exchange(spec, assignment, store, range(spec.cover.size), senders, tamper)
     # Every broadcast has beta*T bytes, and a reducing server receives both
     # broadcasts of each of its members except the ones it sends.
     m = spec.matrix
     payload_bytes = assignment.beta * spec.iva_bytes
-    sent = Counter(k for pair in senders for k in pair)
-    rounds = dict(zip(m.rows, np.bincount(spec.cover_index[0].ravel(), minlength=m.K).tolist()))
+    sent = np.bincount(senders.ravel(), minlength=m.K).tolist()
+    rounds = np.bincount(spec.cover_index[0].ravel(), minlength=m.K).tolist()
     return ShuffleTranscript(
         transmissions=tuple(transmissions),
         servers=m.rows,
         payload_bytes=payload_bytes,
-        sent_bits={k: payload_bytes * 8 * sent[k] for k in m.rows},
+        sent_bits={k: payload_bytes * 8 * n for k, n in zip(m.rows, sent)},
         received_bits={
-            k: payload_bytes * 8 * (2 * rounds[k] - sent[k]) if k in assignment.duties else 0
-            for k in m.rows
+            k: payload_bytes * 8 * (2 * n - s) if k in assignment.duties else 0
+            for k, n, s in zip(m.rows, rounds, sent)
         },
     )
 
@@ -662,32 +662,27 @@ class PipelineResult:
 
 
 def partial_straggler_needs(
-    spec: JobSpec, plan: Mapping[int, tuple[str, str]], partial: frozenset[str]
-) -> dict[str, set[str]]:
-    """Subfiles each partial straggler must map to decode its own values.
+    spec: JobSpec, senders: np.ndarray, partial: Sequence[int]
+) -> np.ndarray:
+    """(K, N) mask of the subfiles each partial straggler row in *partial*
+    must map to decode its own values, under the (S, 2) sender rows
+    *senders*.
 
     A partial straggler cancels, per member it belongs to, the values of
     the other participating rows except the coded sender's own column.
-    Raises ShuffleError on a malformed member, a *plan* that
-    ``plan_senders`` rejects or a plan in which a partial straggler sends.
+    Raises ShuffleError on a malformed member or naming the first member
+    in which a partial straggler sends.
     """
-    needs: dict[str, set[str]] = {k: set() for k in partial}
-    if not partial:
-        return needs
-    m = spec.matrix
+    sends = np.isin(senders, partial).any(axis=1)
+    if sends.any():
+        raise ShuffleError(f"member {int(np.argmax(sends))}: sender plan uses a partial straggler")
     R, C = spec.cover_index
-    row_of = {k: i for i, k in enumerate(m.rows)}
-    senders = plan_senders(spec, plan)
-    for idx, (cs, us) in enumerate(senders):
-        if cs in partial or us in partial:
-            raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
-    coded = np.array([row_of.get(c, -1) for c, _ in senders])
-    for k in partial:
-        i = row_of.get(k, -1)
-        # in the members holding k, the columns of the rows besides k and the coded sender
+    needs = np.zeros(spec.matrix.bits.shape, dtype=bool)
+    for i in partial:
+        # in the members holding i, the columns of the rows besides i and the coded sender
         own = (R == i).any(axis=1)
-        cancel = (R[own] != i) & (R[own] != coded[own, None])
-        needs[k].update(m.cols[j] for j in C[own][cancel].tolist())
+        cancel = (R[own] != i) & (R[own] != senders[own, :1])
+        needs[i, C[own][cancel]] = True
     return needs
 
 
@@ -708,25 +703,31 @@ def run_pipeline(
     without them.  Without a *plan*, each member's first two eligible
     rows send.
     """
+    m = spec.matrix
     stragglers = set(stragglers)
-    unknown = (stragglers | partial) - set(spec.matrix.rows)
+    unknown = (stragglers | partial) - set(m.rows)
     if unknown:
         raise ValueError(f"unknown server labels {sorted(unknown)}")
-    survivors = [k for k in spec.matrix.rows if k not in stragglers]
+    survivors = [k for k in m.rows if k not in stragglers]
     assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     plan_mode = "default" if plan is None else "explicit"
+    # the one place a run turns server labels into row indices
+    partial_rows = [m.row_index(k) for k in partial]
     if plan is None:
-        plan = default_plan(spec, assignment, forbidden=partial)
-    needs = partial_straggler_needs(spec, plan, partial)
-    store = run_map_phase(spec, subfile_filter={**{k: set() for k in stragglers}, **needs})
-    transcript = run_shuffle(spec, assignment, store, plan, tamper)
+        senders = default_plan(spec, assignment, forbidden=partial_rows)
+    else:
+        senders = plan_senders(spec, plan)
+    mapped = m.bits == 0
+    mapped[[m.row_index(k) for k in stragglers]] = False
+    if partial_rows:
+        mapped[partial_rows] = partial_straggler_needs(spec, senders, partial_rows)[partial_rows]
+    store = run_map_phase(spec, mapped)
+    transcript = run_shuffle(spec, assignment, store, senders, tamper)
     # Partial stragglers finish the rest of their map work after the
     # shuffle window has closed; the transcript and load are already fixed.
-    for k in partial:
-        i = spec.matrix.row_index(k)
-        store.mapped[i] = spec.matrix.bits[i] == 0
+    store.mapped[partial_rows] = m.bits[partial_rows] == 0
     reduce_result = run_reduce(spec, assignment, store)
     return PipelineResult(transcript, reduce_result, measured_load(transcript, spec), plan_mode)
 

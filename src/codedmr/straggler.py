@@ -115,12 +115,11 @@ def straggler_run(
 
 @dataclass
 class SweepResult:
-    """Loads over every (or a sampled set of) straggler subsets."""
+    """Loads over every (or a sampled set of) straggler subsets, which
+    share the one *load*."""
 
     runs: list[tuple[tuple[str, ...], Fraction, bool]]   # (stragglers, load, decode ok)
-    max_load: Fraction
-    min_load: Fraction
-    all_equal: bool
+    load: Fraction
     sampled: bool
     total_subsets: int
 
@@ -161,20 +160,12 @@ def worst_case_sweep(
         scenario = StragglerScenario.from_stragglers(spec, subset)
         result = straggler_run(spec, scenario, plan)
         runs.append((subset, result.load, result.reduce_result.ok))
-    loads = [load for _, load, _ in runs]
-    if len(set(loads)) != 1:
+    loads = {load for _, load, _ in runs}
+    if len(loads) != 1:
         raise RuntimeError(
-            "straggler load varied across subsets of a uniform cover: "
-            f"{sorted(set(loads))}"
+            f"straggler load varied across subsets of a uniform cover: {sorted(loads)}"
         )
-    return SweepResult(
-        runs=runs,
-        max_load=max(loads),
-        min_load=min(loads),
-        all_equal=True,
-        sampled=sampled,
-        total_subsets=total,
-    )
+    return SweepResult(runs=runs, load=loads.pop(), sampled=sampled, total_subsets=total)
 
 
 def optimal_straggler_load(K: int, r: int, kappa: int) -> Fraction:

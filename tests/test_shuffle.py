@@ -40,6 +40,7 @@ from codedmr.shuffle import (
     load_transcript,
     make_subfile,
     partial_straggler_needs,
+    plan_senders,
     reduce_digest,
     save_transcript,
 )
@@ -52,6 +53,12 @@ def fano_spec(Q=7, T=16, seed=0):
 
 def _xor(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
+
+
+def label_plan(spec, senders):
+    """The member -> (coded, uncoded) label plan of the (S, 2) sender rows."""
+    rows = spec.matrix.rows
+    return {idx: (rows[c], rows[u]) for idx, (c, u) in enumerate(senders.tolist())}
 
 
 class TestSynthMap:
@@ -109,7 +116,8 @@ class TestRoundForMember:
         spec = dataclasses.replace(spec, cover=IdentityCover((member, member)))
         duties = ReduceAssignment({k: (int(k), int(k) + 7) for k in spec.matrix.rows})
         store = run_map_phase(spec)
-        tx_coded, tx_uncoded = round_for_member(spec, 0, duties, store, "3", "5")
+        row = spec.matrix.row_index
+        tx_coded, tx_uncoded = round_for_member(spec, 0, duties, store, row("3"), row("5"))
 
         sub = {f: make_subfile(0, f, 64) for f in spec.matrix.cols}
         iva = lambda q, f: synth_map(q, f, sub[f], 8)
@@ -132,7 +140,7 @@ class TestRoundForMember:
         store = run_map_phase(spec)
         member = cover.members[0]
         tx_coded, _ = round_for_member(
-            spec, 0, duties, store, member.rows[0], member.rows[1]
+            spec, 0, duties, store, m.row_index(member.rows[0]), m.row_index(member.rows[1])
         )
         other = member.rows[1]
         f_other = member.cols[1]
@@ -145,19 +153,23 @@ class TestRoundForMember:
         duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
         store = run_map_phase(spec)
         member = spec.cover.members[0]
-        with pytest.raises(ShuffleError):
-            round_for_member(spec, 0, duties, store, member.rows[0], member.rows[0])
-        outsider = next(k for k in spec.matrix.rows if k not in member.rows)
-        with pytest.raises(ShuffleError):
-            round_for_member(spec, 0, duties, store, member.rows[0], outsider)
+        first = spec.matrix.row_index(member.rows[0])
+        with pytest.raises(ShuffleError, match="distinct"):
+            round_for_member(spec, 0, duties, store, first, first)
+        outsider = next(i for i, k in enumerate(spec.matrix.rows) if k not in member.rows)
+        with pytest.raises(ShuffleError, match="participating rows"):
+            round_for_member(spec, 0, duties, store, first, outsider)
 
     def test_missing_mapped_value_signals_inconsistency(self):
         spec = fano_spec()
         duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
         member = spec.cover.members[0]
-        store = run_map_phase(spec, subfile_filter={member.rows[0]: set()})
+        first, second = map(spec.matrix.row_index, member.rows[:2])
+        mapped = spec.matrix.bits == 0
+        mapped[first] = False
+        store = run_map_phase(spec, mapped)
         with pytest.raises(ShuffleError, match="lacks mapped value"):
-            round_for_member(spec, 0, duties, store, member.rows[0], member.rows[1])
+            round_for_member(spec, 0, duties, store, first, second)
 
 
 class TestRunShuffle:
@@ -252,16 +264,19 @@ class TestPartialStragglers:
         from codedmr.shuffle import default_plan, partial_straggler_needs
 
         duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
-        plan = default_plan(spec, duties, forbidden=frozenset({"2"}))
-        needs = partial_straggler_needs(spec, plan, frozenset({"2"}))
-        assert needs["2"] <= set(spec.matrix.zeros_in_row("2"))
+        i = spec.matrix.row_index("2")
+        needs = partial_straggler_needs(spec, default_plan(spec, duties, forbidden=[i]), [i])
+        assert {spec.matrix.cols[j] for j in np.flatnonzero(needs[i])} < set(
+            spec.matrix.zeros_in_row("2")
+        )
+        assert not np.delete(needs, i, axis=0).any()
 
     def test_plan_using_partial_straggler_rejected(self):
         spec = fano_spec(Q=7, T=4)
         from codedmr.shuffle import default_plan
 
         duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
-        plan = default_plan(spec, duties)
+        plan = label_plan(spec, default_plan(spec, duties))
         partials = frozenset({plan[0][0]})
         with pytest.raises(ShuffleError, match="partial straggler"):
             run_pipeline(spec, plan, partial=partials)
@@ -323,7 +338,7 @@ def test_one_flipped_broadcast_byte_names_exactly_its_values(job, T, kind, data)
 
     result = run_pipeline(spec, tamper=tamper)
     assignment = ReduceAssignment.block_partition(spec.matrix.rows, spec.num_functions)
-    coded_sender, _ = default_plan(spec, assignment)[idx]
+    coded_sender = spec.matrix.rows[default_plan(spec, assignment)[idx, 0]]
     member = spec.cover.members[idx]
     hit = [k for k in member.rows if k != coded_sender] if kind == "coded" else [coded_sender]
     col_of = dict(zip(member.rows, member.cols))
@@ -460,7 +475,7 @@ def reference_shuffle(spec, assignment, states, plan=None, tamper=None):
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if plan is None:
-        plan = default_plan(spec, assignment)
+        plan = reference_default_plan(spec, assignment)
     transmissions = []
     sent_bits = {k: 0 for k in spec.matrix.rows}
     received_bits = {k: 0 for k in spec.matrix.rows}
@@ -509,11 +524,11 @@ def reference_pipeline(spec, plan=None, tamper=None, stragglers=(), partial=froz
     survivors = [k for k in spec.matrix.rows if k not in stragglers]
     assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
     if plan is None:
-        plan = default_plan(spec, assignment, forbidden=partial)
+        plan = reference_default_plan(spec, assignment, forbidden=partial)
     for idx, (cs, us) in plan.items():
         if cs in partial or us in partial:
             raise ShuffleError(f"member {idx}: sender plan uses a partial straggler")
-    needs = partial_straggler_needs(spec, plan, partial)
+    needs = reference_partial_needs(spec, plan, partial)
     states = reference_map(spec, {**{k: set() for k in stragglers}, **needs})
     transcript = reference_shuffle(spec, assignment, states, plan, tamper)
     for k in partial:
@@ -620,9 +635,9 @@ def test_pipeline_equals_per_member_reference(job, data):
         assert got[0] != ShuffleError   # the plain run always completes
 
 
-def _library_phases(spec, assignment, subfile_filter, plan):
-    store = run_map_phase(spec, subfile_filter)
-    transcript = run_shuffle(spec, assignment, store, plan)
+def _library_phases(spec, assignment, mapped, plan):
+    store = run_map_phase(spec, mapped)
+    transcript = run_shuffle(spec, assignment, store, plan_senders(spec, plan))
     r = run_reduce(spec, assignment, store)
     return _summary(transcript, r.outputs, r.mismatches)
 
@@ -643,11 +658,14 @@ def test_dropped_mapped_columns_fail_as_in_the_reference(job, data):
     survivors = [s for s in m.rows if s not in stragglers]
     assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
     if plan is None:
-        plan = default_plan(spec, assignment)
+        plan = label_plan(spec, default_plan(spec, assignment))
     subfile_filter = {**{s: set() for s in stragglers}, k: kept}
-    args = (spec, assignment, subfile_filter, plan)
-    got = _outcome(lambda: _library_phases(*args))
-    assert got == _outcome(lambda: _reference_phases(*args))
+    mapped = m.bits == 0
+    mapped[[m.row_index(s) for s in stragglers]] = False
+    i = m.row_index(k)
+    mapped[i] = (m.bits[i] == 0) & np.isin(m.cols, list(kept))
+    got = _outcome(lambda: _library_phases(spec, assignment, mapped, plan))
+    assert got == _outcome(lambda: _reference_phases(spec, assignment, subfile_filter, plan))
     event("rejected" if got[0] is ShuffleError else
           "mismatches" if got[-1] else "reduced ok")
 
@@ -658,7 +676,7 @@ def test_bad_senders_fail_as_in_the_reference(job, data):
     spec, plan, stragglers, _ = job
     survivors = [k for k in spec.matrix.rows if k not in stragglers]
     assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
-    plan = dict(plan or default_plan(spec, assignment))
+    plan = dict(plan or label_plan(spec, default_plan(spec, assignment)))
     for _ in range(data.draw(st.integers(1, 3), label="faults")):
         idx = data.draw(st.integers(0, spec.cover.size - 1), label="member")
         cs, us = plan[idx]
@@ -867,24 +885,29 @@ def test_default_plan_and_partial_needs_equal_label_loops(case, data):
     survivors = data.draw(st.lists(st.sampled_from(m.rows), min_size=1, unique=True))
     assignment = ReduceAssignment({k: (i + 1,) for i, k in enumerate(survivors)})
     forbidden = frozenset(data.draw(st.lists(st.sampled_from(m.rows), unique=True)))
+    rows = [m.row_index(k) for k in forbidden]
     try:
         expected = reference_default_plan(spec, assignment, forbidden)
     except ShuffleError as exc:
         with pytest.raises(ShuffleError) as err:
-            default_plan(spec, assignment, forbidden)
+            default_plan(spec, assignment, rows)
         assert str(err.value) == str(exc)
         return
-    plan = default_plan(spec, assignment, forbidden)
-    assert plan == expected
-    assert partial_straggler_needs(spec, plan, forbidden) == reference_partial_needs(
-        spec, plan, forbidden
+    plan = default_plan(spec, assignment, rows)
+    assert label_plan(spec, plan) == expected
+    needs = partial_straggler_needs(spec, plan, rows)
+    assert {k: {m.cols[j] for j in np.flatnonzero(needs[m.row_index(k)])} for k in forbidden} == (
+        reference_partial_needs(spec, expected, forbidden)
     )
+    assert not np.delete(needs, rows, axis=0).any()
 
 
 def _man_5_2_default_plan():
     """MAN(5,2) at Q=20 and its default plan."""
     spec = JobSpec(man_matrix(5, 2), man_cover(man_matrix(5, 2)), 20, 4)
-    return spec, default_plan(spec, ReduceAssignment.block_partition(spec.matrix.rows, 20))
+    return spec, label_plan(
+        spec, default_plan(spec, ReduceAssignment.block_partition(spec.matrix.rows, 20))
+    )
 
 
 @pytest.mark.parametrize("call", ["pipeline", "pipeline partial", "straggler explicit"])
@@ -925,18 +948,27 @@ def test_plan_key_past_the_members_is_a_shuffle_error(key):
     assert str(err.value) == f"sender plan names member {key!r}; the cover has 10 members"
 
 
-@pytest.mark.parametrize("partial, reads", [(frozenset(), 1), (frozenset({"5"}), 2)])
+@pytest.mark.parametrize("partial", [frozenset(), frozenset({"5"})])
 @pytest.mark.parametrize("explicit", [False, True])
-def test_a_run_reads_its_plan_once_and_once_more_for_partial_stragglers(
-    monkeypatch, partial, reads, explicit
-):
+def test_an_explicit_plan_is_read_once_and_a_default_plan_never(monkeypatch, partial, explicit):
     from codedmr import shuffle
 
     spec, plan = _man_5_2_default_plan()
     if partial:
-        plan = default_plan(spec, ReduceAssignment.block_partition(spec.matrix.rows, 20), partial)
+        assignment = ReduceAssignment.block_partition(spec.matrix.rows, 20)
+        plan = label_plan(spec, default_plan(spec, assignment, [spec.matrix.row_index("5")]))
     read, calls = shuffle.plan_senders, []
     monkeypatch.setattr(shuffle, "plan_senders", lambda *args: calls.append(args) or read(*args))
     result = run_pipeline(spec, plan if explicit else None, partial=partial)
     assert result.reduce_result.ok
-    assert len(calls) == reads
+    assert len(calls) == int(explicit)
+
+
+def test_a_plan_missing_its_last_member_is_rejected_before_the_map_work():
+    """The plan is read before ``JobSpec.ivas``, the map work, is built."""
+    spec, plan = _man_5_2_default_plan()
+    del plan[len(plan) - 1]
+    with pytest.raises(ShuffleError) as err:
+        run_pipeline(spec, plan)
+    assert str(err.value) == f"sender plan misses member {len(plan)}"
+    assert "ivas" not in spec.__dict__

@@ -134,23 +134,24 @@ class TestWorstCaseSweep:
         spec = man_spec(5, 2, 20)
         result = worst_case_sweep(spec, 4)
         assert len(result.runs) == result.total_subsets == 5
-        assert result.all_equal and not result.sampled
-        assert result.max_load == result.min_load == Fraction(1, 2)
-        assert all(ok for _, _, ok in result.runs)
+        assert not result.sampled
+        assert result.load == Fraction(1, 2)
+        assert all(load == result.load and ok for _, load, ok in result.runs)
 
     def test_kappa_equals_k_single_empty_subset(self):
         spec = man_spec(5, 2, 5)
         result = worst_case_sweep(spec, 5)
         assert result.total_subsets == 1
-        assert result.max_load == load_formula(5, 2, 3)
+        assert result.load == load_formula(5, 2, 3)
+        assert [load for _, load, _ in result.runs] == [result.load]
 
     def test_fano_kappa6_all_subsets_decode(self):
         m = fano_matrix()
         spec = JobSpec(m, search_cover(m, 3, mode="exact"), 42, 2)
         result = worst_case_sweep(spec, 6)
         assert len(result.runs) == 7
-        assert result.max_load == Fraction(1, 3)   # (2/3) * (3/6)
-        assert all(ok for _, _, ok in result.runs)
+        assert result.load == Fraction(1, 3)   # (2/3) * (3/6)
+        assert all(load == result.load and ok for _, load, ok in result.runs)
 
     def test_sampled_sweep_is_flagged_and_seeded(self):
         spec = man_spec(7, 4, 7 * 5, T=1)
