@@ -50,7 +50,6 @@ from .shuffle import (
     run_pipeline,
     run_reduce,
     run_shuffle,
-    round_for_member,
     synth_map,
 )
 from .balance import (

@@ -45,15 +45,6 @@ class BalanceReport:
     counts: dict[str, int]
     member_rows: int | None      # rows of the set in every member, None if they differ
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.gamma_integral
-            and self.row_regular
-            and self.member_rows is not None
-            and self.member_rows >= 2
-        )
-
 
 @dataclass(frozen=True)
 class SenderPlan:
@@ -63,12 +54,6 @@ class SenderPlan:
 
     def as_mapping(self) -> dict[int, tuple[str, str]]:
         return dict(enumerate(self.duties))
-
-    def coded_members(self, server: str) -> tuple[int, ...]:
-        return tuple(i for i, (c, _) in enumerate(self.duties) if c == server)
-
-    def uncoded_members(self, server: str) -> tuple[int, ...]:
-        return tuple(i for i, (_, u) in enumerate(self.duties) if u == server)
 
     def to_json(self) -> str:
         payload = {

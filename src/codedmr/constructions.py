@@ -374,9 +374,3 @@ def ingest_design(text: str) -> BlockDesign:
         seen.add(key)
         blocks.append(toks)
     return BlockDesign(points=points, blocks=tuple(blocks), block_size=k)
-
-
-def format_design(d: BlockDesign) -> str:
-    lines = [f"{d.v} {d.b} {d.block_size}", " ".join(d.points)]
-    lines.extend(" ".join(block) for block in d.blocks)
-    return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class BinaryComputingMatrix:
     r: int
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = np.asarray(self.bits)
         if bits.ndim != 2:
             raise ValueError("bits must be a rectangular 2-d array")
         if bits.shape != (len(self.rows), len(self.cols)):
@@ -64,8 +64,10 @@ class BinaryComputingMatrix:
                 f"bits shape {bits.shape} does not match "
                 f"{len(self.rows)} row and {len(self.cols)} column labels"
             )
-        if bits.size and not np.isin(bits, (0, 1)).all():
+        # checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("bits must contain only 0 and 1")
+        bits = np.asarray(bits, dtype=np.uint8)
         if len(set(self.rows)) != len(self.rows):
             raise ValueError("duplicate row labels")
         if len(set(self.cols)) != len(self.cols):
@@ -76,13 +78,6 @@ class BinaryComputingMatrix:
         object.__setattr__(self, "cols", tuple(self.cols))
         object.__setattr__(self, "_row_idx", {k: i for i, k in enumerate(self.rows)})
         object.__setattr__(self, "_col_idx", {f: j for j, f in enumerate(self.cols)})
-
-    @classmethod
-    def from_bits(cls, rows, cols, bits) -> "BinaryComputingMatrix":
-        """Build a matrix inferring r from the first column's zero count."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        r = int((arr[:, 0] == 0).sum()) if arr.size else 0
-        return cls(tuple(rows), tuple(cols), arr, r)
 
     @property
     def K(self) -> int:
@@ -95,24 +90,8 @@ class BinaryComputingMatrix:
     def row_index(self, k: str) -> int:
         return self._row_idx[k]  # type: ignore[attr-defined]
 
-    def col_index(self, f: str) -> int:
-        return self._col_idx[f]  # type: ignore[attr-defined]
-
-    def entry(self, k: str, f: str) -> int:
-        return int(self.bits[self.row_index(k), self.col_index(f)])
-
-    def ones(self) -> Iterator[tuple[str, str]]:
-        """Yield the (server, subfile) one-entries in row-major order."""
-        for i, j in zip(*np.nonzero(self.bits)):
-            yield self.rows[i], self.cols[j]
-
     def ones_count(self) -> int:
         return int(np.count_nonzero(self.bits))
-
-    def zeros_in_row(self, k: str) -> tuple[str, ...]:
-        """Subfiles mapped by server k (zero entries of its row)."""
-        i = self.row_index(k)
-        return tuple(self.cols[j] for j in np.nonzero(self.bits[i] == 0)[0])
 
 
 @dataclass(frozen=True)
@@ -130,9 +109,6 @@ class IdentitySubmatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.rows, self.cols))
 
 
 @dataclass(frozen=True, eq=False)

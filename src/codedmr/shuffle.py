@@ -6,9 +6,9 @@ correctness can be checked byte-for-byte against a central oracle.
 Each digest stream hashes a counter and its length-prefixed parts.
 Framing is concatenative, so ``_digest_streams`` absorbs a shared head
 of parts once per output block and finishes every output from a
-``copy()`` of that blake2b state.  ``make_subfile``, ``synth_map`` and
-``reduce_digest`` make one-tail calls of it, and the job tables below
-share heads across whole rows with the same bytes.
+``copy()`` of that blake2b state.  The job tables below share heads
+across whole rows, and ``synth_map``, one IVA alone, is a one-tail call
+with the same bytes.
 
 Every intermediate value (IVA) is a pure function of (q, f), so a job
 computes each one exactly once: ``JobSpec.ivas`` is a read-only
@@ -55,7 +55,7 @@ the intermediate-value size in bytes.  All rounds of a shuffle run as
 one array kernel: one gather of the missing values of every member
 slot, one XOR reduce over the slots for every coded payload, one XOR to
 decode, and one boolean gather of the mapped masks to check every
-cancellation.  ``round_for_member`` is the same kernel on one member.
+cancellation.
 """
 
 from __future__ import annotations
@@ -127,28 +127,13 @@ def _digest_streams(
     return streams
 
 
-def _digest_stream(tag: bytes, parts: Iterable[bytes], length: int) -> bytes:
-    """Deterministic byte stream of *length* from length-prefixed parts."""
-    return _digest_streams(tag, parts, [b""], length)[0]
-
-
-def make_subfile(file_seed: int, f: str, size: int) -> bytes:
-    """Synthetic contents of subfile *f* under the given seed."""
-    return _digest_stream(b"subfile", [str(file_seed).encode(), f.encode()], size)
-
-
 def synth_map(q: int, f: str, subfile: bytes, iva_bytes: int) -> bytes:
     """Intermediate value of function q on subfile f, exactly T bytes.
 
     A pure keyed digest: identical inputs give identical values on every
     server.
     """
-    return _digest_stream(b"iva", [q.to_bytes(8, "big"), f.encode(), subfile], iva_bytes)
-
-
-def reduce_digest(q: int, ivas_in_col_order: Iterable[bytes]) -> bytes:
-    """Synthetic reduce output over the N intermediate values of q."""
-    return _digest_stream(b"reduce", [q.to_bytes(8, "big"), *ivas_in_col_order], 32)
+    return _digest_streams(b"iva", [q.to_bytes(8, "big"), f.encode(), subfile], [b""], iva_bytes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +168,6 @@ class JobSpec:
     @property
     def g(self) -> int:
         return self.cover.uniform_size  # type: ignore[return-value]
-
-    @property
-    def beta(self) -> int:
-        return self.num_functions // self.matrix.K
 
     @cached_property
     def ivas(self) -> np.ndarray:
@@ -234,11 +215,11 @@ class JobSpec:
 
     @cached_property
     def reduce_outputs(self) -> tuple[bytes, ...]:
-        """The Q reduce outputs: ``reduce_outputs[q - 1]`` is the
-        ``reduce_digest`` of q over its ``ivas`` row, worked out once per
-        spec.  ``reduce_digest`` hashes the parts ``[q, *row]``, so the
-        tail after the head q is the row's N values, each framed by a
-        4-byte big-endian T: one ``tobytes()`` of an (N, 4 + T) array.
+        """The Q reduce outputs: ``reduce_outputs[q - 1]`` is the 32-byte
+        digest stream, tagged ``reduce``, of the parts ``[q, *row]`` for
+        q's ``ivas`` row, worked out once per spec.  The tail after the
+        head q is the row's N values, each framed by a 4-byte big-endian
+        T: one ``tobytes()`` of an (N, 4 + T) array.
         """
         _, N, T = self.ivas.shape
         framed = np.empty((N, 4 + T), dtype=np.uint8)
@@ -258,7 +239,7 @@ class JobSpec:
         Raises ShuffleError, with the text ``run_shuffle`` gives, when a
         member is malformed: its labels need not be the matrix's, nor its
         rows distinct.  Sound members that do not cover the matrix keep
-        their indices, so ``round_for_member`` can run one of them.
+        their indices, so ``_exchange`` can run any of them alone.
         """
         if self._cover_faults[0]:
             raise ShuffleError(f"cover failed verification: {self.cover_fault}")
@@ -288,6 +269,8 @@ class ReduceAssignment:
     def block_partition(cls, servers: Iterable[str], num_functions: int) -> "ReduceAssignment":
         """Contiguous blocks of Q/len(servers) functions in server order."""
         servers = list(servers)
+        if not servers:
+            raise ValueError("assignment needs at least one server")
         if num_functions % len(servers):
             raise ValueError(
                 f"Q={num_functions} is not divisible by {len(servers)} servers"
@@ -482,31 +465,6 @@ def _exchange(
     store.received[q, cols] = values[part.T]
     store.have[q, cols] = True
     return txs
-
-
-def round_for_member(
-    spec: JobSpec,
-    member_index: int,
-    assignment: ReduceAssignment,
-    store: ServerStore,
-    coded_sender: int,
-    uncoded_sender: int,
-    tamper: Callable[[Transmission], Transmission] | None = None,
-) -> tuple[Transmission, Transmission]:
-    """One exchange round for a cover member, sent by the rows
-    *coded_sender* and *uncoded_sender*: build, broadcast, decode.
-
-    The coded payload carries, for each duty slot b, the XOR over the
-    participating rows other than the coded sender of the value that row
-    is missing; the uncoded payload carries the coded sender's own
-    missing values.  After the round every participating row holds the
-    values for its matched column.  *tamper* is a fault-injection hook
-    applied to each transmission before decoding.
-    """
-    tx_coded, tx_uncoded = _exchange(
-        spec, assignment, store, [member_index], np.array([[coded_sender, uncoded_sender]]), tamper
-    )
-    return tx_coded, tx_uncoded
 
 
 def default_plan(

@@ -33,6 +33,8 @@ from codedmr import (
 from codedmr.fmt import decimal_trunc, printed_places
 from codedmr.straggler import GOLDEN_ROWS, optimal_straggler_load
 
+from test_balance import balanceable
+
 
 def _admissible_kappas(K: int, g: int) -> list[int]:
     return list(range(max(2, K - (g - 2)), K + 1))
@@ -79,7 +81,7 @@ def test_criterion_3_end_to_end_decode_correctness(suite):
     for index, (name, m, cover) in enumerate(suite):
         rng = random.Random(0xC0DE + index)
         balanced_plan = None
-        if balance_preconditions(m, cover).ok:
+        if balanceable(balance_preconditions(m, cover)):
             balanced_plan = build_sender_plan(m, cover)
         for setting in range(20):
             Q = m.K * rng.choice((1, 2))
@@ -143,7 +145,7 @@ def test_criterion_6_balanced_plans(suite):
     cases.append((m, man_cover(m), 5, 8, 2))
     for m, cover, Q, T, gamma in cases:
         report = balance_preconditions(m, cover)
-        assert report.ok and report.gamma == gamma
+        assert balanceable(report) and report.gamma == gamma
         plan = build_sender_plan(m, cover)   # asserts residual regularity inside
         spec = JobSpec(m, cover, Q, T)
         result = run_pipeline(spec, plan.as_mapping())
@@ -161,7 +163,7 @@ def test_criterion_6_balanced_plans(suite):
     # the balancing hypotheses
     balanced_count = 0
     for name, m, cover in suite:
-        if not balance_preconditions(m, cover).ok:
+        if not balanceable(balance_preconditions(m, cover)):
             continue
         plan = build_sender_plan(m, cover)
         result = run_pipeline(JobSpec(m, cover, m.K, 1), plan.as_mapping())

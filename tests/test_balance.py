@@ -29,6 +29,25 @@ from codedmr import balance
 from codedmr.balance import BalanceError
 
 
+def balanceable(report):
+    """Whether a BalanceReport meets all three hypotheses build_sender_plan
+    checks: integral gamma, regular appearances and the same h >= 2 rows
+    of the set in every member."""
+    return (
+        report.gamma_integral
+        and report.row_regular
+        and report.member_rows is not None
+        and report.member_rows >= 2
+    )
+
+
+def sent_members(plan, server):
+    """The members whose coded and whose uncoded broadcast *server* sends."""
+    coded = [i for i, (c, _) in enumerate(plan.duties) if c == server]
+    uncoded = [i for i, (_, u) in enumerate(plan.duties) if u == server]
+    return coded, uncoded
+
+
 def replicated_graph(cover, servers, gamma):
     """gamma copies of each server, joined to the members it appears in."""
     return {
@@ -48,14 +67,14 @@ class TestPreconditions:
     def test_fano_gamma_one_regular(self, fano_pair):
         m, cover = fano_pair
         report = balance_preconditions(m, cover)
-        assert report.ok
+        assert balanceable(report)
         assert report.gamma == 1
         assert set(report.counts.values()) == {3}
 
     def test_man_5_2_gamma_two(self):
         m = man_matrix(5, 2)
         report = balance_preconditions(m, man_cover(m))
-        assert report.ok
+        assert balanceable(report)
         assert report.gamma == 2
         assert set(report.counts.values()) == {6}
 
@@ -77,7 +96,7 @@ class TestPreconditions:
         survivors = drop_first_row_of_each_member(m, cover)
         report = balance_preconditions(m, cover, survivors)
         assert report.row_regular and report.member_rows == 2
-        assert report.gamma == Fraction(9, 6) and not report.ok
+        assert report.gamma == Fraction(9, 6) and not balanceable(report)
         with pytest.raises(BalanceError, match="integer"):
             build_sender_plan(m, cover, survivors)
 
@@ -87,7 +106,7 @@ class TestPreconditions:
         m = man_matrix(6, 2)
         report = balance_preconditions(m, man_cover(m), m.rows[:5])
         assert report.gamma_integral and report.row_regular
-        assert report.member_rows is None and not report.ok
+        assert report.member_rows is None and not balanceable(report)
         with pytest.raises(BalanceError, match="same number"):
             build_sender_plan(m, man_cover(m), m.rows[:5])
 
@@ -157,9 +176,9 @@ class TestBuildSenderPlan:
         m, cover = fano_pair
         plan = build_sender_plan(m, cover)
         for k in m.rows:
-            assert len(plan.coded_members(k)) == 1
-            assert len(plan.uncoded_members(k)) == 1
-            assert not set(plan.coded_members(k)) & set(plan.uncoded_members(k))
+            coded, uncoded = sent_members(plan, k)
+            assert len(coded) == len(uncoded) == 1
+            assert not set(coded) & set(uncoded)
         for coded, uncoded in plan.duties:
             assert coded != uncoded
 
@@ -199,11 +218,11 @@ class TestBuildSenderPlan:
         cover = transversal_cover(m)
         survivors = drop_first_row_of_each_member(m, cover)
         assert len(survivors) == 6
-        assert balance_preconditions(m, cover, survivors).ok
+        assert balanceable(balance_preconditions(m, cover, survivors))
         plan = build_sender_plan(m, cover, survivors)
         for k in survivors:
-            assert len(plan.coded_members(k)) == 1
-            assert len(plan.uncoded_members(k)) == 1
+            coded, uncoded = sent_members(plan, k)
+            assert len(coded) == len(uncoded) == 1
         for i, (coded, uncoded) in enumerate(plan.duties):
             assert coded != uncoded
             assert {coded, uncoded} <= set(cover.members[i].rows) & set(survivors)

@@ -530,9 +530,7 @@ def test_exact_search_budget_exits_1(capsys, monkeypatch, tmp_path, command):
 def test_bibd_searches_with_the_design_default_g(capsys, monkeypatch, tmp_path, design, g):
     """Without --g a (v, k, 1) design's cover is searched at g = (v-1)/(k-1)."""
     from codedmr import covers
-    from codedmr.constructions import format_design
-
-    from test_constructions import pg2_3_design
+    from test_constructions import format_design, pg2_3_design
 
     if design == "fano":
         path = str(DATA / "fano_design.txt")

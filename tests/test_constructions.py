@@ -22,7 +22,7 @@ from codedmr import (
     validate_matrix,
 )
 from codedmr import constructions
-from codedmr.constructions import MAX_CELLS, format_design
+from codedmr.constructions import MAX_CELLS
 
 
 def pg2_3_design() -> BlockDesign:
@@ -69,7 +69,7 @@ class TestManMatrix:
                 )
                 from codedmr.constructions import subset_label
 
-                other = tsub.col_index(subset_label(complement))
+                other = tsub.cols.index(subset_label(complement))
                 assert np.array_equal(man.bits[:, j], tsub.bits[:, other])
                 # complementing reverses colex order: t_subset_cover relies on it
                 assert other == man.N - 1 - j
@@ -100,7 +100,7 @@ class TestFanoMatrix:
 
     def test_column_127_zero_rows(self):
         m = fano_matrix()
-        j = m.col_index("127")
+        j = m.cols.index("127")
         assert [m.rows[i] for i in range(7) if m.bits[i, j] == 0] == ["3", "4", "5", "6"]
 
     def test_validates_as_7_7_4(self):
@@ -116,7 +116,7 @@ class TestBibdMatrix:
         assert set(m.cols) == set(f.cols)
         for label in m.cols:
             assert np.array_equal(
-                m.bits[:, m.col_index(label)], f.bits[:, f.col_index(label)]
+                m.bits[:, m.cols.index(label)], f.bits[:, f.cols.index(label)]
             )
 
     def test_13_point_design(self):
@@ -325,6 +325,13 @@ class TestSchemeLoads:
             optimal = Fraction(1, r) * (1 - Fraction(r, K))
             assert ours == Fraction(2 * r, r + 1) * optimal
             assert ours < 2 * optimal
+
+
+def format_design(d):
+    """The text ``ingest_design`` reads: "v b k", the points, one block a line."""
+    lines = [f"{d.v} {d.b} {d.block_size}", " ".join(d.points)]
+    lines.extend(" ".join(block) for block in d.blocks)
+    return "\n".join(lines) + "\n"
 
 
 class TestIngestDesign:

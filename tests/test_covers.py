@@ -34,6 +34,7 @@ from codedmr.covers import MatrixShapeError
 from codedmr.matrix import format_cover
 
 from test_constructions import pg2_3_design
+from test_matrix import from_bits
 from codedmr import bibd_matrix
 
 
@@ -129,7 +130,7 @@ class TestTSubsetCover:
         t_pairs = {
             frozenset(
                 (k, frozenset(f.split("-")) if "-" in f else frozenset(f))
-                for k, f in member.pairs()
+                for k, f in zip(member.rows, member.cols)
             )
             for member in t_subset_cover(tm).members
         }
@@ -137,7 +138,7 @@ class TestTSubsetCover:
         man_pairs = {
             frozenset(
                 (k, frozenset(universe - (set(f.split("-")) if "-" in f else set(f))))
-                for k, f in member.pairs()
+                for k, f in zip(member.rows, member.cols)
             )
             for member in man_cover(mm).members
         }
@@ -729,7 +730,7 @@ def column_regular_matrices(draw):
             bits[draw(st.permutations(range(K)))[:weight], j] = 1
     rows = tuple(str(k) for k in range(1, bits.shape[0] + 1))
     cols = tuple(f"f{j}" for j in range(bits.shape[1]))
-    return BinaryComputingMatrix.from_bits(rows, cols, bits)
+    return from_bits(rows, cols, bits)
 
 
 @settings(max_examples=300, deadline=None)
@@ -780,7 +781,7 @@ def backtracking_matrices(draw):
     ]
     rows = tuple(str(k) for k in range(1, bits.shape[0] + 1))
     cols = tuple(f"f{j}" for j in range(bits.shape[1]))
-    return BinaryComputingMatrix.from_bits(rows, cols, bits)
+    return from_bits(rows, cols, bits)
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,6 +24,18 @@ from codedmr import (
 )
 
 
+def from_bits(rows, cols, bits):
+    """A matrix whose declared r is the first column's zero count."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    r = int((arr[:, 0] == 0).sum()) if arr.size else 0
+    return BinaryComputingMatrix(tuple(rows), tuple(cols), arr, r)
+
+
+def entry(m, k, f):
+    """The bit of server *k* and subfile *f*, looked up by label."""
+    return int(m.bits[m.rows.index(k), m.cols.index(f)])
+
+
 class TestValidateMatrix:
     def test_fano_is_valid_with_r4(self):
         report = validate_matrix(fano_matrix())
@@ -32,7 +44,7 @@ class TestValidateMatrix:
         assert report.violations == []
 
     def test_all_ones_matrix_fails_r_lower_bound(self):
-        m = BinaryComputingMatrix.from_bits(("a", "b"), ("x", "y"), np.ones((2, 2)))
+        m = from_bits(("a", "b"), ("x", "y"), np.ones((2, 2)))
         report = validate_matrix(m)
         assert not report.ok
         assert m.r == 0
@@ -48,7 +60,7 @@ class TestValidateMatrix:
 
     def test_fully_mapped_column_gets_distinct_message(self):
         bits = np.zeros((3, 3), dtype=np.uint8)
-        m = BinaryComputingMatrix.from_bits(("1", "2", "3"), ("a", "b", "c"), bits)
+        m = from_bits(("1", "2", "3"), ("a", "b", "c"), bits)
         report = validate_matrix(m)
         assert not report.ok
         assert any("fully mapped" in v for v in report.violations)
@@ -73,8 +85,19 @@ class TestValidateMatrix:
         bits = np.array([[0, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
         m = BinaryComputingMatrix(("1", "2", "3"), ("a", "b", "c"), bits, 1)
         assert validate_matrix(m).ok
-        mt = BinaryComputingMatrix.from_bits(("a", "b", "c"), ("1", "2", "3"), bits.T)
+        mt = from_bits(("a", "b", "c"), ("1", "2", "3"), bits.T)
         assert not validate_matrix(mt).ok
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([[256, 1], [1, 257]]),   # a uint8 cast would wrap these to 0 and 1
+    [[256, 1], [1, 0]],               # a uint8 cast would raise OverflowError
+    [[0.5, 1], [1, 0]],               # a uint8 cast would cut 0.5 to 0
+    [[2, 1], [1, 0]],
+])
+def test_bits_other_than_0_and_1_are_rejected(bits):
+    with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+        BinaryComputingMatrix(("a", "b"), ("x", "y"), bits, 1)
 
 
 class TestVerifyCover:
@@ -139,7 +162,7 @@ class TestVerifyCover:
         m, cover = fano_pair
         for member in cover.members:
             for f in member.cols:
-                ones = sum(m.entry(k, f) for k in member.rows)
+                ones = sum(entry(m, k, f) for k in member.rows)
                 assert ones == 1
 
 
@@ -241,8 +264,8 @@ def _reference_check_member(m, sub):
     for i, k in enumerate(sub.rows):
         for j, f in enumerate(sub.cols):
             want = 1 if i == j else 0
-            if m.entry(k, f) != want:
-                return f"entry ({k},{f}) is {m.entry(k, f)}, expected {want}"
+            if entry(m, k, f) != want:
+                return f"entry ({k},{f}) is {entry(m, k, f)}, expected {want}"
     return None
 
 
@@ -253,9 +276,9 @@ def _reference_verify_cover(m, c):
         if reason is not None:
             malformed.append((idx, reason))
             continue
-        for pair in sub.pairs():
+        for pair in zip(sub.rows, sub.cols):
             counts[pair] = counts.get(pair, 0) + 1
-    ones = list(m.ones())
+    ones = [(m.rows[i], m.cols[j]) for i, j in zip(*np.nonzero(m.bits))]
     missing = [p for p in ones if counts.get(p, 0) == 0]
     overlapping = [p for p in ones if counts.get(p, 0) > 1]
     ok = not malformed and not missing and not overlapping

@@ -28,7 +28,6 @@ from codedmr import (
     run_pipeline,
     run_reduce,
     run_shuffle,
-    round_for_member,
     search_cover,
     synth_map,
     transversal_cover,
@@ -36,12 +35,13 @@ from codedmr import (
 )
 from codedmr.shuffle import (
     ShuffleTranscript,
+    _digest_streams,
+    _exchange,
+    _frame,
     default_plan,
     load_transcript,
-    make_subfile,
     partial_straggler_needs,
     plan_senders,
-    reduce_digest,
     save_transcript,
 )
 
@@ -55,6 +55,14 @@ def _xor(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
 
 
+def round_for_member(spec, idx, assignment, store, coded_sender, uncoded_sender):
+    """The exchange round of member *idx* alone, sent by the rows
+    *coded_sender* and *uncoded_sender*: the ``_exchange`` kernel on one
+    member, which builds, broadcasts and decodes its two transmissions."""
+    senders = np.array([[coded_sender, uncoded_sender]])
+    return tuple(_exchange(spec, assignment, store, [idx], senders, None))
+
+
 def label_plan(spec, senders):
     """The member -> (coded, uncoded) label plan of the (S, 2) sender rows."""
     rows = spec.matrix.rows
@@ -63,12 +71,12 @@ def label_plan(spec, senders):
 
 class TestSynthMap:
     def test_deterministic(self):
-        sub = make_subfile(0, "127", 64)
+        sub = reference_subfile(0, "127", 64)
         assert synth_map(3, "127", sub, 16) == synth_map(3, "127", sub, 16)
 
     def test_distinct_across_a_fixed_corpus(self):
-        sub = make_subfile(0, "127", 64)
-        other = make_subfile(0, "145", 64)
+        sub = reference_subfile(0, "127", 64)
+        other = reference_subfile(0, "145", 64)
         seen = set()
         for q in range(1, 21):
             for f, s in (("127", sub), ("145", other)):
@@ -76,7 +84,7 @@ class TestSynthMap:
         assert len(seen) == 40   # no collisions on the corpus
 
     def test_length_contract(self):
-        sub = make_subfile(1, "x", 8)
+        sub = reference_subfile(1, "x", 8)
         assert len(synth_map(1, "x", sub, 1)) == 1
         assert len(synth_map(1, "x", sub, 200)) == 200
 
@@ -119,7 +127,7 @@ class TestRoundForMember:
         row = spec.matrix.row_index
         tx_coded, tx_uncoded = round_for_member(spec, 0, duties, store, row("3"), row("5"))
 
-        sub = {f: make_subfile(0, f, 64) for f in spec.matrix.cols}
+        sub = {f: reference_subfile(0, f, 64) for f in spec.matrix.cols}
         iva = lambda q, f: synth_map(q, f, sub[f], 8)
         assert tx_coded.payload == (
             _xor(iva(5, "256"), iva(7, "127")) + _xor(iva(12, "256"), iva(14, "127"))
@@ -127,7 +135,7 @@ class TestRoundForMember:
         assert tx_uncoded.payload == iva(3, "234") + iva(10, "234")
         # server 7 cancels its locally mapped values of 256 to decode 127;
         # received values are kept per function q
-        col = spec.matrix.col_index
+        col = spec.matrix.cols.index
         assert store.received[[6, 13], col("127")].tobytes() == iva(7, "127") + iva(14, "127")
         assert store.received[5 - 1, col("256")].tobytes() == iva(5, "256")
         assert store.received[3 - 1, col("234")].tobytes() == iva(3, "234")
@@ -145,7 +153,7 @@ class TestRoundForMember:
         other = member.rows[1]
         f_other = member.cols[1]
         q_other = duties.duties[other][0]
-        sub = make_subfile(0, f_other, 64)
+        sub = reference_subfile(0, f_other, 64)
         assert tx_coded.payload == synth_map(q_other, f_other, sub, 4)
 
     def test_senders_must_differ_and_belong(self):
@@ -213,6 +221,13 @@ class TestRunShuffle:
         with pytest.raises(ValueError):
             JobSpec(m, cover, 0, 4)
 
+    def test_all_stragglers_rejected(self):
+        spec = fano_spec()
+        with pytest.raises(ValueError, match="assignment needs at least one server"):
+            ReduceAssignment.block_partition([], 7)
+        with pytest.raises(ValueError, match="assignment needs at least one server"):
+            run_pipeline(spec, stragglers=spec.matrix.rows)
+
 
 class TestRunReduce:
     def test_full_pipeline_matches_oracle(self):
@@ -266,9 +281,10 @@ class TestPartialStragglers:
         duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
         i = spec.matrix.row_index("2")
         needs = partial_straggler_needs(spec, default_plan(spec, duties, forbidden=[i]), [i])
-        assert {spec.matrix.cols[j] for j in np.flatnonzero(needs[i])} < set(
-            spec.matrix.zeros_in_row("2")
-        )
+        mapped = spec.matrix.bits[i] == 0
+        assert {spec.matrix.cols[j] for j in np.flatnonzero(needs[i])} < {
+            spec.matrix.cols[j] for j in np.flatnonzero(mapped)
+        }
         assert not np.delete(needs, i, axis=0).any()
 
     def test_plan_using_partial_straggler_rejected(self):
@@ -326,7 +342,8 @@ def _tamper_spec(name, Q, T):
 def test_one_flipped_broadcast_byte_names_exactly_its_values(job, T, kind, data):
     spec = _tamper_spec(job[0], job[1], T)
     idx = data.draw(st.integers(0, spec.cover.size - 1), label="member")
-    o = data.draw(st.integers(0, spec.beta * T - 1), label="offset")
+    beta = spec.num_functions // spec.matrix.K
+    o = data.draw(st.integers(0, beta * T - 1), label="offset")
     flip = data.draw(st.integers(1, 255), label="flip")
 
     def tamper(tx):
@@ -447,9 +464,9 @@ def reference_round(spec, member_index, assignment, states, coded_sender, uncode
         return np.frombuffer(tx.payload, dtype=np.uint8).reshape(beta, T)
 
     others = [k for k in active if k != coded_sender]
-    cols = np.array([m.col_index(col_of[k]) for k in others])
+    cols = np.array([m.cols.index(col_of[k]) for k in others])
     values = spec.ivas[np.array([assignment.duties[k] for k in others]) - 1, cols[:, None]]
-    f_p = m.col_index(col_of[coded_sender])
+    f_p = m.cols.index(col_of[coded_sender])
     require([coded_sender], states[coded_sender].mapped[cols][None], others)
     require([uncoded_sender], states[uncoded_sender].mapped[[[f_p]]], [coded_sender])
     tx_coded = Transmission(
@@ -514,7 +531,9 @@ def reference_reduce(spec, assignment, states):
         bad = (held != expected).any(axis=2) | ~have
         mismatches.extend((k, duties[b], m.cols[j]) for b, j in zip(*np.nonzero(bad)))
         for b in np.flatnonzero(~bad.any(axis=1)):
-            outputs[(k, duties[b])] = reduce_digest(duties[b], [v.tobytes() for v in held[b]])
+            outputs[(k, duties[b])] = reference_reduce_digest(
+                duties[b], [v.tobytes() for v in held[b]]
+            )
     return outputs, mismatches
 
 
@@ -654,7 +673,8 @@ def test_dropped_mapped_columns_fail_as_in_the_reference(job, data):
     spec, plan, stragglers, _ = job
     m = spec.matrix
     k = data.draw(st.sampled_from(m.rows), label="server")
-    kept = data.draw(st.sets(st.sampled_from(m.zeros_in_row(k))), label="kept")
+    zeros = [f for f, bit in zip(m.cols, m.bits[m.row_index(k)]) if bit == 0]
+    kept = data.draw(st.sets(st.sampled_from(zeros)), label="kept")
     survivors = [s for s in m.rows if s not in stragglers]
     assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
     if plan is None:
@@ -731,9 +751,18 @@ def reference_digest_stream(tag, parts, length):
     return b"".join(blocks)[:length]
 
 
+def reference_subfile(file_seed, f, size):
+    """Synthetic contents of subfile *f* under the given seed."""
+    return reference_digest_stream(b"subfile", [str(file_seed).encode(), f.encode()], size)
+
+
+def reference_reduce_digest(q, ivas_in_col_order):
+    """Synthetic reduce output over the N intermediate values of q."""
+    return reference_digest_stream(b"reduce", [q.to_bytes(8, "big"), *ivas_in_col_order], 32)
+
+
 def reference_iva(spec, q, f):
-    seed = str(spec.file_seed).encode()
-    sub = reference_digest_stream(b"subfile", [seed, f.encode()], spec.subfile_bytes)
+    sub = reference_subfile(spec.file_seed, f, spec.subfile_bytes)
     return reference_digest_stream(b"iva", [q.to_bytes(8, "big"), f.encode(), sub], spec.iva_bytes)
 
 
@@ -766,14 +795,13 @@ def test_iva_table_and_reduce_outputs_equal_per_call_digests(spec):
     for q in range(1, spec.num_functions + 1):
         row = [reference_iva(spec, q, f) for f in cols]
         assert [v.tobytes() for v in spec.ivas[q - 1]] == row
-        assert spec.reduce_outputs[q - 1] == reference_digest_stream(
-            b"reduce", [q.to_bytes(8, "big"), *row], 32
-        )
-    sub = make_subfile(spec.file_seed, cols[0], spec.subfile_bytes)
+        assert spec.reduce_outputs[q - 1] == reference_reduce_digest(q, row)
+    sub = reference_subfile(spec.file_seed, cols[0], spec.subfile_bytes)
     assert synth_map(1, cols[0], sub, spec.iva_bytes) == reference_iva(spec, 1, cols[0])
-    assert reduce_digest(1, [b"ab", b""]) == reference_digest_stream(
-        b"reduce", [(1).to_bytes(8, "big"), b"ab", b""], 32
-    )
+    # a head and framed tails of unequal and empty parts hash as the whole parts
+    assert _digest_streams(b"reduce", [(1).to_bytes(8, "big")], [_frame([b"ab", b""])], 32) == [
+        reference_reduce_digest(1, [b"ab", b""])
+    ]
 
 
 def _broken_man_5_2(kind):

@@ -29,6 +29,9 @@ from codedmr import (
 from codedmr.fmt import decimal_str, decimal_trunc
 from codedmr.straggler import optimal_load_is_extrapolated
 
+from test_balance import balanceable
+from test_shuffle import reference_reduce_digest
+
 
 def man_spec(K, r, Q, T=4):
     m = man_matrix(K, r)
@@ -176,16 +179,20 @@ class TestWorstCaseSweep:
         import codedmr.shuffle
 
         calls = []
-        digest = codedmr.shuffle.reduce_digest
-        monkeypatch.setattr(
-            codedmr.shuffle, "reduce_digest", lambda q, ivas: calls.append(q) or digest(q, ivas)
-        )
+        streams = codedmr.shuffle._digest_streams
+
+        def counted(tag, head, tails, length):
+            calls.append(tag)
+            return streams(tag, head, tails, length)
+
+        monkeypatch.setattr(codedmr.shuffle, "_digest_streams", counted)
         spec = man_spec(6, 3, 12)
         result = worst_case_sweep(spec, 4)
         assert len(result.runs) == 15 and all(ok for _, _, ok in result.runs)
-        assert len(calls) <= spec.num_functions
+        assert calls.count(b"reduce") == spec.num_functions
         for q in range(1, spec.num_functions + 1):
-            assert spec.reduce_outputs[q - 1] == digest(q, [v.tobytes() for v in spec.ivas[q - 1]])
+            row = [v.tobytes() for v in spec.ivas[q - 1]]
+            assert spec.reduce_outputs[q - 1] == reference_reduce_digest(q, row)
 
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="cap"):
@@ -279,7 +286,7 @@ def test_balanced_plan_exactly_when_preconditions_hold(case):
     alive = {sum(k in survivors for k in member.rows) for member in members}
     counts = {sum(k in member.rows for member in members) for k in survivors}
     holds = len(members) % kappa == 0 and len(counts) == 1 and len(alive) == 1
-    assert balance_preconditions(spec.matrix, spec.cover, survivors).ok == holds
+    assert balanceable(balance_preconditions(spec.matrix, spec.cover, survivors)) == holds
 
     result = straggler_run(spec, scenario, plan="balanced")
     event(result.plan_mode)
