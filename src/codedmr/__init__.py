@@ -41,7 +41,6 @@ from .covers import (
 from .shuffle import (
     JobSpec,
     PipelineResult,
-    ReduceAssignment,
     ShuffleError,
     ShuffleTranscript,
     Transmission,
@@ -62,7 +61,6 @@ from .balance import (
     perfect_matching,
 )
 from .straggler import (
-    StragglerScenario,
     comparison_table,
     optimal_straggler_load,
     straggler_load_formula,

@@ -131,7 +131,9 @@ def _parse_stragglers(spec_text: str, matrix: BinaryComputingMatrix) -> tuple[st
     return matrix.rows[matrix.K - count :] if count else ()
 
 
-def _apply_config(args, parser_keys: dict[str, type]) -> None:
+def _apply_config(args) -> None:
+    """Fill the flags not given from the config file: each key a flag of
+    the subcommand (``sweep`` has no ``stragglers``)."""
     if args.config is None:
         return
     for raw in Path(args.config).read_text().splitlines():
@@ -142,13 +144,13 @@ def _apply_config(args, parser_keys: dict[str, type]) -> None:
             raise FormatError(f"config line must be key=value: {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in parser_keys:
+        if key not in _CONFIG_KEYS or not hasattr(args, key):
             raise FormatError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:   # flags override config
-            setattr(args, key, parser_keys[key](value))
+        if getattr(args, key) is None:   # flags override config
+            setattr(args, key, _CONFIG_KEYS[key](value))
 
 
-_RUN_CONFIG_KEYS = {
+_CONFIG_KEYS = {
     "construction": str, "K": int, "r": int, "v": int, "t": int, "n": int, "k": int,
     "design": str, "Q": int, "T": int, "seed": int, "cover": str, "g": int,
     "plan": str, "stragglers": str, "out": str,
@@ -158,7 +160,7 @@ _RUN_CONFIG_KEYS = {
 def _construct(args, command: str) -> tuple[Construction, IdentityCover, str]:
     """The construction, cover and cover mode ``run`` and ``sweep`` build
     from their flags and config file."""
-    _apply_config(args, _RUN_CONFIG_KEYS)
+    _apply_config(args)
     # defaults after the config file, which fills only flags not given
     args.plan = "default" if args.plan is None else args.plan
     args.seed = 0 if args.seed is None else args.seed
@@ -193,22 +195,21 @@ def cmd_run(args) -> int:
     warnings: list[str] = []
 
     stragglers = () if args.stragglers is None else _parse_stragglers(args.stragglers, con.matrix)
-    scenario = straggler.StragglerScenario.from_stragglers(spec, stragglers)
-    result = straggler.straggler_run(spec, scenario, args.plan)
+    result = straggler.straggler_run(spec, stragglers, args.plan)
     transcript = result.transcript
     reduce_ok = result.reduce_result.ok
     load = result.load
-    expected = straggler.straggler_load_formula(
-        con.matrix.K, con.matrix.r, spec.g, scenario.kappa
-    )
+    failed = [k for k in con.matrix.rows if k in stragglers]    # row order
+    kappa = con.matrix.K - len(failed)
+    expected = straggler.straggler_load_formula(con.matrix.K, con.matrix.r, spec.g, kappa)
     summary["plan"] = result.plan_mode
     if result.plan_fallback is not None:
         warnings.append(
             f"balanced plan unavailable ({result.plan_fallback}); using default plan"
         )
     if args.stragglers is not None:
-        summary["stragglers"] = list(scenario.stragglers)
-        summary["kappa"] = scenario.kappa
+        summary["stragglers"] = failed
+        summary["kappa"] = kappa
     audit = None if result.plan is None else balance.audit_plan(result.plan, transcript)
     if audit is not None:
         summary["audit"] = {

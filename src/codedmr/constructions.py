@@ -25,6 +25,10 @@ from .matrix import BinaryComputingMatrix, FormatError
 # before a subset is listed or an array allocated; MAN(18,8) has 787,644.
 MAX_CELLS = 1 << 24
 
+# Most bytes Q*N*T a job's IVA table may take.  A job over it is refused
+# before any value is hashed; a MAX_CELLS matrix at Q = K, T = 16 fits.
+MAX_IVA_BYTES = 1 << 28
+
 
 class DesignError(ValueError):
     """Raised when a block design violates the declared parameters."""

@@ -67,17 +67,19 @@ class BinaryComputingMatrix:
         # checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0
         if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("bits must contain only 0 and 1")
-        bits = np.asarray(bits, dtype=np.uint8)
-        if len(set(self.rows)) != len(self.rows):
+        bits = np.array(bits, dtype=np.uint8)   # a copy: the caller's array stays writeable
+        row_idx = {k: i for i, k in enumerate(self.rows)}
+        if len(row_idx) != len(self.rows):
             raise ValueError("duplicate row labels")
-        if len(set(self.cols)) != len(self.cols):
+        col_idx = {f: j for j, f in enumerate(self.cols)}
+        if len(col_idx) != len(self.cols):
             raise ValueError("duplicate column labels")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "cols", tuple(self.cols))
-        object.__setattr__(self, "_row_idx", {k: i for i, k in enumerate(self.rows)})
-        object.__setattr__(self, "_col_idx", {f: j for j, f in enumerate(self.cols)})
+        object.__setattr__(self, "_row_idx", row_idx)
+        object.__setattr__(self, "_col_idx", col_idx)
 
     @property
     def K(self) -> int:

@@ -36,15 +36,18 @@ The shuffle reads the cover as ``JobSpec.cover_index``, its (S, g) row
 and column index arrays over the matrix: an analytic or searched cover's
 own arrays, or those the label adapter of ``matrix`` builds once.
 ``run_pipeline`` is the one place a run turns server labels into row
-indices.  Below it the sender plan is an (S, 2) array of coded and
-uncoded sender rows, and what each server maps before the shuffle is a
-(K, N) mask; labels come back only in the transcript, the reduce
-outputs and error texts.  The default plan and the partial stragglers'
-needs are array passes over the cover, and a malformed member is a
-``ShuffleError`` there too, never a failed label lookup.  An explicit
-sender plan is read by ``plan_senders`` alone, once a run and before any
-map work, which names the first member it misses or maps to anything but
-two labels; a default plan is never read.
+indices.  Below it the reducers are one (K, beta) duty array
+(``block_duties``): row i holds q - 1 for each of its beta duty
+functions, the survivors taking contiguous blocks in row order, and -1
+on a row that reduces nothing.  The sender plan is an (S, 2) array of
+coded and uncoded sender rows, and what each server maps before the
+shuffle is a (K, N) mask; labels come back only in the transcript, the
+reduce outputs and error texts.  The default plan and the partial
+stragglers' needs are array passes over the cover, and a malformed
+member is a ``ShuffleError`` there too, never a failed label lookup.
+An explicit sender plan is read by ``plan_senders`` alone, once a run
+and before any map work, which names the first member it misses or maps
+to anything but two labels; a default plan is never read.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -69,6 +72,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .constructions import MAX_IVA_BYTES
 from .matrix import (
     BinaryComputingMatrix,
     FormatError,
@@ -164,6 +168,11 @@ class JobSpec:
             raise ValueError("intermediate values need at least one byte")
         if self.subfile_bytes < 1:
             raise ValueError("subfiles need at least one byte")
+        size = self.num_functions * self.matrix.N * self.iva_bytes
+        if size > MAX_IVA_BYTES:
+            raise ValueError(
+                f"the IVA table would take Q*N*T = {size} bytes, over the limit of {MAX_IVA_BYTES}"
+            )
 
     @property
     def g(self) -> int:
@@ -248,48 +257,20 @@ class JobSpec:
         return R, C
 
 
-@dataclass(frozen=True)
-class ReduceAssignment:
-    """Partition of the function indices 1..Q over the reducing servers."""
-
-    duties: dict[str, tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        if not self.duties:
-            raise ValueError("assignment needs at least one server")
-        sizes = {len(v) for v in self.duties.values()}
-        if len(sizes) != 1:
-            raise ValueError("per-server duty sizes differ")
-        total = sum(len(v) for v in self.duties.values())
-        flat = [q for v in self.duties.values() for q in v]
-        if sorted(flat) != list(range(1, total + 1)):
-            raise ValueError("duties must partition 1..Q exactly")
-
-    @classmethod
-    def block_partition(cls, servers: Iterable[str], num_functions: int) -> "ReduceAssignment":
-        """Contiguous blocks of Q/len(servers) functions in server order."""
-        servers = list(servers)
-        if not servers:
-            raise ValueError("assignment needs at least one server")
-        if num_functions % len(servers):
-            raise ValueError(
-                f"Q={num_functions} is not divisible by {len(servers)} servers"
-            )
-        beta = num_functions // len(servers)
-        return cls(
-            {
-                k: tuple(range(i * beta + 1, (i + 1) * beta + 1))
-                for i, k in enumerate(servers)
-            }
+def block_duties(K: int, reducer_rows: Sequence[int], num_functions: int) -> np.ndarray:
+    """The (K, beta) duty array of a run: row ``reducer_rows[i]`` reduces
+    the i-th contiguous block of beta = Q/len(reducer_rows) functions, held
+    as q - 1, and every other row holds -1 (it reduces nothing)."""
+    if not len(reducer_rows):
+        raise ValueError("assignment needs at least one server")
+    if num_functions % len(reducer_rows):
+        raise ValueError(
+            f"Q={num_functions} is not divisible by {len(reducer_rows)} servers"
         )
-
-    @property
-    def beta(self) -> int:
-        return len(next(iter(self.duties.values())))
-
-    @property
-    def servers(self) -> tuple[str, ...]:
-        return tuple(self.duties)
+    beta = num_functions // len(reducer_rows)
+    duty = np.full((K, beta), -1, dtype=np.intp)
+    duty[list(reducer_rows)] = np.arange(num_functions).reshape(-1, beta)
+    return duty
 
 
 @dataclass
@@ -353,14 +334,15 @@ def run_map_phase(spec: JobSpec, mapped: np.ndarray | None = None) -> ServerStor
 
 def _exchange(
     spec: JobSpec,
-    assignment: ReduceAssignment,
+    duty: np.ndarray,
     store: ServerStore,
     members: Sequence[int],
     senders: np.ndarray,
     tamper: Callable[[Transmission], Transmission] | None,
 ) -> list[Transmission]:
     """The exchange rounds of *members*, ``senders[i]`` being the (coded,
-    uncoded) sender rows of ``members[i]``: build, broadcast, decode.
+    uncoded) sender rows of ``members[i]`` and *duty* the run's (K, beta)
+    duty array: build, broadcast, decode.
 
     All rounds are one array kernel over the members' g slots, laid out
     slot-major so that every XOR runs over a contiguous (S, beta, T)
@@ -376,13 +358,9 @@ def _exchange(
     member order, as one round at a time would meet them.
     """
     m = spec.matrix
-    beta, T = assignment.beta, spec.iva_bytes
+    beta, T = duty.shape[1], spec.iva_bytes
     size = beta * T
-    reducers = [m.row_index(k) for k in assignment.servers]
-    duty = np.zeros((m.K, beta), dtype=np.intp)     # q - 1 of each row's duty functions
-    duty[reducers] = np.subtract(list(assignment.duties.values()), 1)
-    active = np.zeros(m.K, dtype=bool)
-    active[reducers] = True
+    active = duty[:, 0] >= 0
     R, C = (index[members] for index in spec.cover_index)       # (S, g)
     n, g = R.shape
     at = np.arange(n)
@@ -467,17 +445,16 @@ def _exchange(
     return txs
 
 
-def default_plan(
-    spec: JobSpec, assignment: ReduceAssignment, forbidden: Sequence[int] = ()
-) -> np.ndarray:
+def default_plan(spec: JobSpec, duty: np.ndarray, forbidden: Sequence[int] = ()) -> np.ndarray:
     """First-two-participating-rows sender plan (deliberately unbalanced):
-    the (S, 2) coded and uncoded sender rows, none of them in *forbidden*.
+    the (S, 2) coded and uncoded sender rows, each a reducing row of the
+    (K, beta) *duty* array and none of them in *forbidden*.
 
     Reads ``spec.cover_index``, so a malformed member raises ShuffleError.
     """
     m = spec.matrix
     R, _ = spec.cover_index
-    eligible = np.array([k in assignment.duties for k in m.rows])
+    eligible = duty[:, 0] >= 0
     eligible[list(forbidden)] = False
     # the two lowest eligible rows of each member, K standing for none
     # (a verified cover has distinct rows in each member)
@@ -526,13 +503,14 @@ def plan_senders(spec: JobSpec, plan: Mapping[int, tuple[str, str]]) -> np.ndarr
 
 def run_shuffle(
     spec: JobSpec,
-    assignment: ReduceAssignment,
+    duty: np.ndarray,
     store: ServerStore,
     senders: np.ndarray | None = None,
     tamper: Callable[[Transmission], Transmission] | None = None,
 ) -> ShuffleTranscript:
     """Run the two broadcasts of every cover member and decode them, sent
-    by the (S, 2) sender rows *senders* or else by the default plan's.
+    by the (S, 2) sender rows *senders* or else by the default plan's, for
+    the reducers of the (K, beta) *duty* array.
 
     The cover's verification is checked first; a broken cover is rejected
     before any transmission.  A verified cover puts every one-entry in
@@ -542,23 +520,21 @@ def run_shuffle(
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if senders is None:
-        senders = default_plan(spec, assignment)
-    transmissions = _exchange(spec, assignment, store, range(spec.cover.size), senders, tamper)
+        senders = default_plan(spec, duty)
+    transmissions = _exchange(spec, duty, store, range(spec.cover.size), senders, tamper)
     # Every broadcast has beta*T bytes, and a reducing server receives both
     # broadcasts of each of its members except the ones it sends.
     m = spec.matrix
-    payload_bytes = assignment.beta * spec.iva_bytes
-    sent = np.bincount(senders.ravel(), minlength=m.K).tolist()
-    rounds = np.bincount(spec.cover_index[0].ravel(), minlength=m.K).tolist()
+    payload_bytes = duty.shape[1] * spec.iva_bytes
+    sent = np.bincount(senders.ravel(), minlength=m.K)
+    rounds = np.bincount(spec.cover_index[0].ravel(), minlength=m.K)
+    received = np.where(duty[:, 0] >= 0, 2 * rounds - sent, 0)
     return ShuffleTranscript(
         transmissions=tuple(transmissions),
         servers=m.rows,
         payload_bytes=payload_bytes,
-        sent_bits={k: payload_bytes * 8 * n for k, n in zip(m.rows, sent)},
-        received_bits={
-            k: payload_bytes * 8 * (2 * n - s) if k in assignment.duties else 0
-            for k, n, s in zip(m.rows, rounds, sent)
-        },
+        sent_bits=dict(zip(m.rows, (payload_bytes * 8 * sent).tolist())),
+        received_bits=dict(zip(m.rows, (payload_bytes * 8 * received).tolist())),
     )
 
 
@@ -571,10 +547,9 @@ class ReduceResult:
     mismatches: list[tuple[str, int, str]]   # (server, q, f)
 
 
-def run_reduce(
-    spec: JobSpec, assignment: ReduceAssignment, store: ServerStore
-) -> ReduceResult:
-    """Reduce every duty function and compare against a central oracle.
+def run_reduce(spec: JobSpec, duty: np.ndarray, store: ServerStore) -> ReduceResult:
+    """Reduce every duty function of the (K, beta) *duty* array and
+    compare against a central oracle.
 
     The oracle is the job's ``ivas`` table: the received values are
     compared with it in one array comparison, so any decoding error shows
@@ -582,20 +557,17 @@ def run_reduce(
     match has the spec's ``reduce_outputs`` entry as its output.
     """
     m = spec.matrix
-    servers = assignment.servers
-    qs = np.array([assignment.duties[k] for k in servers]) - 1      # (kappa, beta)
-    mapped = store.mapped[[m.row_index(k) for k in servers]][:, None]
+    reducers = np.flatnonzero(duty[:, 0] >= 0)
     wrong = (store.received != spec.ivas).any(axis=2) | ~store.have  # (Q, N)
-    bad = wrong[qs] & ~mapped                                        # (kappa, beta, N)
-    mismatches = [
-        (servers[s], assignment.duties[servers[s]][b], m.cols[j])
-        for s, b, j in zip(*np.nonzero(bad))
-    ]
+    bad = wrong[duty[reducers]] & ~store.mapped[reducers][:, None]   # (kappa, beta, N)
+    servers = [m.rows[i] for i in reducers.tolist()]
+    qs = (duty[reducers] + 1).tolist()
+    mismatches = [(servers[s], qs[s][b], m.cols[j]) for s, b, j in zip(*np.nonzero(bad))]
     complete = (~bad.any(axis=2)).tolist()
     outputs = {
         (k, q): spec.reduce_outputs[q - 1]
-        for k, row in zip(servers, complete)
-        for q, ok in zip(assignment.duties[k], row)
+        for k, row, oks in zip(servers, qs, complete)
+        for q, ok in zip(row, oks)
         if ok
     }
     return ReduceResult(ok=not mismatches, outputs=outputs, mismatches=mismatches)
@@ -666,27 +638,28 @@ def run_pipeline(
     unknown = (stragglers | partial) - set(m.rows)
     if unknown:
         raise ValueError(f"unknown server labels {sorted(unknown)}")
-    survivors = [k for k in m.rows if k not in stragglers]
-    assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
+    # the one place a run turns server labels into row indices
+    duty = block_duties(
+        m.K, [i for i, k in enumerate(m.rows) if k not in stragglers], spec.num_functions
+    )
+    partial_rows = [i for i, k in enumerate(m.rows) if k in partial]
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     plan_mode = "default" if plan is None else "explicit"
-    # the one place a run turns server labels into row indices
-    partial_rows = [m.row_index(k) for k in partial]
     if plan is None:
-        senders = default_plan(spec, assignment, forbidden=partial_rows)
+        senders = default_plan(spec, duty, forbidden=partial_rows)
     else:
         senders = plan_senders(spec, plan)
     mapped = m.bits == 0
-    mapped[[m.row_index(k) for k in stragglers]] = False
+    mapped[duty[:, 0] < 0] = False      # full stragglers map nothing
     if partial_rows:
         mapped[partial_rows] = partial_straggler_needs(spec, senders, partial_rows)[partial_rows]
     store = run_map_phase(spec, mapped)
-    transcript = run_shuffle(spec, assignment, store, senders, tamper)
+    transcript = run_shuffle(spec, duty, store, senders, tamper)
     # Partial stragglers finish the rest of their map work after the
     # shuffle window has closed; the transcript and load are already fixed.
     store.mapped[partial_rows] = m.bits[partial_rows] == 0
-    reduce_result = run_reduce(spec, assignment, store)
+    reduce_result = run_reduce(spec, duty, store)
     return PipelineResult(transcript, reduce_result, measured_load(transcript, spec), plan_mode)
 
 

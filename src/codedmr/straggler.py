@@ -2,10 +2,12 @@
 
 A straggler run is the no-straggler run over the survivors: the same
 two broadcasts per cover member, carried out by ``shuffle.run_pipeline``
-with the failed servers passed as its ``stragglers``.  This module
-checks that a scenario is within tolerance, resolves the sender plan
-over the survivors (the only place a run's balanced plan is built),
-and sweeps or tabulates scenarios.
+with the failed servers passed as its ``stragglers``.  A scenario is
+just those labels: ``run_pipeline`` checks them once, as it builds the
+run's duty array, and rejects a Q the survivors cannot split evenly.
+This module checks that a scenario is within tolerance, resolves the
+sender plan over the survivors (the only place a run's balanced plan is
+built), and sweeps or tabulates scenarios.
 
 Because every exchange round involves only two senders, the scheme
 tolerates up to g-2 failed servers: each cover member still has two
@@ -23,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import balance, shuffle
 from .covers import man_cover
@@ -37,38 +39,6 @@ from .balance import perfect_matching  # noqa: F401
 from .shuffle import default_plan, run_map_phase, run_reduce, run_shuffle  # noqa: F401
 
 
-@dataclass(frozen=True)
-class StragglerScenario:
-    """Survivor set and failed servers, both in matrix row order."""
-
-    survivors: tuple[str, ...]
-    stragglers: tuple[str, ...]
-
-    @classmethod
-    def from_stragglers(cls, spec: JobSpec, stragglers) -> "StragglerScenario":
-        """Build a scenario from the failed-server labels.
-
-        The survivors split the Q functions into contiguous blocks, so Q
-        must divide evenly among them.
-        """
-        straggler_set = set(stragglers)
-        unknown = straggler_set - set(spec.matrix.rows)
-        if unknown:
-            raise ValueError(f"unknown straggler labels {sorted(unknown)}")
-        survivors = tuple(k for k in spec.matrix.rows if k not in straggler_set)
-        if len(survivors) < 2:
-            raise ValueError("at least two servers must survive")
-        if spec.num_functions % len(survivors):
-            raise ValueError(
-                f"Q={spec.num_functions} is not divisible by kappa={len(survivors)} survivors"
-            )
-        return cls(survivors, tuple(k for k in spec.matrix.rows if k in straggler_set))
-
-    @property
-    def kappa(self) -> int:
-        return len(self.survivors)
-
-
 def straggler_load_formula(K: int, r: int, g: int, kappa: int) -> Fraction:
     """Closed-form load of a straggler run: ``load_formula``'s
     (2/g)(1 - r/K) scaled by K/kappa, that is (2/g)(K - r)/kappa."""
@@ -77,20 +47,24 @@ def straggler_load_formula(K: int, r: int, g: int, kappa: int) -> Fraction:
 
 def straggler_run(
     spec: JobSpec,
-    scenario: StragglerScenario,
+    stragglers: Iterable[str] = (),
     plan: str | Mapping[int, tuple[str, str]] = "default",
 ) -> PipelineResult:
-    """Simulate one straggler scenario end to end.
+    """Simulate one straggler scenario end to end: the servers labelled
+    *stragglers* fail.
 
     Stragglers map nothing and never transmit; at most g - 2 may fail,
     so every member keeps two surviving rows.  The transcript has 2S
     transmissions of (Q/kappa)*T bytes.  *plan* is "default", "balanced" (over the
     survivors, kept on ``result.plan``; when the balancing preconditions
     fail, the default plan, with the reason on ``result.plan_fallback``)
-    or an explicit member -> (coded, uncoded) map.
+    or an explicit member -> (coded, uncoded) map.  ``run_pipeline``
+    rejects unknown labels and a Q the survivors cannot split evenly.
     """
-    n_stragglers = spec.matrix.K - scenario.kappa
-    if not 0 <= n_stragglers <= spec.g - 2:
+    failed = set(stragglers)
+    survivors = [k for k in spec.matrix.rows if k not in failed]
+    n_stragglers = spec.matrix.K - len(survivors)
+    if n_stragglers > spec.g - 2:
         raise ValueError(f"{n_stragglers} stragglers exceed the tolerance g-2 = {spec.g - 2}")
     # A ShuffleError on a malformed member, before any balancing.  Every
     # sound member has g distinct rows, so at most g - 2 stragglers leave
@@ -102,13 +76,13 @@ def straggler_run(
     balanced = fallback = None
     if plan == "balanced":
         try:
-            balanced = balance.build_sender_plan(spec.matrix, spec.cover, scenario.survivors)
+            balanced = balance.build_sender_plan(spec.matrix, spec.cover, survivors)
             resolved = balanced.as_mapping()
         except balance.BalanceError as exc:
             plan_mode, fallback = "default (balanced unavailable)", str(exc)
     elif isinstance(plan, str) and plan != "default":
         raise ValueError(f"unknown plan mode {plan!r}")
-    result = shuffle.run_pipeline(spec, resolved, stragglers=scenario.stragglers)
+    result = shuffle.run_pipeline(spec, resolved, stragglers=failed)
     result.plan_mode, result.plan, result.plan_fallback = plan_mode, balanced, fallback
     return result
 
@@ -157,8 +131,7 @@ def worst_case_sweep(
         subsets = sorted(picked)
     runs = []
     for subset in subsets:
-        scenario = StragglerScenario.from_stragglers(spec, subset)
-        result = straggler_run(spec, scenario, plan)
+        result = straggler_run(spec, subset, plan)
         runs.append((subset, result.load, result.reduce_result.ok))
     loads = {load for _, load, _ in runs}
     if len(loads) != 1:
@@ -257,8 +230,7 @@ def comparison_row(
     if simulate:
         matrix = man_matrix(K, r)
         spec = JobSpec(matrix, man_cover(matrix), lcm(K, kappa), 4)   # the load is T-free
-        stragglers = matrix.rows[kappa:]
-        result = straggler_run(spec, StragglerScenario.from_stragglers(spec, stragglers))
+        result = straggler_run(spec, matrix.rows[kappa:])
         simulated = result.load
         decode_ok = result.reduce_result.ok
     passed = None

@@ -14,7 +14,6 @@ import pytest
 
 from codedmr import (
     JobSpec,
-    StragglerScenario,
     audit_plan,
     balance_preconditions,
     build_sender_plan,
@@ -103,8 +102,7 @@ def test_criterion_3_end_to_end_decode_correctness(suite):
         spec = JobSpec(m, cover, Q, 4)
         for n_stragglers in range(0, g - 1):
             for subset in itertools.combinations(m.rows, n_stragglers):
-                scenario = StragglerScenario.from_stragglers(spec, subset)
-                result = straggler_run(spec, scenario)
+                result = straggler_run(spec, subset)
                 assert result.reduce_result.ok, f"straggler decode failed: {subset}"
                 runs += 1
     print(f"ACCEPTANCE 3: PASS - {runs} pipelines matched the oracle byte-for-byte")
@@ -184,8 +182,7 @@ def test_criterion_7_straggler_scaling_law(suite):
         for kappa in _admissible_kappas(m.K, g):
             Q = lcm(m.K, kappa)
             spec = JobSpec(m, cover, Q, 1)
-            scenario = StragglerScenario.from_stragglers(spec, m.rows[kappa:])
-            result = straggler_run(spec, scenario)
+            result = straggler_run(spec, m.rows[kappa:])
             assert result.load == Fraction(m.K, kappa) * base, (
                 f"{name}, kappa={kappa}: scaling law violated"
             )

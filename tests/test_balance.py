@@ -304,11 +304,11 @@ class TestPinnedOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == PLAN_SHA256[name]
 
     def test_straggler_balanced_duties_man_5_2(self):
-        from codedmr import StragglerScenario, straggler_run
+        from codedmr import straggler_run
 
         m = man_matrix(5, 2)
         spec = JobSpec(m, man_cover(m), 5, 4)
-        result = straggler_run(spec, StragglerScenario.from_stragglers(spec, ()), plan="balanced")
+        result = straggler_run(spec, plan="balanced")
         assert result.plan_mode == "balanced"
         tx = result.transcript.transmissions
         assert [(t.member, t.kind) for t in tx] == [

@@ -64,6 +64,31 @@ class TestRun:
         assert payload["kappa"] == 4
         assert payload["load"]["fraction"] == "1/2"
 
+    def test_stragglers_reported_in_row_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--construction", "man", "--K", "7", "--r", "4",
+            "--Q", "35", "--T", "2", "--stragglers", "7,6", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["stragglers"], payload["kappa"]) == (["6", "7"], 5)
+
+    def test_iva_table_over_the_bound_exits_2(self, capsys, monkeypatch):
+        from codedmr import shuffle
+
+        def refuse(*args):
+            raise AssertionError("hashing began")   # a 98 GB table must not be started
+
+        monkeypatch.setattr(shuffle, "_digest_streams", refuse)
+        code, out, err = run_cli(
+            capsys, "run", "--construction", "fano", "--T", "2000000000",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the IVA table would take Q*N*T = 98000000000 bytes, "
+            "over the limit of 268435456\n"
+        )
+
     def test_artifacts_written(self, capsys, tmp_path):
         out_dir = tmp_path / "art"
         code, _, _ = run_cli(
@@ -313,6 +338,13 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 6    # header + 5 subsets
         assert all(ln.split(",")[1] == "1/2" for ln in lines[1:])
+
+    def test_config_key_without_a_sweep_flag_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("construction=fano\nstragglers=1,2\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--kappa", "6")
+        assert code == 2 and out == ""
+        assert err == "error: unknown config key 'stragglers'\n"
 
     def test_cap_below_one_exits_2(self, capsys):
         code, _, err = run_cli(

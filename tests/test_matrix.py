@@ -100,6 +100,25 @@ def test_bits_other_than_0_and_1_are_rejected(bits):
         BinaryComputingMatrix(("a", "b"), ("x", "y"), bits, 1)
 
 
+def test_the_callers_bits_stay_writeable():
+    """The matrix freezes its own copy, not the array it was given."""
+    a = np.zeros((2, 2), np.uint8)
+    m = BinaryComputingMatrix(("1", "2"), ("a", "b"), a, 2)
+    a[0, 0] = 1
+    assert m.bits[0, 0] == 0 and not m.bits.flags.writeable
+
+
+@pytest.mark.parametrize("rows, cols, text", [
+    (("1", "1"), ("a", "b"), "duplicate row labels"),
+    (("1", "2"), ("a", "a"), "duplicate column labels"),
+    (("1", "1"), ("a", "a"), "duplicate row labels"),
+])
+def test_duplicate_labels_are_rejected(rows, cols, text):
+    with pytest.raises(ValueError) as err:
+        BinaryComputingMatrix(rows, cols, np.zeros((2, 2), np.uint8), 2)
+    assert str(err.value) == text
+
+
 class TestVerifyCover:
     def test_fano_search_cover_is_ok(self, fano_pair):
         m, cover = fano_pair
@@ -424,7 +443,7 @@ class TestIndexCover:
     def test_no_identity_submatrix_in_a_run(self, monkeypatch, tmp_path):
         """Building, verifying, planning, balancing, running and saving a
         job reads the index arrays only."""
-        from codedmr import JobSpec, StragglerScenario, man_cover, run_pipeline, straggler_run
+        from codedmr import JobSpec, man_cover, run_pipeline, straggler_run
         from codedmr import matrix
         from codedmr.shuffle import save_transcript
 
@@ -438,7 +457,7 @@ class TestIndexCover:
         spec = JobSpec(m, man_cover(m), 5, 4)
         result = run_pipeline(spec, stragglers=(), partial=frozenset({"2"}))
         save_transcript(tmp_path / "t.bin", spec, result.transcript)
-        balanced = straggler_run(spec, StragglerScenario(m.rows, ()), "balanced")
+        balanced = straggler_run(spec, plan="balanced")
         assert result.reduce_result.ok and verify_cover(m, spec.cover).ok
         assert balanced.plan_mode == "balanced" and balanced.reduce_result.ok
         assert built == []

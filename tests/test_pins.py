@@ -14,7 +14,6 @@ import pytest
 from codedmr import (
     BinaryComputingMatrix,
     JobSpec,
-    StragglerScenario,
     fano_matrix,
     man_cover,
     man_matrix,
@@ -76,8 +75,7 @@ def test_default_plan_pipeline_pins(tmp_path, name, Q, T, transcript_pin, output
 
 def test_two_straggler_run_pin(tmp_path):
     spec = _spec((6, 3), 12, 4)
-    scenario = StragglerScenario.from_stragglers(spec, ("2", "5"))
-    result = straggler_run(spec, scenario)
+    result = straggler_run(spec, ("2", "5"))
     assert result.reduce_result.ok and result.plan_mode == "default"
     assert _transcript_sha(tmp_path, spec, result.transcript) == (
         "059ef1cb51dd8afaa5d699948104e661709902a061d856249aefc9605bc30871"

@@ -16,7 +16,6 @@ from codedmr import (
     IdentityCover,
     IdentitySubmatrix,
     JobSpec,
-    ReduceAssignment,
     ShuffleError,
     Transmission,
     build_sender_plan,
@@ -38,6 +37,7 @@ from codedmr.shuffle import (
     _digest_streams,
     _exchange,
     _frame,
+    block_duties,
     default_plan,
     load_transcript,
     partial_straggler_needs,
@@ -55,12 +55,38 @@ def _xor(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def round_for_member(spec, idx, assignment, store, coded_sender, uncoded_sender):
+def round_for_member(spec, idx, duty, store, coded_sender, uncoded_sender):
     """The exchange round of member *idx* alone, sent by the rows
     *coded_sender* and *uncoded_sender*: the ``_exchange`` kernel on one
     member, which builds, broadcasts and decodes its two transmissions."""
     senders = np.array([[coded_sender, uncoded_sender]])
-    return tuple(_exchange(spec, assignment, store, [idx], senders, None))
+    return tuple(_exchange(spec, duty, store, [idx], senders, None))
+
+
+@dataclasses.dataclass(frozen=True)
+class LabelAssignment:
+    """A label-keyed reduce assignment, server -> its duty functions in
+    1..Q: the references' own, kept apart from the library's duty array."""
+
+    duties: dict
+
+    @classmethod
+    def blocks(cls, servers, Q):
+        """Contiguous blocks of Q/len(servers) functions in server order."""
+        beta = Q // len(servers)
+        return cls({k: tuple(range(i * beta + 1, (i + 1) * beta + 1)) for i, k in enumerate(servers)})
+
+    @property
+    def beta(self):
+        return len(next(iter(self.duties.values())))
+
+    def rows(self, spec):
+        """The (K, beta) duty array of this assignment: q - 1 per duty
+        function, -1 on the rows it leaves out."""
+        duty = np.full((spec.matrix.K, self.beta), -1, dtype=np.intp)
+        for k, qs in self.duties.items():
+            duty[spec.matrix.row_index(k)] = np.subtract(qs, 1)
+        return duty
 
 
 def label_plan(spec, senders):
@@ -122,10 +148,10 @@ class TestRoundForMember:
         spec = fano_spec(Q=14, T=8)
         member = IdentitySubmatrix(("3", "5", "7"), ("234", "256", "127"))
         spec = dataclasses.replace(spec, cover=IdentityCover((member, member)))
-        duties = ReduceAssignment({k: (int(k), int(k) + 7) for k in spec.matrix.rows})
+        duty = LabelAssignment({k: (int(k), int(k) + 7) for k in spec.matrix.rows}).rows(spec)
         store = run_map_phase(spec)
         row = spec.matrix.row_index
-        tx_coded, tx_uncoded = round_for_member(spec, 0, duties, store, row("3"), row("5"))
+        tx_coded, tx_uncoded = round_for_member(spec, 0, duty, store, row("3"), row("5"))
 
         sub = {f: reference_subfile(0, f, 64) for f in spec.matrix.cols}
         iva = lambda q, f: synth_map(q, f, sub[f], 8)
@@ -144,40 +170,39 @@ class TestRoundForMember:
         m = man_matrix(3, 1)
         cover = man_cover(m)
         spec = JobSpec(m, cover, 3, 4)
-        duties = ReduceAssignment.block_partition(m.rows, 3)
+        duty = block_duties(3, range(3), 3)
         store = run_map_phase(spec)
         member = cover.members[0]
         tx_coded, _ = round_for_member(
-            spec, 0, duties, store, m.row_index(member.rows[0]), m.row_index(member.rows[1])
+            spec, 0, duty, store, m.row_index(member.rows[0]), m.row_index(member.rows[1])
         )
         other = member.rows[1]
         f_other = member.cols[1]
-        q_other = duties.duties[other][0]
+        q_other = int(duty[m.row_index(other), 0]) + 1
         sub = reference_subfile(0, f_other, 64)
         assert tx_coded.payload == synth_map(q_other, f_other, sub, 4)
 
     def test_senders_must_differ_and_belong(self):
         spec = fano_spec()
-        duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
+        duty = block_duties(7, range(7), 7)
         store = run_map_phase(spec)
         member = spec.cover.members[0]
         first = spec.matrix.row_index(member.rows[0])
         with pytest.raises(ShuffleError, match="distinct"):
-            round_for_member(spec, 0, duties, store, first, first)
+            round_for_member(spec, 0, duty, store, first, first)
         outsider = next(i for i, k in enumerate(spec.matrix.rows) if k not in member.rows)
         with pytest.raises(ShuffleError, match="participating rows"):
-            round_for_member(spec, 0, duties, store, first, outsider)
+            round_for_member(spec, 0, duty, store, first, outsider)
 
     def test_missing_mapped_value_signals_inconsistency(self):
         spec = fano_spec()
-        duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
         member = spec.cover.members[0]
         first, second = map(spec.matrix.row_index, member.rows[:2])
         mapped = spec.matrix.bits == 0
         mapped[first] = False
         store = run_map_phase(spec, mapped)
         with pytest.raises(ShuffleError, match="lacks mapped value"):
-            round_for_member(spec, 0, duties, store, first, second)
+            round_for_member(spec, 0, block_duties(7, range(7), 7), store, first, second)
 
 
 class TestRunShuffle:
@@ -203,15 +228,29 @@ class TestRunShuffle:
     def test_broken_cover_rejected_before_any_transmission(self):
         spec = fano_spec()
         broken = dataclasses.replace(spec, cover=IdentityCover(spec.cover.members[:-1]))
-        duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
         store = run_map_phase(broken)
         with pytest.raises(ShuffleError, match="cover failed verification"):
-            run_shuffle(broken, duties, store)
+            run_shuffle(broken, block_duties(7, range(7), 7), store)
 
     def test_payload_lengths_are_beta_T(self):
         spec = fano_spec(Q=14, T=5)
         result = run_pipeline(spec)
         assert all(len(tx.payload) == 2 * 5 for tx in result.transcript.transmissions)
+
+    def test_jobspec_bounds_the_iva_table(self):
+        """Refused before any value is hashed: the table is never built."""
+        from codedmr.constructions import MAX_CELLS, MAX_IVA_BYTES
+
+        assert MAX_CELLS * 16 <= MAX_IVA_BYTES   # a largest matrix at Q = K, T = 16 runs
+        m = man_matrix(5, 2)
+        cover = man_cover(m)
+        JobSpec(m, cover, 5, MAX_IVA_BYTES // 50)          # exactly at the bound
+        with pytest.raises(ValueError) as err:
+            JobSpec(m, cover, 5, MAX_IVA_BYTES // 50 + 1)
+        assert str(err.value) == (
+            f"the IVA table would take Q*N*T = {50 * (MAX_IVA_BYTES // 50 + 1)} bytes, "
+            f"over the limit of {MAX_IVA_BYTES}"
+        )
 
     def test_jobspec_validates_q(self):
         m = fano_matrix()
@@ -224,9 +263,20 @@ class TestRunShuffle:
     def test_all_stragglers_rejected(self):
         spec = fano_spec()
         with pytest.raises(ValueError, match="assignment needs at least one server"):
-            ReduceAssignment.block_partition([], 7)
+            block_duties(7, [], 7)
         with pytest.raises(ValueError, match="assignment needs at least one server"):
             run_pipeline(spec, stragglers=spec.matrix.rows)
+
+    def test_block_duties_give_the_reducers_contiguous_blocks(self):
+        assert block_duties(5, [0, 2, 3], 6).tolist() == [
+            [0, 1], [-1, -1], [2, 3], [4, 5], [-1, -1],
+        ]
+        with pytest.raises(ValueError) as err:
+            block_duties(5, [0, 2, 3], 7)
+        assert str(err.value) == "Q=7 is not divisible by 3 servers"
+        with pytest.raises(ValueError) as err:
+            run_pipeline(fano_spec(Q=7), stragglers=("7",))
+        assert str(err.value) == "Q=7 is not divisible by 6 servers"
 
 
 class TestRunReduce:
@@ -278,9 +328,9 @@ class TestPartialStragglers:
         spec = fano_spec(Q=7, T=4)
         from codedmr.shuffle import default_plan, partial_straggler_needs
 
-        duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
         i = spec.matrix.row_index("2")
-        needs = partial_straggler_needs(spec, default_plan(spec, duties, forbidden=[i]), [i])
+        senders = default_plan(spec, block_duties(7, range(7), 7), forbidden=[i])
+        needs = partial_straggler_needs(spec, senders, [i])
         mapped = spec.matrix.bits[i] == 0
         assert {spec.matrix.cols[j] for j in np.flatnonzero(needs[i])} < {
             spec.matrix.cols[j] for j in np.flatnonzero(mapped)
@@ -291,8 +341,7 @@ class TestPartialStragglers:
         spec = fano_spec(Q=7, T=4)
         from codedmr.shuffle import default_plan
 
-        duties = ReduceAssignment.block_partition(spec.matrix.rows, 7)
-        plan = label_plan(spec, default_plan(spec, duties))
+        plan = label_plan(spec, default_plan(spec, block_duties(7, range(7), 7)))
         partials = frozenset({plan[0][0]})
         with pytest.raises(ShuffleError, match="partial straggler"):
             run_pipeline(spec, plan, partial=partials)
@@ -354,12 +403,12 @@ def test_one_flipped_broadcast_byte_names_exactly_its_values(job, T, kind, data)
         return dataclasses.replace(tx, payload=bytes(payload))
 
     result = run_pipeline(spec, tamper=tamper)
-    assignment = ReduceAssignment.block_partition(spec.matrix.rows, spec.num_functions)
-    coded_sender = spec.matrix.rows[default_plan(spec, assignment)[idx, 0]]
+    assignment = LabelAssignment.blocks(spec.matrix.rows, spec.num_functions)
+    coded_sender = spec.matrix.rows[default_plan(spec, assignment.rows(spec))[idx, 0]]
     member = spec.cover.members[idx]
     hit = [k for k in member.rows if k != coded_sender] if kind == "coded" else [coded_sender]
     col_of = dict(zip(member.rows, member.cols))
-    order = {k: i for i, k in enumerate(assignment.servers)}
+    order = {k: i for i, k in enumerate(assignment.duties)}
     expected = [
         (k, assignment.duties[k][o // T], col_of[k]) for k in sorted(hit, key=order.get)
     ]
@@ -541,7 +590,7 @@ def reference_pipeline(spec, plan=None, tamper=None, stragglers=(), partial=froz
     """``run_pipeline``'s sequence over the reference engine."""
     stragglers = set(stragglers)
     survivors = [k for k in spec.matrix.rows if k not in stragglers]
-    assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
+    assignment = LabelAssignment.blocks(survivors, spec.num_functions)
     if plan is None:
         plan = reference_default_plan(spec, assignment, forbidden=partial)
     for idx, (cs, us) in plan.items():
@@ -655,9 +704,10 @@ def test_pipeline_equals_per_member_reference(job, data):
 
 
 def _library_phases(spec, assignment, mapped, plan):
+    duty = assignment.rows(spec)
     store = run_map_phase(spec, mapped)
-    transcript = run_shuffle(spec, assignment, store, plan_senders(spec, plan))
-    r = run_reduce(spec, assignment, store)
+    transcript = run_shuffle(spec, duty, store, plan_senders(spec, plan))
+    r = run_reduce(spec, duty, store)
     return _summary(transcript, r.outputs, r.mismatches)
 
 
@@ -676,9 +726,9 @@ def test_dropped_mapped_columns_fail_as_in_the_reference(job, data):
     zeros = [f for f, bit in zip(m.cols, m.bits[m.row_index(k)]) if bit == 0]
     kept = data.draw(st.sets(st.sampled_from(zeros)), label="kept")
     survivors = [s for s in m.rows if s not in stragglers]
-    assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
+    assignment = LabelAssignment.blocks(survivors, spec.num_functions)
     if plan is None:
-        plan = label_plan(spec, default_plan(spec, assignment))
+        plan = label_plan(spec, default_plan(spec, assignment.rows(spec)))
     subfile_filter = {**{s: set() for s in stragglers}, k: kept}
     mapped = m.bits == 0
     mapped[[m.row_index(s) for s in stragglers]] = False
@@ -695,8 +745,8 @@ def test_dropped_mapped_columns_fail_as_in_the_reference(job, data):
 def test_bad_senders_fail_as_in_the_reference(job, data):
     spec, plan, stragglers, _ = job
     survivors = [k for k in spec.matrix.rows if k not in stragglers]
-    assignment = ReduceAssignment.block_partition(survivors, spec.num_functions)
-    plan = dict(plan or label_plan(spec, default_plan(spec, assignment)))
+    assignment = LabelAssignment.blocks(survivors, spec.num_functions)
+    plan = dict(plan or label_plan(spec, default_plan(spec, assignment.rows(spec))))
     for _ in range(data.draw(st.integers(1, 3), label="faults")):
         idx = data.draw(st.integers(0, spec.cover.size - 1), label="member")
         cs, us = plan[idx]
@@ -831,7 +881,7 @@ BROKEN_KINDS = ["unknown row", "unknown column", "repeated row"]
 def test_broken_label_cover_is_a_cover_fault(kind, call):
     """A malformed member is reported as the cover fault run_shuffle
     names, never as a KeyError or IndexError of a label or index lookup."""
-    from codedmr import StragglerScenario, straggler_run
+    from codedmr import straggler_run
 
     m, cover = _broken_man_5_2(kind)
     spec = JobSpec(m, cover, 20, 4)
@@ -841,13 +891,9 @@ def test_broken_label_cover_is_a_cover_fault(kind, call):
         "pipeline default": lambda: run_pipeline(spec),
         "pipeline explicit": lambda: run_pipeline(spec, plan),
         "pipeline partial": lambda: run_pipeline(spec, partial=frozenset({"5"})),
-        "straggler default": lambda: straggler_run(spec, StragglerScenario((*m.rows,), ())),
-        "straggler balanced": lambda: straggler_run(
-            spec, StragglerScenario((*m.rows,), ()), "balanced"
-        ),
-        "straggler one down": lambda: straggler_run(
-            spec, StragglerScenario.from_stragglers(spec, ("5",))
-        ),
+        "straggler default": lambda: straggler_run(spec),
+        "straggler balanced": lambda: straggler_run(spec, plan="balanced"),
+        "straggler one down": lambda: straggler_run(spec, ("5",)),
     }
     with pytest.raises(ShuffleError) as err:
         calls[call]()
@@ -911,17 +957,17 @@ def test_default_plan_and_partial_needs_equal_label_loops(case, data):
         ))
     spec = JobSpec(m, IdentityCover(tuple(members)), m.K, 4)
     survivors = data.draw(st.lists(st.sampled_from(m.rows), min_size=1, unique=True))
-    assignment = ReduceAssignment({k: (i + 1,) for i, k in enumerate(survivors)})
+    assignment = LabelAssignment({k: (i + 1,) for i, k in enumerate(survivors)})
     forbidden = frozenset(data.draw(st.lists(st.sampled_from(m.rows), unique=True)))
     rows = [m.row_index(k) for k in forbidden]
     try:
         expected = reference_default_plan(spec, assignment, forbidden)
     except ShuffleError as exc:
         with pytest.raises(ShuffleError) as err:
-            default_plan(spec, assignment, rows)
+            default_plan(spec, assignment.rows(spec), rows)
         assert str(err.value) == str(exc)
         return
-    plan = default_plan(spec, assignment, rows)
+    plan = default_plan(spec, assignment.rows(spec), rows)
     assert label_plan(spec, plan) == expected
     needs = partial_straggler_needs(spec, plan, rows)
     assert {k: {m.cols[j] for j in np.flatnonzero(needs[m.row_index(k)])} for k in forbidden} == (
@@ -933,24 +979,20 @@ def test_default_plan_and_partial_needs_equal_label_loops(case, data):
 def _man_5_2_default_plan():
     """MAN(5,2) at Q=20 and its default plan."""
     spec = JobSpec(man_matrix(5, 2), man_cover(man_matrix(5, 2)), 20, 4)
-    return spec, label_plan(
-        spec, default_plan(spec, ReduceAssignment.block_partition(spec.matrix.rows, 20))
-    )
+    return spec, label_plan(spec, default_plan(spec, block_duties(5, range(5), 20)))
 
 
 @pytest.mark.parametrize("call", ["pipeline", "pipeline partial", "straggler explicit"])
 def test_plan_missing_a_member_is_a_shuffle_error(call):
     """Not a KeyError from whichever reader looks the member up first."""
-    from codedmr import StragglerScenario, straggler_run
+    from codedmr import straggler_run
 
     spec, plan = _man_5_2_default_plan()
     del plan[3]
     calls = {
         "pipeline": lambda: run_pipeline(spec, plan),
         "pipeline partial": lambda: run_pipeline(spec, plan, partial=frozenset({"5"})),
-        "straggler explicit": lambda: straggler_run(
-            spec, StragglerScenario.from_stragglers(spec, ()), plan
-        ),
+        "straggler explicit": lambda: straggler_run(spec, (), plan),
     }
     with pytest.raises(ShuffleError) as err:
         calls[call]()
@@ -983,8 +1025,8 @@ def test_an_explicit_plan_is_read_once_and_a_default_plan_never(monkeypatch, par
 
     spec, plan = _man_5_2_default_plan()
     if partial:
-        assignment = ReduceAssignment.block_partition(spec.matrix.rows, 20)
-        plan = label_plan(spec, default_plan(spec, assignment, [spec.matrix.row_index("5")]))
+        senders = default_plan(spec, block_duties(5, range(5), 20), [spec.matrix.row_index("5")])
+        plan = label_plan(spec, senders)
     read, calls = shuffle.plan_senders, []
     monkeypatch.setattr(shuffle, "plan_senders", lambda *args: calls.append(args) or read(*args))
     result = run_pipeline(spec, plan if explicit else None, partial=partial)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from codedmr import (
     JobSpec,
     ShuffleError,
-    StragglerScenario,
     audit_plan,
     balance_preconditions,
     build_sender_plan,
@@ -41,28 +40,24 @@ def man_spec(K, r, Q, T=4):
 class TestStragglerRun:
     def test_man_5_2_one_straggler_load_half(self):
         spec = man_spec(5, 2, 20)
-        scenario = StragglerScenario.from_stragglers(spec, ("5",))
-        result = straggler_run(spec, scenario)
+        result = straggler_run(spec, ("5",))
         assert result.load == Fraction(1, 2)
         assert result.reduce_result.ok
 
     def test_man_7_4_two_stragglers(self):
         spec = man_spec(7, 4, 35)
-        scenario = StragglerScenario.from_stragglers(spec, ("6", "7"))
-        result = straggler_run(spec, scenario)
+        result = straggler_run(spec, ("6", "7"))
         assert result.load == Fraction(6, 25)
         assert result.reduce_result.ok
 
     def test_no_stragglers_reduces_to_base_formula(self):
         spec = man_spec(5, 2, 5)
-        scenario = StragglerScenario.from_stragglers(spec, ())
-        result = straggler_run(spec, scenario)
+        result = straggler_run(spec, ())
         assert result.load == load_formula(5, 2, 3)
 
     def test_transcript_shape(self):
         spec = man_spec(5, 2, 20)
-        scenario = StragglerScenario.from_stragglers(spec, ("1",))
-        result = straggler_run(spec, scenario)
+        result = straggler_run(spec, ("1",))
         assert len(result.transcript.transmissions) == 2 * spec.cover.size
         # payloads are (Q/kappa) * T bytes
         assert all(
@@ -71,22 +66,10 @@ class TestStragglerRun:
 
     def test_stragglers_never_transmit(self):
         spec = man_spec(5, 2, 20)
-        scenario = StragglerScenario.from_stragglers(spec, ("3",))
-        result = straggler_run(spec, scenario)
+        result = straggler_run(spec, ("3",))
         senders = {tx.sender for tx in result.transcript.transmissions}
         assert "3" not in senders
         assert result.transcript.sent_bits["3"] == 0
-
-    def test_too_many_stragglers_rejected(self):
-        spec = man_spec(5, 2, 30)   # g = 3 tolerates one straggler
-        with pytest.raises(ValueError, match="tolerance"):
-            scenario = StragglerScenario.from_stragglers(spec, ("4", "5"))
-            straggler_run(spec, scenario)
-
-    def test_q_must_divide_among_survivors(self):
-        spec = man_spec(5, 2, 5)
-        with pytest.raises(ValueError, match="divisible"):
-            StragglerScenario.from_stragglers(spec, ("5",))
 
     def test_scaling_law_k_over_kappa(self):
         for K, r in [(5, 2), (6, 3), (7, 4)]:
@@ -94,16 +77,12 @@ class TestStragglerRun:
             for kappa in range(max(2, K - (g - 2)), K + 1):
                 spec = man_spec(K, r, lcm(K, kappa), T=2)
                 base = run_base_load(spec)
-                scenario = StragglerScenario.from_stragglers(
-                    spec, spec.matrix.rows[kappa:]
-                )
-                result = straggler_run(spec, scenario)
+                result = straggler_run(spec, spec.matrix.rows[kappa:])
                 assert result.load == Fraction(K, kappa) * base
 
     def test_balanced_plan_hint_falls_back_when_unavailable(self):
         spec = man_spec(5, 2, 20)
-        scenario = StragglerScenario.from_stragglers(spec, ("5",))
-        result = straggler_run(spec, scenario, plan="balanced")
+        result = straggler_run(spec, ("5",), plan="balanced")
         # S=10 not divisible by kappa=4: fallback, run still correct
         assert "default" in result.plan_mode
         assert result.load == Fraction(1, 2)
@@ -111,19 +90,46 @@ class TestStragglerRun:
 
     def test_explicit_plan_naming_a_straggler_rejected(self):
         spec = man_spec(6, 3, 30)
-        scenario = StragglerScenario.from_stragglers(spec, ("2",))
         plan = {i: tuple(member.rows[:2]) for i, member in enumerate(spec.cover.members)}
         assert any("2" in pair for pair in plan.values())
         with pytest.raises(ShuffleError, match="senders must be participating rows"):
-            straggler_run(spec, scenario, plan)
+            straggler_run(spec, ("2",), plan)
 
     def test_balanced_plan_hint_balances_when_kappa_equals_k(self):
         spec = man_spec(5, 2, 5)
-        scenario = StragglerScenario.from_stragglers(spec, ())
-        result = straggler_run(spec, scenario, plan="balanced")
+        result = straggler_run(spec, (), plan="balanced")
         assert result.plan_mode == "balanced"
         sent = set(result.transcript.sent_bits.values())
         assert len(sent) == 1   # everyone sends the same byte count
+
+
+# MAN(5,2): g = 3 tolerates one straggler.  (stragglers, the --stragglers
+# value, Q, error text); a lone number is a count, the last servers failing
+STRAGGLER_ERRORS = {
+    "unknown label": (("x",), "x", 20, "unknown server labels ['x']"),
+    "over tolerance": (("4", "5"), "4,5", 30, "2 stragglers exceed the tolerance g-2 = 1"),
+    "Q not divisible": (("5",), "1", 5, "Q=5 is not divisible by 4 servers"),
+    "every server failed": (
+        ("1", "2", "3", "4", "5"), "1,2,3,4,5", 20, "5 stragglers exceed the tolerance g-2 = 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STRAGGLER_ERRORS)
+def test_straggler_error_is_a_value_error_and_exit_2(capsys, case):
+    from codedmr.cli import main
+
+    stragglers, flag, Q, text = STRAGGLER_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        straggler_run(man_spec(5, 2, Q), stragglers)
+    assert str(err.value) == text
+    code = main([
+        "run", "--construction", "man", "--K", "5", "--r", "2", "--Q", str(Q),
+        "--stragglers", flag,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {text}\n" and captured.out == ""
 
 
 def run_base_load(spec):
@@ -280,15 +286,14 @@ def test_balanced_plan_exactly_when_preconditions_hold(case):
     K, r, stragglers = case
     kappa = K - len(stragglers)
     spec = man_spec(K, r, lcm(K, kappa), T=2)
-    scenario = StragglerScenario.from_stragglers(spec, stragglers)
     members = spec.cover.members
-    survivors = scenario.survivors
+    survivors = [k for k in spec.matrix.rows if k not in stragglers]
     alive = {sum(k in survivors for k in member.rows) for member in members}
     counts = {sum(k in member.rows for member in members) for k in survivors}
     holds = len(members) % kappa == 0 and len(counts) == 1 and len(alive) == 1
     assert balanceable(balance_preconditions(spec.matrix, spec.cover, survivors)) == holds
 
-    result = straggler_run(spec, scenario, plan="balanced")
+    result = straggler_run(spec, stragglers, plan="balanced")
     event(result.plan_mode)
     assert result.reduce_result.ok
     if not holds:
