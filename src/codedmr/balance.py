@@ -282,17 +282,12 @@ class AuditReport:
 
 def audit_plan(plan: SenderPlan, transcript: ShuffleTranscript) -> AuditReport:
     """Check that every server sent exactly S*beta*T/K bytes of each kind."""
-    per_server = {k: [0, 0] for k in transcript.servers}
-    for tx in transcript.transmissions:
-        slot = 0 if tx.kind == "coded" else 1
-        per_server[tx.sender][slot] += len(tx.payload)
+    sent = np.zeros((len(transcript.servers), 2), dtype=np.int64)
+    np.add.at(sent, (transcript.senders, [0, 1]), transcript.payload_bytes)
+    per_server = {k: (cb, ub) for k, (cb, ub) in zip(transcript.servers, sent.tolist())}
     expected = Fraction(len(plan.duties) * transcript.payload_bytes, len(transcript.servers))
     balanced = (
-        len(transcript.transmissions) == 2 * len(plan.duties)
+        transcript.senders.size == 2 * len(plan.duties)
         and all(cb == expected and ub == expected for cb, ub in per_server.values())
     )
-    return AuditReport(
-        per_server={k: (v[0], v[1]) for k, v in per_server.items()},
-        expected_each=expected,
-        balanced=balanced,
-    )
+    return AuditReport(per_server=per_server, expected_each=expected, balanced=balanced)

@@ -120,14 +120,16 @@ def build_cover(
 
 
 def _parse_stragglers(spec_text: str, matrix: BinaryComputingMatrix) -> tuple[str, ...]:
-    """Either a count (the last that many servers fail) or explicit labels."""
+    """Either a count (the last that many servers fail) or comma-separated
+    labels; a lone label takes a trailing comma (``5,``)."""
     try:
         count = int(spec_text)
     except ValueError:
         labels = tuple(tok for tok in spec_text.split(",") if tok)
         return labels
     if count < 0 or count >= matrix.K:
-        raise FormatError(f"straggler count {count} out of range")
+        raise FormatError(f"straggler count {count} out of range "
+                          f"(write --stragglers {count}, to fail server {count})")
     return matrix.rows[matrix.K - count :] if count else ()
 
 
@@ -223,7 +225,7 @@ def cmd_run(args) -> int:
         if not audit.balanced:
             failures.append("audit: transmission bytes are not balanced")
 
-    summary["transmissions"] = len(transcript.transmissions)
+    summary["transmissions"] = transcript.senders.size
     summary["total_bits"] = transcript.total_bits
     summary["load"] = _load_json_value(load)
     summary["expected_load"] = _load_json_value(expected)
@@ -258,7 +260,7 @@ def cmd_run(args) -> int:
         print(f"K={con.matrix.K} N={con.matrix.N} r={con.matrix.r} "
               f"g={spec.g} S={cover.size} Q={Q} T={T}")
         print(f"cover: {cover_mode}  plan: {summary['plan']}")
-        print(f"transmissions: {len(transcript.transmissions)}  "
+        print(f"transmissions: {transcript.senders.size}  "
               f"total_bits: {transcript.total_bits}")
         print(f"load: {fraction_str(load)} = {decimal_str(load)} "
               f"(formula {fraction_str(expected)}, "
@@ -548,7 +550,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one job end to end")
     _add_construction_flags(p_run)
-    p_run.add_argument("--stragglers", help="failed-server count or comma-separated labels")
+    p_run.add_argument("--stragglers", help="failed-server count, or labels: '5,' fails server 5")
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

@@ -41,8 +41,8 @@ indices.  Below it the reducers are one (K, beta) duty array
 functions, the survivors taking contiguous blocks in row order, and -1
 on a row that reduces nothing.  The sender plan is an (S, 2) array of
 coded and uncoded sender rows, and what each server maps before the
-shuffle is a (K, N) mask; labels come back only in the transcript, the
-reduce outputs and error texts.  The default plan and the partial
+shuffle is a (K, N) mask; labels come back only in the transcript's
+records, the reduce outputs and error texts.  The default plan and the partial
 stragglers' needs are array passes over the cover, and a malformed
 member is a ``ShuffleError`` there too, never a failed label lookup.
 An explicit sender plan is read by ``plan_senders`` alone, once a run
@@ -59,6 +59,14 @@ one array kernel: one gather of the missing values of every member
 slot, one XOR reduce over the slots for every coded payload, one XOR to
 decode, and one boolean gather of the mapped masks to check every
 cancellation.
+
+So the transcript is two read-only arrays (``ShuffleTranscript``): the
+(S, 2) sender rows and the (S, 2, beta*T) payloads, member s's coded
+broadcast at ``[s, 0]`` and its uncoded one at ``[s, 1]``.  Member and
+kind are positions, not data.  The ``Transmission`` records of the
+broadcasts are a view built on first read, for a ``tamper`` hook and
+for readers that want records; the transcript log is written from the
+arrays.
 """
 
 from __future__ import annotations
@@ -248,7 +256,7 @@ class JobSpec:
         Raises ShuffleError, with the text ``run_shuffle`` gives, when a
         member is malformed: its labels need not be the matrix's, nor its
         rows distinct.  Sound members that do not cover the matrix keep
-        their indices, so ``_exchange`` can run any of them alone.
+        their indices, so ``_exchange`` can run a cover of some of them.
         """
         if self._cover_faults[0]:
             raise ShuffleError(f"cover failed verification: {self.cover_fault}")
@@ -300,19 +308,42 @@ class Transmission:
     payload: bytes
 
 
-@dataclass
-class ShuffleTranscript:
-    """Ordered broadcasts with per-server bit counters."""
+_KINDS = ("coded", "uncoded")   # a broadcast's kind is its place in its round
 
-    transmissions: tuple[Transmission, ...]
+
+@dataclass(eq=False)
+class ShuffleTranscript:
+    """The broadcasts of a shuffle as two read-only arrays: ``senders[s]``
+    holds the (coded, uncoded) sender rows of member s, and
+    ``payloads[s, i]`` the payload of its broadcast of kind ``_KINDS[i]``.
+    ``servers`` names the rows."""
+
     servers: tuple[str, ...]
-    payload_bytes: int
-    sent_bits: dict[str, int]
-    received_bits: dict[str, int]
+    senders: np.ndarray          # (S, 2) intp
+    payloads: np.ndarray         # (S, 2, beta*T) uint8
+
+    def __post_init__(self) -> None:
+        for name in ("senders", "payloads"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
+
+    @property
+    def payload_bytes(self) -> int:
+        return self.payloads.shape[2]
 
     @property
     def total_bits(self) -> int:
-        return sum(len(t.payload) * 8 for t in self.transmissions)
+        return self.payloads.size * 8
+
+    @cached_property
+    def transmissions(self) -> tuple[Transmission, ...]:
+        """The 2S broadcasts as records in send order, built on first read."""
+        flat, size = self.payloads.tobytes(), self.payload_bytes
+        return tuple(
+            Transmission(self.servers[k], i // 2, _KINDS[i % 2], flat[i * size : (i + 1) * size])
+            for i, k in enumerate(self.senders.ravel().tolist())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +367,13 @@ def _exchange(
     spec: JobSpec,
     duty: np.ndarray,
     store: ServerStore,
-    members: Sequence[int],
     senders: np.ndarray,
     tamper: Callable[[Transmission], Transmission] | None,
-) -> list[Transmission]:
-    """The exchange rounds of *members*, ``senders[i]`` being the (coded,
-    uncoded) sender rows of ``members[i]`` and *duty* the run's (K, beta)
-    duty array: build, broadcast, decode.
+) -> np.ndarray:
+    """The exchange rounds of every cover member, ``senders[s]`` being the
+    (coded, uncoded) sender rows of member s and *duty* the run's (K, beta)
+    duty array: build, broadcast, decode.  Returns the (S, 2, beta*T)
+    payloads broadcast.
 
     All rounds are one array kernel over the members' g slots, laid out
     slot-major so that every XOR runs over a contiguous (S, beta, T)
@@ -354,14 +385,19 @@ def _exchange(
     ``values[i] ^ broadcast ^ coded``.  One boolean gather of the mapped
     masks checks every value an encoder or decoder cancels, which makes
     that XOR a decode.
-    Faults are found for all members at once and raised for the first in
-    member order, as one round at a time would meet them.
+
+    *tamper* maps the ``Transmission`` records of the broadcasts of every
+    member before the first sender fault, in send order, and the payloads
+    it returns are what is decoded.  Faults are found for all members at
+    once and raised for the first in member order, as one round at a
+    time would meet them: at one member a sender fault, then a value a
+    decoder lacks, then a broadcast of the wrong length.
     """
     m = spec.matrix
     beta, T = duty.shape[1], spec.iva_bytes
     size = beta * T
     active = duty[:, 0] >= 0
-    R, C = (index[members] for index in spec.cover_index)       # (S, g)
+    R, C = spec.cover_index                                     # (S, g)
     n, g = R.shape
     at = np.arange(n)
     part = active[R]
@@ -409,40 +445,33 @@ def _exchange(
     if not part.all():
         values[~part.T] = 0
     coded = np.bitwise_xor.reduce(values, axis=0)
+    payloads = np.stack((coded, uncoded), axis=1).reshape(n, 2, size)
 
-    # Broadcast member by member, so that *tamper* sees one transmission at
-    # a time and a fault surfaces where a round at a time would meet it.
-    pc, pu = coded.tobytes(), uncoded.tobytes()
-    txs: list[Transmission] = []
-    for i, (c, u) in enumerate(senders.tolist()):
-        if i == first_fault:
-            raise fault(i)
-        pair = (
-            Transmission(m.rows[c], members[i], "coded", pc[i * size : (i + 1) * size]),
-            Transmission(m.rows[u], members[i], "uncoded", pu[i * size : (i + 1) * size]),
+    wrong = 2 * n   # the first broadcast *tamper* gave a wrong length
+    if tamper is not None:
+        view = ShuffleTranscript(m.rows, senders[:first_fault], payloads[:first_fault])
+        sent = [tamper(tx).payload for tx in view.transmissions]
+        wrong = next((i for i, p in enumerate(sent) if len(p) != size), wrong)
+    s = min(first_fault, first_late, wrong // 2)
+    if s == first_fault < n:
+        raise fault(s)
+    if s == first_late < n:
+        raise lacks(s, *divmod(int(np.argmin(held[s])), g))
+    if s < n:
+        raise ShuffleError(
+            f"member {s}: {_KINDS[wrong % 2]} broadcast has {len(sent[wrong])} bytes, expected {size}"
         )
-        if tamper is not None:
-            pair = (tamper(pair[0]), tamper(pair[1]))
-        if i == first_late:
-            raise lacks(i, *divmod(int(np.argmin(held[i])), g))
-        for tx in pair:
-            if len(tx.payload) != size:
-                raise ShuffleError(
-                    f"member {members[i]}: {tx.kind} broadcast has "
-                    f"{len(tx.payload)} bytes, expected {size}"
-                )
-        txs.extend(pair)
     if tamper is not None:
         # decode what was broadcast: the tampered payloads
-        sent = np.frombuffer(b"".join(tx.payload for tx in txs), dtype=np.uint8)
-        got_coded, uncoded = sent.reshape(n, 2, beta, T).transpose(1, 0, 2, 3)
+        payloads = np.frombuffer(b"".join(sent), dtype=np.uint8).reshape(n, 2, size)
+        got_coded, uncoded = payloads.reshape(n, 2, beta, T).transpose(1, 0, 2, 3)
         values ^= got_coded ^ coded
     values[cs, at] = uncoded
     q = duty[R.T][part.T]                                       # (P, beta)
     cols = C.T[part.T][:, None]
     store.received[q, cols] = values[part.T]
     store.have[q, cols] = True
-    return txs
+    return payloads
 
 
 def default_plan(spec: JobSpec, duty: np.ndarray, forbidden: Sequence[int] = ()) -> np.ndarray:
@@ -521,21 +550,7 @@ def run_shuffle(
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if senders is None:
         senders = default_plan(spec, duty)
-    transmissions = _exchange(spec, duty, store, range(spec.cover.size), senders, tamper)
-    # Every broadcast has beta*T bytes, and a reducing server receives both
-    # broadcasts of each of its members except the ones it sends.
-    m = spec.matrix
-    payload_bytes = duty.shape[1] * spec.iva_bytes
-    sent = np.bincount(senders.ravel(), minlength=m.K)
-    rounds = np.bincount(spec.cover_index[0].ravel(), minlength=m.K)
-    received = np.where(duty[:, 0] >= 0, 2 * rounds - sent, 0)
-    return ShuffleTranscript(
-        transmissions=tuple(transmissions),
-        servers=m.rows,
-        payload_bytes=payload_bytes,
-        sent_bits=dict(zip(m.rows, (payload_bytes * 8 * sent).tolist())),
-        received_bits=dict(zip(m.rows, (payload_bytes * 8 * received).tolist())),
-    )
+    return ShuffleTranscript(spec.matrix.rows, senders, _exchange(spec, duty, store, senders, tamper))
 
 
 @dataclass
@@ -631,7 +646,8 @@ def run_pipeline(
     what their decodes need; they finish their map work after the
     shuffle and reduce their share, so the load is that of the run
     without them.  Without a *plan*, each member's first two eligible
-    rows send.
+    rows send.  *tamper* maps each broadcast's record before it is
+    decoded (see ``_exchange``).
     """
     m = spec.matrix
     stragglers = set(stragglers)
@@ -668,8 +684,6 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CMRT"
-_KIND_CODE = {"coded": 0, "uncoded": 1}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
 
 
 def job_digest(spec: JobSpec) -> bytes:
@@ -685,23 +699,30 @@ def job_digest(spec: JobSpec) -> bytes:
 
 
 def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
+    """Write the transcript log: a header, then one record per broadcast
+    in send order, its sender's label (a 2-byte length, then UTF-8), and
+    its member, kind byte, payload length and payload."""
     m = spec.matrix
+    S, _, size = transcript.payloads.shape
+    labels = [struct.pack(">H", len(b)) + b for b in (k.encode() for k in transcript.servers)]
+    # what follows a record's label, of one width in every record
+    tail = np.dtype([("member", ">u4"), ("kind", "u1"), ("length", ">u4"), ("payload", "u1", size)])
+    tails = np.empty((S, 2), dtype=tail)
+    tails["member"] = np.arange(S)[:, None]
+    tails["kind"] = range(len(_KINDS))
+    tails["length"] = size
+    tails["payload"] = transcript.payloads
+    flat, width = tails.tobytes(), tail.itemsize
     parts = [
         _MAGIC,
         struct.pack(">B", 1),
         job_digest(spec),
         struct.pack(">7I", m.K, m.N, m.r, spec.g, spec.cover.size, spec.num_functions,
                     spec.iva_bytes),
-        struct.pack(">I", len(transcript.transmissions)),
+        struct.pack(">I", 2 * S),
     ]
-    for tx in transcript.transmissions:
-        sender = tx.sender.encode()
-        parts += (
-            struct.pack(">H", len(sender)),
-            sender,
-            struct.pack(">IBI", tx.member, _KIND_CODE[tx.kind], len(tx.payload)),
-            tx.payload,
-        )
+    for i, k in enumerate(transcript.senders.ravel().tolist()):
+        parts += (labels[k], flat[i * width : (i + 1) * width])
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -729,9 +750,9 @@ def load_transcript(path) -> tuple[dict, tuple[Transmission, ...]]:
             member, kind, plen = struct.unpack_from(">IBI", data, off + 2 + slen)
             payload = data[off + 11 + slen : off + 11 + slen + plen]
             off += 11 + slen + plen
-            if kind not in _KIND_NAME:
+            if kind >= len(_KINDS):
                 raise FormatError(f"record {i}: unknown kind byte {kind}")
-            transmissions.append(Transmission(sender.decode(), member, _KIND_NAME[kind], payload))
+            transmissions.append(Transmission(sender.decode(), member, _KINDS[kind], payload))
     except (struct.error, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed transcript record: {exc}") from exc
     if off != len(data):

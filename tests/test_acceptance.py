@@ -33,6 +33,7 @@ from codedmr.fmt import decimal_trunc, printed_places
 from codedmr.straggler import GOLDEN_ROWS, optimal_straggler_load
 
 from test_balance import balanceable
+from test_shuffle import transcript_bits
 
 
 def _admissible_kappas(K: int, g: int) -> list[int]:
@@ -156,7 +157,7 @@ def test_criterion_6_balanced_plans(suite):
         for k in m.rows:
             coded, uncoded = audit.per_server[k]
             assert coded == uncoded == expected_each
-            assert result.transcript.sent_bits[k] == 2 * expected_each * 8
+            assert transcript_bits(spec, result.transcript)[0][k] == 2 * expected_each * 8
     # audit verdict holds on every suite construction whose cover meets
     # the balancing hypotheses
     balanced_count = 0

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from codedmr import (
 )
 from codedmr import balance
 from codedmr.balance import BalanceError
+from test_shuffle import transcript_bits
 
 
 def balanceable(report):
@@ -193,9 +195,8 @@ class TestBuildSenderPlan:
         # 2 S beta T / K = 2*10*1*8/5 = 32 bytes per server, split 16 + 16
         assert audit.expected_each == Fraction(16)
         assert all(cb == 16 and ub == 16 for cb, ub in audit.per_server.values())
-        assert all(
-            result.transcript.sent_bits[k] == 32 * 8 for k in m.rows
-        )
+        sent, _ = transcript_bits(spec, result.transcript)
+        assert all(sent[k] == 32 * 8 for k in m.rows)
 
     def test_g2_cover_with_gamma1_plan_exists(self):
         # K=3, r=1: S=3 size-2 members, gamma=1, residual graph 1-regular
@@ -261,7 +262,9 @@ class TestAudit:
 
         m, cover = fano_pair
         plan = build_sender_plan(m, cover)
-        empty = ShuffleTranscript((), m.rows, 16, {k: 0 for k in m.rows}, {})
+        empty = ShuffleTranscript(
+            m.rows, np.empty((0, 2), dtype=np.intp), np.empty((0, 2, 16), dtype=np.uint8)
+        )
         assert not audit_plan(plan, empty).balanced
 
     def test_balanced_verdict_on_fano(self, fano_pair):

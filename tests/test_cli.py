@@ -73,6 +73,25 @@ class TestRun:
         payload = json.loads(out)
         assert (payload["stragglers"], payload["kappa"]) == (["6", "7"], 5)
 
+    def test_one_numeric_label_takes_a_trailing_comma(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--construction", "man", "--K", "5", "--r", "2",
+            "--Q", "20", "--stragglers", "2,", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["stragglers"], payload["kappa"]) == (["2"], 4)
+
+    def test_straggler_count_out_of_range_names_the_label_form(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--construction", "man", "--K", "5", "--r", "2",
+            "--Q", "20", "--stragglers", "5",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: straggler count 5 out of range (write --stragglers 5, to fail server 5)\n"
+        )
+
     def test_iva_table_over_the_bound_exits_2(self, capsys, monkeypatch):
         from codedmr import shuffle
 

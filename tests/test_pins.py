@@ -25,6 +25,7 @@ from codedmr import (
     worst_case_sweep,
 )
 from codedmr.shuffle import save_transcript
+from test_shuffle import transcript_bits
 
 
 def _spec(name, Q, T):
@@ -44,10 +45,11 @@ def _outputs_sha(reduce_result) -> str:
     return _sha(repr(sorted(reduce_result.outputs.items())).encode())
 
 
-def _transcript_sha(tmp_path, spec, transcript) -> str:
+def _transcript_sha(tmp_path, spec, transcript, stragglers=()) -> str:
     path = tmp_path / "t.bin"
     save_transcript(path, spec, transcript)
-    bits = repr((sorted(transcript.sent_bits.items()), sorted(transcript.received_bits.items())))
+    sent, received = transcript_bits(spec, transcript, stragglers)
+    bits = repr((sorted(sent.items()), sorted(received.items())))
     return _sha(path.read_bytes() + bits.encode())
 
 
@@ -77,7 +79,7 @@ def test_two_straggler_run_pin(tmp_path):
     spec = _spec((6, 3), 12, 4)
     result = straggler_run(spec, ("2", "5"))
     assert result.reduce_result.ok and result.plan_mode == "default"
-    assert _transcript_sha(tmp_path, spec, result.transcript) == (
+    assert _transcript_sha(tmp_path, spec, result.transcript, ("2", "5")) == (
         "059ef1cb51dd8afaa5d699948104e661709902a061d856249aefc9605bc30871"
     )
     assert _outputs_sha(result.reduce_result) == (
@@ -88,7 +90,7 @@ def test_two_straggler_run_pin(tmp_path):
 def test_partial_straggler_pipeline_pin(tmp_path):
     spec = _spec("fano", 14, 8)
     result = run_pipeline(spec, partial=frozenset({"2"}))
-    assert result.reduce_result.ok and result.transcript.sent_bits["2"] == 0
+    assert result.reduce_result.ok and transcript_bits(spec, result.transcript)[0]["2"] == 0
     assert _transcript_sha(tmp_path, spec, result.transcript) == (
         "8982918d178cbc0584660e1151175a84985a57c65c3849d8c2aeef508fdb2c0a"
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import struct
 from fractions import Fraction
 from math import lcm
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from codedmr import (
     BalanceError,
+    audit_plan,
     BinaryComputingMatrix,
     FormatError,
     IdentityCover,
@@ -39,6 +41,7 @@ from codedmr.shuffle import (
     _frame,
     block_duties,
     default_plan,
+    job_digest,
     load_transcript,
     partial_straggler_needs,
     plan_senders,
@@ -57,10 +60,27 @@ def _xor(a, b):
 
 def round_for_member(spec, idx, duty, store, coded_sender, uncoded_sender):
     """The exchange round of member *idx* alone, sent by the rows
-    *coded_sender* and *uncoded_sender*: the ``_exchange`` kernel on one
-    member, which builds, broadcasts and decodes its two transmissions."""
+    *coded_sender* and *uncoded_sender*: the ``_exchange`` kernel on a
+    cover of that one member, which builds, broadcasts and decodes its two
+    transmissions."""
+    alone = dataclasses.replace(spec, cover=IdentityCover((spec.cover.members[idx],)))
     senders = np.array([[coded_sender, uncoded_sender]])
-    return tuple(_exchange(spec, duty, store, [idx], senders, None))
+    payloads = _exchange(alone, duty, store, senders, None)
+    return ShuffleTranscript(spec.matrix.rows, senders, payloads).transmissions
+
+
+def transcript_bits(spec, transcript, stragglers=()):
+    """The bits each server sends and receives in *transcript*, as two
+    label-keyed dicts: a server that does not straggle receives every
+    broadcast of its members that it does not send."""
+    sent = {k: 0 for k in spec.matrix.rows}
+    received = dict(sent)
+    for tx in transcript.transmissions:
+        sent[tx.sender] += len(tx.payload) * 8
+        for k in spec.cover.members[tx.member].rows:
+            if k not in stragglers and k != tx.sender:
+                received[k] += len(tx.payload) * 8
+    return sent, received
 
 
 @dataclasses.dataclass(frozen=True)
@@ -311,7 +331,9 @@ class TestRunReduce:
 class TestMeasuredLoad:
     def test_empty_transcript_is_zero(self):
         spec = fano_spec()
-        empty = ShuffleTranscript((), spec.matrix.rows, 0, {}, {})
+        empty = ShuffleTranscript(
+            spec.matrix.rows, np.empty((0, 2), dtype=np.intp), np.empty((0, 2, 0), dtype=np.uint8)
+        )
         assert measured_load(empty, spec) == 0
 
 
@@ -322,7 +344,7 @@ class TestPartialStragglers:
         partial = run_pipeline(spec, partial=frozenset({"2"}))
         assert partial.load == baseline.load == Fraction(2, 7)
         assert partial.reduce_result.ok
-        assert partial.transcript.sent_bits["2"] == 0
+        assert transcript_bits(spec, partial.transcript)[0]["2"] == 0
 
     def test_partial_straggler_maps_fewer_subfiles_before_shuffle(self):
         spec = fano_spec(Q=7, T=4)
@@ -367,6 +389,70 @@ class TestTranscriptPersistence:
             assert (a.sender, a.member, a.kind, a.payload) == (
                 b.sender, b.member, b.kind, b.payload,
             )
+
+
+class TestTranscriptArrays:
+    def test_no_record_is_built_without_tamper(self, tmp_path):
+        m = man_matrix(5, 2)
+        plan = build_sender_plan(m, man_cover(m))
+        spec = JobSpec(m, man_cover(m), 5, 8)
+        result = run_pipeline(spec, plan.as_mapping())
+        save_transcript(tmp_path / "t.bin", spec, result.transcript)
+        assert audit_plan(plan, result.transcript).balanced
+        assert measured_load(result.transcript, spec) == result.load == Fraction(2, 5)
+        assert "transmissions" not in result.transcript.__dict__
+
+    def test_the_arrays_are_the_transcript_and_read_only(self):
+        transcript = run_pipeline(fano_spec(Q=14, T=4)).transcript
+        assert [f.name for f in dataclasses.fields(transcript)] == ["servers", "senders", "payloads"]
+        assert transcript.senders.shape == (7, 2) and transcript.payloads.shape == (7, 2, 8)
+        assert (transcript.payload_bytes, transcript.total_bits) == (8, 7 * 2 * 8 * 8)
+        with pytest.raises(ValueError):
+            transcript.payloads[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            transcript.senders[0, 0] = 1
+
+    def test_tamper_sees_every_broadcast_in_send_order(self):
+        spec = fano_spec(Q=14, T=4)
+        seen = []
+        result = run_pipeline(spec, tamper=lambda tx: seen.append(tx) or tx)
+        assert [(tx.member, tx.kind) for tx in seen] == [
+            (s, kind) for s in range(7) for kind in ("coded", "uncoded")
+        ]
+        assert tuple(seen) == result.transcript.transmissions
+        assert result.reduce_result.ok
+
+    def test_a_tampered_sender_leaves_the_planned_senders(self):
+        spec = fano_spec()
+        planned = run_pipeline(spec).transcript.senders
+        result = run_pipeline(spec, tamper=lambda tx: dataclasses.replace(tx, sender="1"))
+        assert np.array_equal(result.transcript.senders, planned)
+        assert {tx.sender for tx in result.transcript.transmissions} != {"1"}
+        assert result.reduce_result.ok
+
+    def test_every_broadcast_is_tampered_before_a_fault_is_raised(self):
+        spec = fano_spec()
+        seen = []
+
+        def tamper(tx):
+            seen.append(tx.member)
+            return dataclasses.replace(tx, payload=tx.payload[:-1]) if tx.member == 2 else tx
+
+        with pytest.raises(ShuffleError) as err:
+            run_pipeline(spec, tamper=tamper)
+        assert str(err.value) == "member 2: coded broadcast has 15 bytes, expected 16"
+        assert seen == [s for s in range(7) for _ in range(2)]
+
+    def test_tamper_stops_before_the_first_sender_fault(self):
+        """A sender label the matrix lacks has no record: the run names the
+        fault, never an IndexError of the records' labels."""
+        spec, plan = _man_5_2_default_plan()
+        plan[3] = ("9", plan[3][1])
+        seen = []
+        with pytest.raises(ShuffleError) as err:
+            run_pipeline(spec, plan, tamper=lambda tx: seen.append(tx.member) or tx)
+        assert str(err.value) == "senders must be participating rows of the member"
+        assert seen == [0, 0, 1, 1, 2, 2]
 
 
 TAMPER_JOBS = (
@@ -538,6 +624,8 @@ def reference_round(spec, member_index, assignment, states, coded_sender, uncode
 
 
 def reference_shuffle(spec, assignment, states, plan=None, tamper=None):
+    """The broadcasts, their payload size and the (sent, received) bits
+    per server."""
     if spec.cover_fault is not None:
         raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if plan is None:
@@ -560,9 +648,7 @@ def reference_shuffle(spec, assignment, states, plan=None, tamper=None):
         if lacking.any():
             f = m.cols[int(np.argmax(lacking))]
             raise ShuffleError(f"server {k!r} is still missing (q={duties[0]}, f={f!r}) after shuffle")
-    return ShuffleTranscript(
-        tuple(transmissions), m.rows, assignment.beta * spec.iva_bytes, sent_bits, received_bits
-    )
+    return tuple(transmissions), assignment.beta * spec.iva_bytes, (sent_bits, received_bits)
 
 
 def reference_reduce(spec, assignment, states):
@@ -604,15 +690,14 @@ def reference_pipeline(spec, plan=None, tamper=None, stragglers=(), partial=froz
     return transcript, reference_reduce(spec, assignment, states)
 
 
-def _records(transcript):
-    return [(tx.sender, tx.member, tx.kind, tx.payload) for tx in transcript.transmissions]
+def _summary(transmissions, payload_bytes, bits, outputs, mismatches):
+    records = [(tx.sender, tx.member, tx.kind, tx.payload) for tx in transmissions]
+    return records, payload_bytes, bits, outputs, mismatches
 
 
-def _summary(transcript, outputs, mismatches):
-    return (
-        _records(transcript), transcript.payload_bytes,
-        transcript.sent_bits, transcript.received_bits, outputs, mismatches,
-    )
+def _library_summary(spec, transcript, stragglers, outputs, mismatches):
+    bits = transcript_bits(spec, transcript, stragglers)
+    return _summary(transcript.transmissions, transcript.payload_bytes, bits, outputs, mismatches)
 
 
 def _outcome(run):
@@ -627,12 +712,14 @@ def _library_pipeline(spec, **kwargs):
     result = run_pipeline(spec, **kwargs)
     r = result.reduce_result
     assert r.ok == (not r.mismatches)
-    return _summary(result.transcript, r.outputs, r.mismatches)
+    return _library_summary(
+        spec, result.transcript, kwargs.get("stragglers", ()), r.outputs, r.mismatches
+    )
 
 
 def _reference_pipeline(spec, **kwargs):
     transcript, (outputs, mismatches) = reference_pipeline(spec, **kwargs)
-    return _summary(transcript, outputs, mismatches)
+    return _summary(*transcript, outputs, mismatches)
 
 
 @functools.lru_cache(maxsize=None)
@@ -682,18 +769,23 @@ def _flip(idx, kind, offset, flip):
     return tamper
 
 
+def _draw_flip(spec, data):
+    """No tamper, or one that flips a byte of one drawn broadcast."""
+    if not data.draw(st.booleans(), label="tamper"):
+        return None
+    return _flip(
+        data.draw(st.integers(0, spec.cover.size - 1), label="member"),
+        data.draw(st.sampled_from(("coded", "uncoded")), label="kind"),
+        data.draw(st.integers(0, 10**4), label="offset"),
+        data.draw(st.integers(1, 255), label="flip"),
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(job=reference_jobs(), data=st.data())
 def test_pipeline_equals_per_member_reference(job, data):
     spec, plan, stragglers, partial = job
-    tamper = None
-    if data.draw(st.booleans(), label="tamper"):
-        tamper = _flip(
-            data.draw(st.integers(0, spec.cover.size - 1), label="member"),
-            data.draw(st.sampled_from(("coded", "uncoded")), label="kind"),
-            data.draw(st.integers(0, 10**4), label="offset"),
-            data.draw(st.integers(1, 255), label="flip"),
-        )
+    tamper = _draw_flip(spec, data)
     kwargs = dict(plan=plan, tamper=tamper, stragglers=stragglers, partial=partial)
     got = _outcome(lambda: _library_pipeline(spec, **kwargs))
     assert got == _outcome(lambda: _reference_pipeline(spec, **kwargs))
@@ -708,13 +800,14 @@ def _library_phases(spec, assignment, mapped, plan):
     store = run_map_phase(spec, mapped)
     transcript = run_shuffle(spec, duty, store, plan_senders(spec, plan))
     r = run_reduce(spec, duty, store)
-    return _summary(transcript, r.outputs, r.mismatches)
+    stragglers = [k for k in spec.matrix.rows if k not in assignment.duties]
+    return _library_summary(spec, transcript, stragglers, r.outputs, r.mismatches)
 
 
 def _reference_phases(spec, assignment, subfile_filter, plan):
     states = reference_map(spec, subfile_filter)
     transcript = reference_shuffle(spec, assignment, states, plan)
-    return _summary(transcript, *reference_reduce(spec, assignment, states))
+    return _summary(*transcript, *reference_reduce(spec, assignment, states))
 
 
 @settings(max_examples=60, deadline=None)
@@ -781,6 +874,60 @@ def test_length_changing_tamper_fails_as_in_the_reference(job, data):
     got = _outcome(lambda: _library_pipeline(spec, **kwargs))
     assert got == _outcome(lambda: _reference_pipeline(spec, **kwargs))
     assert got[0] in (ShuffleError, ValueError)
+
+
+def reference_save_transcript(path, spec, transcript):
+    """The per-record writer the array writer replaced: one record per
+    ``Transmission``, its label encoded and its fields packed in turn."""
+    m = spec.matrix
+    parts = [
+        b"CMRT",
+        struct.pack(">B", 1),
+        job_digest(spec),
+        struct.pack(">7I", m.K, m.N, m.r, spec.g, spec.cover.size, spec.num_functions,
+                    spec.iva_bytes),
+        struct.pack(">I", len(transcript.transmissions)),
+    ]
+    for tx in transcript.transmissions:
+        sender = tx.sender.encode()
+        parts += (
+            struct.pack(">H", len(sender)),
+            sender,
+            struct.pack(">IBI", tx.member, ("coded", "uncoded").index(tx.kind), len(tx.payload)),
+            tx.payload,
+        )
+    path.write_bytes(b"".join(parts))
+
+
+def _assert_writers_agree(directory, spec, transcript):
+    save_transcript(directory / "arrays.bin", spec, transcript)
+    reference_save_transcript(directory / "records.bin", spec, transcript)
+    data = (directory / "arrays.bin").read_bytes()
+    assert data == (directory / "records.bin").read_bytes()
+    assert load_transcript(directory / "arrays.bin")[1] == transcript.transmissions
+
+
+@settings(max_examples=60, deadline=None)
+@given(job=reference_jobs(), data=st.data())
+def test_array_writer_equals_the_per_record_writer(tmp_path_factory, job, data):
+    spec, plan, stragglers, partial = job
+    tamper = _draw_flip(spec, data)
+    try:
+        result = run_pipeline(spec, plan, tamper, stragglers, partial)
+    except (ShuffleError, ValueError):
+        event("rejected")
+        return
+    _assert_writers_agree(tmp_path_factory.mktemp("writers"), spec, result.transcript)
+
+
+def test_array_writer_on_multi_byte_row_labels(tmp_path):
+    m = fano_matrix()
+    rows = tuple(f"{c}{k}" for c, k in zip("äß€東𝔽ø𝄞", m.rows))
+    m = BinaryComputingMatrix(rows, m.cols, m.bits, m.r)
+    spec = JobSpec(m, search_cover(m, 3, mode="exact"), 14, 4)
+    transcript = run_pipeline(spec).transcript
+    assert all(len(k) != len(k.encode()) for k in transcript.servers)
+    _assert_writers_agree(tmp_path, spec, transcript)
 
 
 # ---------------------------------------------------------------------------

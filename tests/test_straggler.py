@@ -29,7 +29,7 @@ from codedmr.fmt import decimal_str, decimal_trunc
 from codedmr.straggler import optimal_load_is_extrapolated
 
 from test_balance import balanceable
-from test_shuffle import reference_reduce_digest
+from test_shuffle import reference_reduce_digest, transcript_bits
 
 
 def man_spec(K, r, Q, T=4):
@@ -69,7 +69,7 @@ class TestStragglerRun:
         result = straggler_run(spec, ("3",))
         senders = {tx.sender for tx in result.transcript.transmissions}
         assert "3" not in senders
-        assert result.transcript.sent_bits["3"] == 0
+        assert transcript_bits(spec, result.transcript, ("3",))[0]["3"] == 0
 
     def test_scaling_law_k_over_kappa(self):
         for K, r in [(5, 2), (6, 3), (7, 4)]:
@@ -99,7 +99,7 @@ class TestStragglerRun:
         spec = man_spec(5, 2, 5)
         result = straggler_run(spec, (), plan="balanced")
         assert result.plan_mode == "balanced"
-        sent = set(result.transcript.sent_bits.values())
+        sent = set(transcript_bits(spec, result.transcript)[0].values())
         assert len(sent) == 1   # everyone sends the same byte count
 
 
