@@ -16,13 +16,15 @@ computes each one exactly once: ``JobSpec.ivas`` is a read-only
 phase, the oracle, the late map work of partial stragglers and every
 scenario of a straggler sweep run on the same spec.  Likewise a
 complete function's reduce output depends only on its row of that
-table, so ``JobSpec.reduce_outputs`` digests each row once per spec.
-The servers' store is three arrays (``ServerStore``): a ``(K, N)`` mask
-of the subfiles each server mapped, and, since every function has one
-reducer, a ``(Q, N, T)`` table of delivered values shaped like ``ivas``
-with a ``(Q, N)`` mask of what was delivered.  Decoding cancels only
-values whose column is in the receiver's own mask, and the reduce phase
-is one comparison of the delivered table with ``ivas``.
+table, so ``JobSpec.reduce_outputs`` digests each row once per spec, on
+first read.  The servers' store (``ServerStore``) is a ``(K, N)`` mask
+of the subfiles each server mapped, plus what the shuffle delivered,
+kept by cover slot: the row and column of each participating slot and
+the (beta, T) values it decoded.  Decoding cancels only values whose
+column is in the receiver's own mask.  The reduce phase checks each
+delivered value against ``ivas`` where it lands, with one gather of the
+oracle; its named mismatches and outputs are views built on first read,
+so a sweep, which reads only the verdict, builds neither.
 
 ``run_pipeline`` is the one routine that sequences a run (map, sender
 plan, shuffle, late map, reduce, load), for the full server set, full
@@ -234,7 +236,7 @@ class JobSpec:
     def reduce_outputs(self) -> tuple[bytes, ...]:
         """The Q reduce outputs: ``reduce_outputs[q - 1]`` is the 32-byte
         digest stream, tagged ``reduce``, of the parts ``[q, *row]`` for
-        q's ``ivas`` row, worked out once per spec.  The tail after the
+        q's ``ivas`` row, worked out on first read.  The tail after the
         head q is the row's N values, each framed by a 4-byte big-endian
         T: one ``tobytes()`` of an (N, 4 + T) array.
         """
@@ -285,17 +287,19 @@ def block_duties(K: int, reducer_rows: Sequence[int], num_functions: int) -> np.
 class ServerStore:
     """Every server's intermediate values, as arrays over the job's table.
 
-    ``mapped[i, j]`` says server ``rows[i]`` mapped subfile ``cols[j]``,
-    so it holds ``spec.ivas[:, j]``; decoding may only cancel against
-    those.  Each function q has one reducer, so what the shuffle delivers
-    fits one table shaped like ``ivas``: ``received[q - 1, j]`` is the
-    value of (q, cols[j]) delivered to q's reducer, and ``have[q - 1, j]``
-    says that it was delivered.
+    ``mapped[i, j]`` says the server of matrix row i mapped the subfile
+    of column j, so it holds ``spec.ivas[:, j]``; decoding may only
+    cancel against those.  What the shuffle delivers is kept by cover
+    slot: slot p is the one-entry (``rows[p]``, ``cols[p]``) of a
+    participating row, and ``values[p, b]`` the value of that column it
+    decoded for the row's duty function b.  Until a shuffle sets them,
+    the three are None: nothing was delivered.
     """
 
-    mapped: np.ndarray       # (K, N) bool
-    received: np.ndarray     # (Q, N, T) uint8
-    have: np.ndarray         # (Q, N) bool
+    mapped: np.ndarray                  # (K, N) bool
+    rows: np.ndarray | None = None      # (P,) intp
+    cols: np.ndarray | None = None      # (P,) intp
+    values: np.ndarray | None = None    # (P, beta, T) uint8
 
 
 @dataclass(frozen=True)
@@ -358,9 +362,7 @@ def run_map_phase(spec: JobSpec, mapped: np.ndarray | None = None) -> ServerStor
     The values are the job's ``ivas`` table, built here on first use.
     """
     spec.ivas  # the map work itself: builds the table once per spec
-    mapped = spec.matrix.bits == 0 if mapped is None else np.array(mapped, dtype=bool)
-    Q, N, T = spec.ivas.shape
-    return ServerStore(mapped, np.zeros((Q, N, T), dtype=np.uint8), np.zeros((Q, N), dtype=bool))
+    return ServerStore(spec.matrix.bits == 0 if mapped is None else np.array(mapped, dtype=bool))
 
 
 def _exchange(
@@ -373,7 +375,8 @@ def _exchange(
     """The exchange rounds of every cover member, ``senders[s]`` being the
     (coded, uncoded) sender rows of member s and *duty* the run's (K, beta)
     duty array: build, broadcast, decode.  Returns the (S, 2, beta*T)
-    payloads broadcast.
+    payloads broadcast, and sets the store's ``rows``, ``cols`` and
+    ``values`` to the slots of participating rows and what they decoded.
 
     All rounds are one array kernel over the members' g slots, laid out
     slot-major so that every XOR runs over a contiguous (S, beta, T)
@@ -467,10 +470,11 @@ def _exchange(
         got_coded, uncoded = payloads.reshape(n, 2, beta, T).transpose(1, 0, 2, 3)
         values ^= got_coded ^ coded
     values[cs, at] = uncoded
-    q = duty[R.T][part.T]                                       # (P, beta)
-    cols = C.T[part.T][:, None]
-    store.received[q, cols] = values[part.T]
-    store.have[q, cols] = True
+    rows, cols, values = R.T.ravel(), C.T.ravel(), values.reshape(g * n, beta, T)   # a view
+    if not part.all():   # keep the slots of the participating rows
+        keep = part.T.ravel()
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    store.rows, store.cols, store.values = rows, cols, values
     return payloads
 
 
@@ -553,39 +557,66 @@ def run_shuffle(
     return ShuffleTranscript(spec.matrix.rows, senders, _exchange(spec, duty, store, senders, tamper))
 
 
-@dataclass
+@dataclass(eq=False)
 class ReduceResult:
-    """Per-function outputs plus the byte-exact verdict against the oracle."""
+    """The byte-exact verdict of a run's reduce phase against the oracle.
+
+    ``bad[i, b, j]`` says the i-th reducing row of the run's (K, beta)
+    *duty* array lacks a correct value of its duty function b on matrix
+    column j.
+    The named mismatches and the per-function outputs are views over it,
+    built on first read.
+    """
 
     ok: bool
-    outputs: dict[tuple[str, int], bytes]
-    mismatches: list[tuple[str, int, str]]   # (server, q, f)
+    spec: JobSpec
+    duty: np.ndarray            # (K, beta) intp
+    bad: np.ndarray             # (kappa, beta, N) bool
+
+    def _reducers(self) -> tuple[list[str], list[list[int]]]:
+        reducers = np.flatnonzero(self.duty[:, 0] >= 0)
+        rows = self.spec.matrix.rows
+        return [rows[i] for i in reducers.tolist()], (self.duty[reducers] + 1).tolist()
+
+    @cached_property
+    def mismatches(self) -> list[tuple[str, int, str]]:
+        """Each (server, q, f) whose value is missing or wrong, in order of
+        reducing row, duty function and column."""
+        servers, qs = self._reducers()
+        cols = self.spec.matrix.cols
+        return [(servers[s], qs[s][b], cols[j]) for s, b, j in np.argwhere(self.bad).tolist()]
+
+    @cached_property
+    def outputs(self) -> dict[tuple[str, int], bytes]:
+        """(server, q) -> reduce output of every function whose values all
+        match: the spec's ``reduce_outputs`` entry."""
+        servers, qs = self._reducers()
+        complete = (~self.bad.any(axis=2)).tolist()
+        return {
+            (k, q): self.spec.reduce_outputs[q - 1]
+            for k, row, oks in zip(servers, qs, complete)
+            for q, ok in zip(row, oks)
+            if ok
+        }
 
 
 def run_reduce(spec: JobSpec, duty: np.ndarray, store: ServerStore) -> ReduceResult:
     """Reduce every duty function of the (K, beta) *duty* array and
     compare against a central oracle.
 
-    The oracle is the job's ``ivas`` table: the received values are
-    compared with it in one array comparison, so any decoding error shows
-    up as a named (server, q, f) mismatch.  A function whose values all
-    match has the spec's ``reduce_outputs`` entry as its output.
+    The oracle is the job's ``ivas`` table: each delivered slot value is
+    compared with its entry where it lands, and a value no slot delivered
+    counts as wrong, so any decoding error shows up as a named (server, q,
+    f) mismatch.  ``ok`` is worked out here; the mismatches and outputs
+    only when read.
     """
-    m = spec.matrix
-    reducers = np.flatnonzero(duty[:, 0] >= 0)
-    wrong = (store.received != spec.ivas).any(axis=2) | ~store.have  # (Q, N)
-    bad = wrong[duty[reducers]] & ~store.mapped[reducers][:, None]   # (kappa, beta, N)
-    servers = [m.rows[i] for i in reducers.tolist()]
-    qs = (duty[reducers] + 1).tolist()
-    mismatches = [(servers[s], qs[s][b], m.cols[j]) for s, b, j in zip(*np.nonzero(bad))]
-    complete = (~bad.any(axis=2)).tolist()
-    outputs = {
-        (k, q): spec.reduce_outputs[q - 1]
-        for k, row, oks in zip(servers, qs, complete)
-        for q, ok in zip(row, oks)
-        if ok
-    }
-    return ReduceResult(ok=not mismatches, outputs=outputs, mismatches=mismatches)
+    reducers = duty[:, 0] >= 0
+    wrong = np.ones((*store.mapped.shape, duty.shape[1]), dtype=bool)   # (K, N, beta)
+    if store.rows is not None:
+        oracle = spec.ivas[duty[store.rows], store.cols[:, None]]       # (P, beta, T)
+        wrong[store.rows, store.cols] = (store.values != oracle).any(axis=2)
+    bad = (wrong[reducers] & ~store.mapped[reducers][:, :, None]).transpose(0, 2, 1)
+    return ReduceResult(not bad.any(), spec, duty, bad)
 
 
 def measured_load(transcript: ShuffleTranscript, spec: JobSpec) -> Fraction:
@@ -701,10 +732,20 @@ def job_digest(spec: JobSpec) -> bytes:
 def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
     """Write the transcript log: a header, then one record per broadcast
     in send order, its sender's label (a 2-byte length, then UTF-8), and
-    its member, kind byte, payload length and payload."""
+    its member, kind byte, payload length and payload.
+
+    Raises FormatError, before the file is opened, on a server label of
+    more UTF-8 bytes than its 2-byte length can hold.
+    """
     m = spec.matrix
     S, _, size = transcript.payloads.shape
-    labels = [struct.pack(">H", len(b)) + b for b in (k.encode() for k in transcript.servers)]
+    encoded = [k.encode() for k in transcript.servers]
+    longest = max(map(len, encoded), default=0)
+    if longest > 0xFFFF:
+        raise FormatError(
+            f"a server label of {longest} UTF-8 bytes is over the transcript log's limit of {0xFFFF}"
+        )
+    labels = [struct.pack(">H", len(b)) + b for b in encoded]
     # what follows a record's label, of one width in every record
     tail = np.dtype([("member", ">u4"), ("kind", "u1"), ("length", ">u4"), ("payload", "u1", size)])
     tails = np.empty((S, 2), dtype=tail)

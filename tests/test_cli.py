@@ -184,6 +184,21 @@ class TestRun:
         assert payload["ok"]
         assert payload["load"]["fraction"] == "2/7"
 
+    def test_label_too_long_for_the_transcript_log_exits_2(self, capsys, tmp_path):
+        lines = (DATA / "fano_design.txt").read_text().splitlines()
+        relabel = lambda line: " ".join("x" * 70_000 if t == "1" else t for t in line.split())
+        design = tmp_path / "design.txt"
+        design.write_text("\n".join([lines[0], *map(relabel, lines[1:])]) + "\n")
+        code, _, err = run_cli(
+            capsys, "run", "--construction", "bibd", "--design", str(design),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert err == (
+            "error: a server label of 70000 UTF-8 bytes is over the transcript log's limit of 65535\n"
+        )
+        assert not (tmp_path / "out" / "transcript.bin").exists()
+
     def test_exact_cover_deeper_than_recursion_limit(self, capsys):
         # MAN(10,4) picks 1,260 one-entries, past the default 1,000 frames
         code, out, err = run_cli(

@@ -4,12 +4,14 @@ import hashlib
 import struct
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import codedmr.shuffle
 from codedmr import (
     BalanceError,
     audit_plan,
@@ -35,6 +37,7 @@ from codedmr import (
     transversal_matrix,
 )
 from codedmr.shuffle import (
+    ServerStore,
     ShuffleTranscript,
     _digest_streams,
     _exchange,
@@ -180,11 +183,17 @@ class TestRoundForMember:
         )
         assert tx_uncoded.payload == iva(3, "234") + iva(10, "234")
         # server 7 cancels its locally mapped values of 256 to decode 127;
-        # received values are kept per function q
-        col = spec.matrix.cols.index
-        assert store.received[[6, 13], col("127")].tobytes() == iva(7, "127") + iva(14, "127")
-        assert store.received[5 - 1, col("256")].tobytes() == iva(5, "256")
-        assert store.received[3 - 1, col("234")].tobytes() == iva(3, "234")
+        # each slot holds the values of its row's two duty functions
+        m = spec.matrix
+        delivered = {
+            (m.rows[i], m.cols[j]): v.tobytes()
+            for i, j, v in zip(store.rows.tolist(), store.cols.tolist(), store.values)
+        }
+        assert delivered == {
+            ("3", "234"): iva(3, "234") + iva(10, "234"),
+            ("5", "256"): iva(5, "256") + iva(12, "256"),
+            ("7", "127"): iva(7, "127") + iva(14, "127"),
+        }
 
     def test_size_two_member_degenerates_to_uncoded(self):
         m = man_matrix(3, 1)
@@ -328,6 +337,40 @@ class TestRunReduce:
         assert server in spec.matrix.rows and 1 <= q <= 7
 
 
+class TestReduceViews:
+    def test_a_run_read_for_its_verdict_builds_no_record(self):
+        spec = fano_spec(Q=14, T=4)
+        result = run_pipeline(spec).reduce_result
+        assert result.ok
+        assert "outputs" not in result.__dict__ and "mismatches" not in result.__dict__
+        assert "reduce_outputs" not in spec.__dict__
+        assert result.mismatches == [] and result.outputs is result.outputs
+        assert len(result.outputs) == 14
+
+    def test_the_store_keeps_slots_not_a_table(self):
+        fields = [f.name for f in dataclasses.fields(ServerStore)]
+        assert fields == ["mapped", "rows", "cols", "values"]
+        spec = fano_spec(Q=14, T=4)
+        store = run_map_phase(spec)
+        assert store.rows is store.cols is store.values is None
+        run_shuffle(spec, block_duties(7, range(7), 14), store)
+        # every one-entry is one slot, and each holds two duty values
+        assert store.values.shape == (7 * 3, 2, 4)
+        assert sorted(zip(store.rows.tolist(), store.cols.tolist())) == sorted(
+            zip(*np.nonzero(spec.matrix.bits))
+        )
+
+    def test_nothing_delivered_is_every_value_missing(self):
+        spec = fano_spec(Q=14)
+        duty = block_duties(7, range(7), 14)
+        store = run_map_phase(spec)
+        result = run_reduce(spec, duty, store)
+        assert (result.ok, result.outputs) == (False, {})
+        assert result.mismatches == reference_reduce(spec, duty, store)[2]
+        assert len(result.mismatches) == 7 * 3 * 2   # every one-entry, both duties
+        assert result.mismatches[:3] == [("1", 1, "127"), ("1", 1, "145"), ("1", 1, "136")]
+
+
 class TestMeasuredLoad:
     def test_empty_transcript_is_zero(self):
         spec = fano_spec()
@@ -389,6 +432,30 @@ class TestTranscriptPersistence:
             assert (a.sender, a.member, a.kind, a.payload) == (
                 b.sender, b.member, b.kind, b.payload,
             )
+
+    @staticmethod
+    def _first_row_labelled(label):
+        m = fano_matrix()
+        m = BinaryComputingMatrix((label, *m.rows[1:]), m.cols, m.bits, m.r)
+        spec = JobSpec(m, search_cover(m, 3, mode="exact"), 7, 4)
+        return spec, run_pipeline(spec).transcript
+
+    def test_a_label_at_the_length_limit_round_trips(self, tmp_path):
+        spec, transcript = self._first_row_labelled("é" * 32767 + "x")   # 65,535 bytes
+        save_transcript(tmp_path / "t.bin", spec, transcript)
+        loaded = load_transcript(tmp_path / "t.bin")[1]
+        assert loaded == transcript.transmissions
+        assert spec.matrix.rows[0] in {tx.sender for tx in loaded}
+
+    def test_a_label_over_the_length_limit_is_a_format_error(self, tmp_path):
+        spec, transcript = self._first_row_labelled("é" * 32768)   # 65,536 bytes
+        path = tmp_path / "t.bin"
+        with pytest.raises(FormatError) as err:
+            save_transcript(path, spec, transcript)
+        assert str(err.value) == (
+            "a server label of 65536 UTF-8 bytes is over the transcript log's limit of 65535"
+        )
+        assert not path.exists()
 
 
 class TestTranscriptArrays:
@@ -651,7 +718,7 @@ def reference_shuffle(spec, assignment, states, plan=None, tamper=None):
     return tuple(transmissions), assignment.beta * spec.iva_bytes, (sent_bits, received_bits)
 
 
-def reference_reduce(spec, assignment, states):
+def reference_engine_reduce(spec, assignment, states):
     m = spec.matrix
     outputs, mismatches = {}, []
     for k, duties in assignment.duties.items():
@@ -687,7 +754,7 @@ def reference_pipeline(spec, plan=None, tamper=None, stragglers=(), partial=froz
     transcript = reference_shuffle(spec, assignment, states, plan, tamper)
     for k in partial:
         states[k].mapped = spec.matrix.bits[spec.matrix.row_index(k)] == 0
-    return transcript, reference_reduce(spec, assignment, states)
+    return transcript, reference_engine_reduce(spec, assignment, states)
 
 
 def _summary(transmissions, payload_bytes, bits, outputs, mismatches):
@@ -807,7 +874,7 @@ def _library_phases(spec, assignment, mapped, plan):
 def _reference_phases(spec, assignment, subfile_filter, plan):
     states = reference_map(spec, subfile_filter)
     transcript = reference_shuffle(spec, assignment, states, plan)
-    return _summary(*transcript, *reference_reduce(spec, assignment, states))
+    return _summary(*transcript, *reference_engine_reduce(spec, assignment, states))
 
 
 @settings(max_examples=60, deadline=None)
@@ -874,6 +941,74 @@ def test_length_changing_tamper_fails_as_in_the_reference(job, data):
     got = _outcome(lambda: _library_pipeline(spec, **kwargs))
     assert got == _outcome(lambda: _reference_pipeline(spec, **kwargs))
     assert got[0] in (ShuffleError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the whole-table reduce check, which scatters every delivered
+# slot into a (Q, N, T) table with a (Q, N) mask of what was delivered and
+# compares the whole table with ``ivas``, kept test-only so that the check
+# of each slot where it lands is checked against it.
+# ---------------------------------------------------------------------------
+
+
+def reference_reduce(spec, duty, store):
+    """``ok``, the (server, q) -> output dict and the (server, q, f)
+    mismatch list of the whole-table check of *store*."""
+    m = spec.matrix
+    received = np.zeros(spec.ivas.shape, dtype=np.uint8)
+    have = np.zeros(spec.ivas.shape[:2], dtype=bool)
+    if store.rows is not None:
+        q, cols = duty[store.rows], store.cols[:, None]
+        received[q, cols] = store.values
+        have[q, cols] = True
+    reducers = np.flatnonzero(duty[:, 0] >= 0)
+    wrong = (received != spec.ivas).any(axis=2) | ~have              # (Q, N)
+    bad = wrong[duty[reducers]] & ~store.mapped[reducers][:, None]   # (kappa, beta, N)
+    servers = [m.rows[i] for i in reducers.tolist()]
+    qs = (duty[reducers] + 1).tolist()
+    mismatches = [(servers[s], qs[s][b], m.cols[j]) for s, b, j in zip(*np.nonzero(bad))]
+    complete = (~bad.any(axis=2)).tolist()
+    outputs = {
+        (k, q): spec.reduce_outputs[q - 1]
+        for k, row, oks in zip(servers, qs, complete)
+        for q, ok in zip(row, oks)
+        if ok
+    }
+    return not mismatches, outputs, mismatches
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=reference_jobs(), data=st.data())
+def test_slot_check_equals_the_whole_table_check(job, data):
+    spec, plan, stragglers, partial = job
+    tamper = _draw_flip(spec, data)
+    drop = data.draw(st.integers(0, 4), label="slots dropped")
+    flips = data.draw(st.lists(st.integers(0, 10**6), max_size=3), label="bytes flipped")
+    seen = []
+
+    def recorded(spec, duty, store):
+        # lose the first *drop* slots and corrupt some delivered bytes
+        store.rows, store.cols = store.rows[drop:], store.cols[drop:]
+        store.values = store.values[drop:].copy()
+        flat = store.values.reshape(-1)
+        for f in flips:
+            if flat.size:
+                flat[f % flat.size] ^= 1
+        seen.append((duty, store, run_reduce(spec, duty, store)))
+        return seen[-1][-1]
+
+    with mock.patch.object(codedmr.shuffle, "run_reduce", recorded):
+        try:
+            run_pipeline(spec, plan, tamper, stragglers, partial)
+        except (ShuffleError, ValueError):
+            event("rejected")
+            return
+    ((duty, store, got),) = seen
+    ok, outputs, mismatches = reference_reduce(spec, duty, store)
+    assert (got.ok, got.mismatches, list(got.outputs.items())) == (
+        ok, mismatches, list(outputs.items())
+    )
+    event("mismatches" if mismatches else "reduced ok")
 
 
 def reference_save_transcript(path, spec, transcript):

@@ -195,7 +195,11 @@ class TestWorstCaseSweep:
         spec = man_spec(6, 3, 12)
         result = worst_case_sweep(spec, 4)
         assert len(result.runs) == 15 and all(ok for _, _, ok in result.runs)
-        assert calls.count(b"reduce") == spec.num_functions
+        # a sweep reads only each run's verdict, so it digests no reduce output
+        assert calls.count(b"reduce") == 0 and "reduce_outputs" not in spec.__dict__
+        for stragglers in (("1", "2"), ("5", "6")):
+            assert len(straggler_run(spec, stragglers).reduce_result.outputs) == 12
+            assert calls.count(b"reduce") == spec.num_functions
         for q in range(1, spec.num_functions + 1):
             row = [v.tobytes() for v in spec.ivas[q - 1]]
             assert spec.reduce_outputs[q - 1] == reference_reduce_digest(q, row)
