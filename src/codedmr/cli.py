@@ -242,9 +242,10 @@ def cmd_run(args) -> int:
     summary["ok"] = not failures
 
     if args.out is not None:
+        log = shuffle.transcript_log(spec, transcript)   # a refused log makes no DIR
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        shuffle.save_transcript(out / "transcript.bin", spec, transcript)
+        (out / "transcript.bin").write_bytes(log)
         (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
         (out / "matrix.txt").write_text(format_matrix(con.matrix))
         (out / "cover.txt").write_text(format_cover(cover))

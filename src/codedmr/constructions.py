@@ -54,27 +54,32 @@ def subset_label(elems) -> str:
     return "-".join(elems)
 
 
-def _colex_subsets(universe: range, size: int) -> list[tuple[int, ...]]:
-    # Colexicographic order makes subset-indexed columns deterministic.
-    return sorted(itertools.combinations(universe, size), key=lambda a: a[::-1])
-
-
 @functools.lru_cache(maxsize=8)
 def _man_columns(K: int, r: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """The columns of the subset placement MAN(K, r), built once per (K, r).
 
     Returns the (N, r) array of the colex r-subsets of [K], read-only,
     and the tuple of their labels; ``man_matrix`` and ``man_cover`` share
-    both.
+    both.  Colexicographic order makes subset-indexed columns
+    deterministic.  The combinations of the points listed from K down
+    are the subsets in descending colex order, each largest point first,
+    so both are read reversed: no sort.
     """
     if not 1 <= r < K:
         raise ValueError(f"need 1 <= r < K, got r={r}, K={K}")
-    _check_cells(f"MAN({K},{r})", K, comb(K, r))
-    subsets = _colex_subsets(range(1, K + 1), r)
-    labels = tuple(subset_label(map(str, a)) for a in subsets)
-    subset_array = np.array(subsets, dtype=np.intp)
-    subset_array.flags.writeable = False
-    return subset_array, labels
+    N = comb(K, r)
+    _check_cells(f"MAN({K},{r})", K, N)
+    descending = itertools.chain.from_iterable(itertools.combinations(range(K, 0, -1), r))
+    subsets = np.fromiter(descending, dtype=np.intp, count=N * r).reshape(N, r)[::-1, ::-1].copy()
+    subsets.flags.writeable = False
+    points = [str(k) for k in range(K, 0, -1)]
+    ascending = list(itertools.combinations(points, r))[::-1]
+    # subset_label's rule: the subsets of the one-character points 1-9,
+    # which come first in colex order, concatenate; the rest join with '-'
+    plain = comb(min(K, 9), r)
+    labels = ["".join(a[::-1]) for a in ascending[:plain]]
+    labels += ["-".join(a[::-1]) for a in ascending[plain:]]
+    return subsets, tuple(labels)
 
 
 def man_matrix(K: int, r: int) -> BinaryComputingMatrix:

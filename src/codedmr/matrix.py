@@ -514,7 +514,8 @@ def parse_matrix(text: str) -> BinaryComputingMatrix:
 def format_cover(c: IdentityCover) -> str:
     lines = [str(c.size)]
     lines += [" ".join([str(len(rows)), *rows, *cols]) for rows, cols in c._labels()]
-    return "\n".join(lines) + "\n"
+    lines.append("")   # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_cover(text: str) -> IdentityCover:

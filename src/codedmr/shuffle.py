@@ -6,13 +6,14 @@ correctness can be checked byte-for-byte against a central oracle.
 Each digest stream hashes a counter and its length-prefixed parts.
 Framing is concatenative, so ``_digest_streams`` absorbs a shared head
 of parts once per output block and finishes every output from a
-``copy()`` of that blake2b state.  The job tables below share heads
-across whole rows, and ``synth_map``, one IVA alone, is a one-tail call
-with the same bytes.
+``copy()`` of that blake2b state, straight into one (tails, length)
+uint8 array.  The job tables below share heads across whole rows, and
+``synth_map``, one IVA alone, is a one-tail call with the same bytes.
 
 Every intermediate value (IVA) is a pure function of (q, f), so a job
 computes each one exactly once: ``JobSpec.ivas`` is a read-only
-``(Q, N, T)`` uint8 table, built on first use and shared by the map
+``(Q, N, T)`` uint8 table, built on first use, one kernel call per row
+written in place, and shared by the map
 phase, the oracle, the late map work of partial stragglers and every
 scenario of a straggler sweep run on the same spec.  Likewise a
 complete function's reduce output depends only on its row of that
@@ -60,7 +61,9 @@ the intermediate-value size in bytes.  All rounds of a shuffle run as
 one array kernel: one gather of the missing values of every member
 slot, one XOR reduce over the slots for every coded payload, one XOR to
 decode, and one boolean gather of the mapped masks to check every
-cancellation.
+cancellation of the members that hold a row mapping short of its zero
+set.  A verified member's cross entries are 0, so in any other member
+every value a decode cancels is held.
 
 So the transcript is two read-only arrays (``ShuffleTranscript``): the
 (S, 2) sender rows and the (S, 2, beta*T) payloads, member s's coded
@@ -114,30 +117,35 @@ def _frame(parts: Iterable[bytes]) -> bytes:
     return b"".join([len(p).to_bytes(4, "big") + p for p in parts])
 
 
+# Tails finished per join: bounds the transient digests of a block at
+# 64 KiB, however many tails a call has.
+_CHUNK = 1024
+
+
 def _digest_streams(
-    tag: bytes, head: Iterable[bytes], tails: Iterable[bytes], length: int
-) -> list[bytes]:
-    """For each already framed tail, the *length*-byte stream of the
-    parts ``[*head, *tail]``.
+    tag: bytes, head: Iterable[bytes], tails: Sequence[bytes], length: int
+) -> np.ndarray:
+    """The (len(tails), length) uint8 array whose row i is the stream of
+    the parts ``[*head, *tail]`` for the already framed ``tails[i]``.
 
     Block c of the stream of parts P is the 64-byte blake2b digest,
     personalised by *tag*, of ``c (4 bytes) + _frame(P)``.  Framing is
     concatenative, so each block's state absorbs ``c + _frame(head)``
-    once, and each tail costs a ``copy()``, an update and a digest.
+    once, and each tail costs a ``copy()``, an update and a digest.  The
+    digests of one block are joined a chunk of tails at a time and land
+    in their 64 columns of the array in one assignment.
     """
     framed = _frame(head)
-    states = [
-        hashlib.blake2b(c.to_bytes(4, "big") + framed, digest_size=64, person=tag[:16])
-        for c in range(-(-length // 64))
-    ]
-    streams = []
-    for tail in tails:
-        blocks = []
-        for state in states:
-            h = state.copy()
-            h.update(tail)
-            blocks.append(h.digest())
-        streams.append(b"".join(blocks)[:length])
+    streams = np.empty((len(tails), length), dtype=np.uint8)
+    for c, start in enumerate(range(0, length, 64)):
+        copy = hashlib.blake2b(c.to_bytes(4, "big") + framed, digest_size=64, person=tag[:16]).copy
+        width = min(64, length - start)
+        for i in range(0, len(tails), _CHUNK):
+            chunk = tails[i : i + _CHUNK]
+            blocks = b"".join([(h := copy()).update(t) or h.digest() for t in chunk])
+            streams[i : i + _CHUNK, start : start + width] = (
+                np.frombuffer(blocks, dtype=np.uint8).reshape(-1, 64)[:, :width]
+            )
     return streams
 
 
@@ -147,7 +155,8 @@ def synth_map(q: int, f: str, subfile: bytes, iva_bytes: int) -> bytes:
     A pure keyed digest: identical inputs give identical values on every
     server.
     """
-    return _digest_streams(b"iva", [q.to_bytes(8, "big"), f.encode(), subfile], [b""], iva_bytes)[0]
+    parts = [q.to_bytes(8, "big"), f.encode(), subfile]
+    return _digest_streams(b"iva", parts, [b""], iva_bytes)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +203,23 @@ class JobSpec:
 
         IVA (q, f) is ``synth_map`` of q on f's subfile, which hashes the
         parts ``[q, f, subfile]``: a head shared by the row of q and a tail
-        shared by the column of f.  So the N subfiles are one
-        ``_digest_streams`` call with the seed as head, the N column tails
-        are framed once, and each row is one call with q as head.
+        shared by the column of f.  Each column label is framed once.  It
+        is the tail of the subfile's parts ``[seed, f]``, so the N subfiles
+        are one ``_digest_streams`` call with the seed as head; and framing
+        is concatenative, so f's IVA tail is the framed label followed by
+        the framed subfile.  Each row is one call with q as head, written
+        into the table in place.
         """
-        cols = [f.encode() for f in self.matrix.cols]
-        subfiles = _digest_streams(
-            b"subfile", [str(self.file_seed).encode()], [_frame([f]) for f in cols],
-            self.subfile_bytes,
-        )
-        tails = [_frame(pair) for pair in zip(cols, subfiles)]
-        flat = b"".join([
-            b"".join(_digest_streams(b"iva", [q.to_bytes(8, "big")], tails, self.iva_bytes))
-            for q in range(1, self.num_functions + 1)
-        ])
-        # an array over a bytes object is read-only
-        return np.frombuffer(flat, dtype=np.uint8).reshape(
-            self.num_functions, len(cols), self.iva_bytes
-        )
+        Q, B, T = self.num_functions, self.subfile_bytes, self.iva_bytes
+        labels = [_frame([f.encode()]) for f in self.matrix.cols]
+        subfiles = _digest_streams(b"subfile", [str(self.file_seed).encode()], labels, B).tobytes()
+        size = B.to_bytes(4, "big")
+        tails = [f + size + subfiles[j * B : (j + 1) * B] for j, f in enumerate(labels)]
+        table = np.empty((Q, len(tails), T), dtype=np.uint8)
+        for q in range(1, Q + 1):
+            table[q - 1] = _digest_streams(b"iva", [q.to_bytes(8, "big")], tails, T)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def _cover_faults(self) -> tuple[int, int, int]:
@@ -246,7 +254,8 @@ class JobSpec:
         outputs = []
         for q, row in enumerate(self.ivas, 1):
             framed[:, 4:] = row
-            outputs += _digest_streams(b"reduce", [q.to_bytes(8, "big")], [framed.tobytes()], 32)
+            stream = _digest_streams(b"reduce", [q.to_bytes(8, "big")], [framed.tobytes()], 32)
+            outputs.append(stream[0].tobytes())
         return tuple(outputs)
 
     @cached_property
@@ -385,9 +394,13 @@ def _exchange(
     rows that do not take part (full stragglers) are zeroed, so one XOR
     reduce over the slot axis gives every coded payload.  That payload is
     the XOR of every slot, so slot i decodes the broadcast one as
-    ``values[i] ^ broadcast ^ coded``.  One boolean gather of the mapped
-    masks checks every value an encoder or decoder cancels, which makes
-    that XOR a decode.
+    ``values[i] ^ broadcast ^ coded``.  What makes that XOR a decode is
+    that every value an encoder or decoder cancels is mapped.  A verified
+    member's cross entries are 0, so a row whose map mask holds its whole
+    zero set holds every value it cancels.  So one boolean gather of the
+    mapped masks checks only the members with a participating row that
+    maps short (a partial straggler, or a row of a mask the caller passed
+    in); at every other member the only fault is a sender fault.
 
     *tamper* maps the ``Transmission`` records of the broadcasts of every
     member before the first sender fault, in send order, and the payloads
@@ -411,17 +424,32 @@ def _exchange(
     takes_part = (R[at, cs] == cs_row) & part[at, cs] & (R[at, us] == us_row) & part[at, us]
     sound = distinct & takes_part
 
-    # held[s, i, j]: the row of slot i mapped the column of slot j.  The
-    # coded sender encodes from its own map-phase values, the uncoded
-    # sender sends the coded sender's column, and every other row decodes
-    # by cancelling the values of the rows besides itself and the sender.
-    held = store.mapped[R[:, :, None], C[:, None, :]] | ~part[:, :, None] | ~part[:, None, :]
-    held[:, np.arange(g), np.arange(g)] = True
-    own = held[at, cs]
-    early = np.flatnonzero(~sound | ~own.all(1) | ~held[at, us, cs])
-    held[at, cs] = True
-    held[at, :, cs] = True
-    late = np.flatnonzero(sound & ~held.reshape(n, g * g).all(1))
+    # A verified member's cross entries are 0, so a row that mapped its
+    # whole zero set holds every other slot's column.  Only the members
+    # with a participating row that maps short of it (a partial straggler,
+    # or a mask the caller passed in) can lack a value: the checked ones.
+    short = ((m.bits == 0) & ~store.mapped).any(axis=1)
+    checked = np.flatnonzero((short[R] & part).any(axis=1))
+    lacking, late = ~sound, checked     # with no member checked, no late fault
+    if checked.size:
+        pos = np.arange(checked.size)
+        cc, cu, pc = cs[checked], us[checked], part[checked]
+        # held[k, i, j]: in member checked[k], the row of slot i mapped
+        # the column of slot j.  The coded sender encodes from its own
+        # map-phase values, the uncoded sender sends the coded sender's
+        # column, and every other row decodes by cancelling the values of
+        # the rows besides itself and the sender.
+        held = (
+            store.mapped[R[checked, :, None], C[checked, None, :]]
+            | ~pc[:, :, None] | ~pc[:, None, :]
+        )
+        held[:, np.arange(g), np.arange(g)] = True
+        own = held[pos, cc]
+        lacking[checked] |= ~own.all(1) | ~held[pos, cu, cc]
+        held[pos, cc] = True
+        held[pos, :, cc] = True
+        late = checked[sound[checked] & ~held.reshape(-1, g * g).all(1)]
+    early = np.flatnonzero(lacking)
     first_fault = int(early[0]) if early.size else n
     first_late = int(late[0]) if late.size else n
 
@@ -437,8 +465,9 @@ def _exchange(
             return ShuffleError("coded and uncoded sender must be distinct servers")
         if not takes_part[s]:
             return ShuffleError("senders must be participating rows of the member")
-        if not own[s].all():
-            return lacks(s, cs[s], int(np.argmin(own[s])))
+        k = np.searchsorted(checked, s)   # a sound member at fault is checked
+        if not own[k].all():
+            return lacks(s, cs[s], int(np.argmin(own[k])))
         return lacks(s, us[s], cs[s])
 
     # values[i, s, b]: what slot i's row of member s misses for duty slot b
@@ -459,7 +488,8 @@ def _exchange(
     if s == first_fault < n:
         raise fault(s)
     if s == first_late < n:
-        raise lacks(s, *divmod(int(np.argmin(held[s])), g))
+        k = np.searchsorted(checked, s)
+        raise lacks(s, *divmod(int(np.argmin(held[k])), g))
     if s < n:
         raise ShuffleError(
             f"member {s}: {_KINDS[wrong % 2]} broadcast has {len(sent[wrong])} bytes, expected {size}"
@@ -729,13 +759,13 @@ def job_digest(spec: JobSpec) -> bytes:
     return h.digest()
 
 
-def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
-    """Write the transcript log: a header, then one record per broadcast
-    in send order, its sender's label (a 2-byte length, then UTF-8), and
-    its member, kind byte, payload length and payload.
+def transcript_log(spec: JobSpec, transcript: ShuffleTranscript) -> bytes:
+    """The transcript log: a header, then one record per broadcast in
+    send order, its sender's label (a 2-byte length, then UTF-8), and its
+    member, kind byte, payload length and payload.
 
-    Raises FormatError, before the file is opened, on a server label of
-    more UTF-8 bytes than its 2-byte length can hold.
+    Raises FormatError on a server label of more UTF-8 bytes than its
+    2-byte length can hold.
     """
     m = spec.matrix
     S, _, size = transcript.payloads.shape
@@ -764,8 +794,14 @@ def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
     ]
     for i, k in enumerate(transcript.senders.ravel().tolist()):
         parts += (labels[k], flat[i * width : (i + 1) * width])
+    return b"".join(parts)
+
+
+def save_transcript(path, spec: JobSpec, transcript: ShuffleTranscript) -> None:
+    """Write ``transcript_log`` to *path*; a log it refuses opens no file."""
+    log = transcript_log(spec, transcript)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(log)
 
 
 def load_transcript(path) -> tuple[dict, tuple[Transmission, ...]]:

@@ -197,7 +197,7 @@ class TestRun:
         assert err == (
             "error: a server label of 70000 UTF-8 bytes is over the transcript log's limit of 65535\n"
         )
-        assert not (tmp_path / "out" / "transcript.bin").exists()
+        assert not (tmp_path / "out").exists()   # the refused save made no DIR
 
     def test_exact_cover_deeper_than_recursion_limit(self, capsys):
         # MAN(10,4) picks 1,260 one-entries, past the default 1,000 frames

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -22,7 +23,7 @@ from codedmr import (
     validate_matrix,
 )
 from codedmr import constructions
-from codedmr.constructions import MAX_CELLS
+from codedmr.constructions import MAX_CELLS, subset_label
 
 
 def pg2_3_design() -> BlockDesign:
@@ -74,6 +75,22 @@ class TestManMatrix:
                 # complementing reverses colex order: t_subset_cover relies on it
                 assert other == man.N - 1 - j
             assert np.array_equal(tsub.bits, man.bits[:, ::-1])
+
+    @pytest.mark.parametrize("K", range(2, 13))
+    def test_columns_equal_the_sorted_colex_reference(self, K):
+        for r in range(1, K):
+            subsets, labels = constructions._man_columns.__wrapped__(K, r)
+            expected = sorted(itertools.combinations(range(1, K + 1), r), key=lambda a: a[::-1])
+            assert subsets.tolist() == [list(a) for a in expected]
+            assert labels == tuple(subset_label(map(str, a)) for a in expected)
+            assert not subsets.flags.writeable
+
+    def test_man_20_10_labels_are_pinned(self):
+        _, labels = constructions._man_columns.__wrapped__(20, 10)
+        assert len(labels) == comb(20, 10)
+        assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == (
+            "26bb8d98184c64ae99c7005d84da7b89480ec35f8239daf38351de85880440ee"
+        )
 
 
 class TestTSubsetMatrix:

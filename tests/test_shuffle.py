@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import codedmr.shuffle
@@ -901,6 +901,53 @@ def test_dropped_mapped_columns_fail_as_in_the_reference(job, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(job=reference_jobs())
+def test_a_verified_members_cross_entries_are_zero(job):
+    """What lets ``_exchange`` check only the members with a short row: in
+    a verified cover each member's submatrix is the identity, so a row that
+    maps its whole zero set holds every other slot's column."""
+    spec = job[0]
+    assert spec.cover_fault is None
+    R, C = spec.cover_index
+    g = R.shape[1]
+    assert (spec.matrix.bits[R[:, :, None], C[:, None, :]] == np.eye(g, dtype=np.uint8)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=reference_jobs(), data=st.data())
+def test_a_partial_straggler_and_a_dropped_column_fail_as_in_the_reference(job, data):
+    """A run whose short rows are a partial straggler's and another row
+    short of one mapped column mixes members checked for a lacking value
+    with members that are not; the first fault is still the reference's."""
+    spec, _, stragglers, _ = job
+    m = spec.matrix
+    survivors = [k for k in m.rows if k not in stragglers]
+    partial = data.draw(st.sampled_from(survivors), label="partial")
+    k = data.draw(st.sampled_from([s for s in survivors if s != partial]), label="server")
+    i = m.row_index(k)
+    zeros = [f for f, bit in zip(m.cols, m.bits[i]) if bit == 0]
+    dropped = data.draw(st.sampled_from(zeros), label="dropped")
+    assignment = LabelAssignment.blocks(survivors, spec.num_functions)
+    try:
+        plan = reference_default_plan(spec, assignment, forbidden={partial})
+    except ShuffleError:
+        assume(False)   # a member with the partial straggler has too few senders
+    needs = reference_partial_needs(spec, plan, {partial})[partial]
+    subfile_filter = {
+        **{s: set() for s in stragglers}, partial: needs, k: set(zeros) - {dropped},
+    }
+    mapped = m.bits == 0
+    mapped[[m.row_index(s) for s in stragglers]] = False
+    p = m.row_index(partial)
+    mapped[p] = partial_straggler_needs(spec, plan_senders(spec, plan), [p])[p]
+    mapped[i, m.cols.index(dropped)] = False
+    got = _outcome(lambda: _library_phases(spec, assignment, mapped, plan))
+    assert got == _outcome(lambda: _reference_phases(spec, assignment, subfile_filter, plan))
+    event("rejected" if got[0] is ShuffleError else
+          "mismatches" if got[-1] else "reduced ok")
+
+
+@settings(max_examples=60, deadline=None)
 @given(job=reference_jobs(), data=st.data())
 def test_bad_senders_fail_as_in_the_reference(job, data):
     spec, plan, stragglers, _ = job
@@ -1131,8 +1178,22 @@ def test_iva_table_and_reduce_outputs_equal_per_call_digests(spec):
     sub = reference_subfile(spec.file_seed, cols[0], spec.subfile_bytes)
     assert synth_map(1, cols[0], sub, spec.iva_bytes) == reference_iva(spec, 1, cols[0])
     # a head and framed tails of unequal and empty parts hash as the whole parts
-    assert _digest_streams(b"reduce", [(1).to_bytes(8, "big")], [_frame([b"ab", b""])], 32) == [
-        reference_reduce_digest(1, [b"ab", b""])
+    streams = _digest_streams(b"reduce", [(1).to_bytes(8, "big")], [_frame([b"ab", b""])], 32)
+    assert [row.tobytes() for row in streams] == [reference_reduce_digest(1, [b"ab", b""])]
+
+
+@pytest.mark.parametrize("length", [1, 16, 63, 64, 65, 128, 200])
+@pytest.mark.parametrize("count", [0, 1, 3, codedmr.shuffle._CHUNK + 1])
+def test_digest_kernel_equals_one_value_per_call(length, count):
+    """Every row of the kernel's array is the stream of its head and tail
+    parts hashed anew, across block boundaries and chunk boundaries, and
+    no tails give no rows."""
+    head = [b"tag", b""]
+    tails = [[i.to_bytes(3, "big") * (i % 5), b"x" * (i % 70)] for i in range(count)]
+    streams = _digest_streams(b"iva", head, [_frame(t) for t in tails], length)
+    assert streams.shape == (count, length) and streams.dtype == np.uint8
+    assert [row.tobytes() for row in streams] == [
+        reference_digest_stream(b"iva", head + t, length) for t in tails
     ]
 
 
