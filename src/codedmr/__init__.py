@@ -5,7 +5,6 @@ from .matrix import (
     CoverReport,
     FormatError,
     IdentityCover,
-    IdentitySubmatrix,
     MatrixReport,
     count_identity_check,
     format_cover,

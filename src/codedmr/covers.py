@@ -3,14 +3,13 @@
 Analytic covers exist for the three generated families (subset placement,
 t-subset scheme, transversal design); arbitrary matrices, e.g. ingested
 block designs, go through the exact backtracking search or the seeded
-greedy search.  Every cover is returned in index form
-(``IdentityCover.from_index``): the analytic covers work out their (S, g)
-row and column indices by rank arithmetic (the t-subset cover is the
-MAN cover read through complements), and check the matrix's shape
-arithmetically (its labels, then ones or zeros exactly where the family
-puts them) rather than against a rebuilt matrix; the searches gather
-theirs from the one-entries they pick.  So no cover builds an
-``IdentitySubmatrix``.
+greedy search.  Every cover is built with ``IdentityCover.from_index``:
+the analytic covers work out their (S, g) row and column indices by rank
+arithmetic (the t-subset cover is the MAN cover read through
+complements), and check the matrix's shape arithmetically (its labels,
+then ones or zeros exactly where the family puts them) rather than
+against a rebuilt matrix; the searches gather theirs from the
+one-entries they pick.
 
 Both searches number the one-entries in row-major order and read one
 table of int bitmasks: for each one-entry, the one-entries that cannot

@@ -8,20 +8,19 @@ values the shuffle phase must deliver, and a non-overlapping identity
 submatrix cover partitions them into units that a single two-transmission
 exchange round can serve.
 
-An identity cover is held as index arrays: member s has the rows
-``rows[R[s]]`` matched in order with the columns ``cols[C[s]]`` of one
-matrix's label tuples.  The analytic covers and the cover searches build
-these (S, g) arrays directly (``IdentityCover.from_index``), and the
-consumers (verification, the shuffle's member index and default plan,
-the balancer, the cover text) read only them.  A cover given as
-``IdentitySubmatrix`` members, as ``parse_cover`` and tests build it,
-passes once through one adapter that numbers its labels and groups its
-members by shape; a label the matrix lacks gets an index past the
-matrix's own, so the same array checks name it.  The checks run in the
-order and with the reasons of the former per-member check, and the text
-is gathered from the same labels in the same order, so reports, cover
-bytes and every digest built on them are unchanged.  ``members`` is
-built from the arrays only when asked for.
+An identity cover is held as index arrays, its one form: member s has
+the rows ``rows[R[s]]`` matched in order with the columns ``cols[C[s]]``
+of the cover's label tuples, its members grouped by size.  The analytic
+covers and the cover searches build one (S, g) pair of arrays over a
+matrix's own labels (``IdentityCover.from_index``); ``parse_cover``
+numbers a file's labels in order of first use and groups its member
+lines by size.  The consumers (verification, the shuffle's member index
+and default plan, the balancer, the cover text) read only the arrays,
+over a matrix's labels (``IdentityCover.index``): a label the matrix
+lacks gets an index past the matrix's own, so the same array checks
+name it.  The checks run in the order and with the reasons of a
+per-member check, and the text is gathered from the labels in member
+order.
 
 All types here are immutable after construction and safe to share across
 concurrent tasks.  Validation operations are pure functions that report
@@ -32,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -96,65 +96,9 @@ class BinaryComputingMatrix:
         return int(np.count_nonzero(self.bits))
 
 
-@dataclass(frozen=True)
-class IdentitySubmatrix:
-    """l rows and l columns whose selected entries form a permuted identity.
-
-    Position i of ``rows`` is matched with position i of ``cols``: the
-    entry (rows[i], cols[i]) must be 1 and every cross entry
-    (rows[i], cols[j]), i != j, must be 0.
-    """
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True, eq=False)
-class MemberIndex:
-    """A cover's members as row and column indices over one matrix.
-
-    ``rows`` and ``cols`` are the matrix's labels followed by the labels
-    the members use that the matrix lacks, so an index of at least K (or
-    N) names an unknown label.  ``groups`` holds, for each (row count,
-    column count) of the members, their member numbers and their (n, a)
-    row and (n, b) column indices.
-    """
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _label_index(members: tuple[IdentitySubmatrix, ...]) -> MemberIndex:
-    """The adapter from label members to the index form: each distinct
-    label gets the next index in order of first use, and the members are
-    grouped by their (row count, column count)."""
-    row_of: dict[str, int] = {}
-    col_of: dict[str, int] = {}
-    grouped: dict[tuple[int, int], tuple[list, list, list]] = {}
-    for idx, sub in enumerate(members):
-        ids, rs, cs = grouped.setdefault((len(sub.rows), len(sub.cols)), ([], [], []))
-        ids.append(idx)
-        rs.append([row_of.setdefault(k, len(row_of)) for k in sub.rows])
-        cs.append([col_of.setdefault(f, len(col_of)) for f in sub.cols])
-    groups = tuple(
-        (
-            _read_only(np.array(ids, dtype=np.intp)),
-            _read_only(np.array(rs, dtype=np.intp).reshape(len(ids), a)),
-            _read_only(np.array(cs, dtype=np.intp).reshape(len(ids), b)),
-        )
-        for (a, b), (ids, rs, cs) in grouped.items()
-    )
-    return MemberIndex(tuple(row_of), tuple(col_of), groups)
 
 
 def _translate(
@@ -168,24 +112,23 @@ def _translate(
     return table, tuple(unknown)
 
 
+@dataclass(frozen=True, eq=False)
 class IdentityCover:
-    """A family of identity submatrices meant to cover every one-entry.
+    """A family of identity submatrices meant to cover every one-entry,
+    held as index arrays over label tuples.
 
-    Its one working form is index arrays over label tuples: member s has
-    rows ``rows[R[s]]`` and columns ``cols[C[s]]``.  A cover built by
-    :meth:`from_index` holds one (S, g) pair of arrays over a matrix's
-    own labels.  A cover built from ``IdentitySubmatrix`` members (a
-    parsed file, a test) goes through one adapter on first use, which
-    numbers its labels and groups its members by shape.  ``members`` is
-    built from the arrays on first use and kept, so code that reads only
-    the arrays never builds an ``IdentitySubmatrix``.  Two covers are
-    equal when their members have the same labels in the same order,
-    whichever form they were built in.
+    ``groups`` holds, for each member size l, the member numbers of that
+    size and their (n, l) row and column indices: member s has the rows
+    ``rows[R[s]]`` matched in order with the columns ``cols[C[s]]``.  A
+    cover is built by :meth:`from_index`, over one matrix's own labels,
+    or by :func:`parse_cover`, over its labels in order of first use.
+    Two covers are equal when their members have the same labels in the
+    same order, whatever labels they were indexed over.
     """
 
-    def __init__(self, members: Iterable[IdentitySubmatrix] = ()) -> None:
-        self._members: tuple[IdentitySubmatrix, ...] | None = tuple(members)
-        self._index: MemberIndex | None = None
+    rows: tuple[str, ...]
+    cols: tuple[str, ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @classmethod
     def from_index(cls, m: BinaryComputingMatrix, R, C) -> "IdentityCover":
@@ -211,70 +154,52 @@ class IdentityCover:
         if len(R):
             arrays = (np.arange(len(R)), *(a.astype(np.intp, order="C") for a in (R, C)))
             groups = (tuple(map(_read_only, arrays)),)
-        cover = cls.__new__(cls)
-        cover._members = None
-        cover._index = MemberIndex(m.rows, m.cols, groups)
-        return cover
+        return cls(m.rows, m.cols, groups)
 
-    def _own_index(self) -> MemberIndex:
-        if self._index is None:
-            self._index = _label_index(self._members)   # type: ignore[arg-type]
-        return self._index
+    def index(self, m: BinaryComputingMatrix) -> "IdentityCover":
+        """This cover indexed over *m*'s labels: labels *m* lacks follow
+        its own, so an index of at least K (or N) names an unknown label.
 
-    def index(self, m: BinaryComputingMatrix) -> MemberIndex:
-        """The members as indices over *m*'s labels.
-
-        A cover built over *m*'s labels returns its own arrays; any other
+        A cover built over *m*'s labels is returned as it is; any other
         maps its label tuples, one lookup per distinct label rather than
         per member entry.
         """
-        own = self._own_index()
-        if own.rows == m.rows and own.cols == m.cols:
-            return own
-        rmap, rows = _translate(own.rows, m._row_idx)   # type: ignore[attr-defined]
-        cmap, cols = _translate(own.cols, m._col_idx)   # type: ignore[attr-defined]
-        return MemberIndex(
+        if self.rows == m.rows and self.cols == m.cols:
+            return self
+        rmap, rows = _translate(self.rows, m._row_idx)   # type: ignore[attr-defined]
+        cmap, cols = _translate(self.cols, m._col_idx)   # type: ignore[attr-defined]
+        return IdentityCover(
             m.rows + rows,
             m.cols + cols,
-            tuple((ids, rmap[R], cmap[C]) for ids, R, C in own.groups),
+            tuple((ids, rmap[R], cmap[C]) for ids, R, C in self.groups),
         )
 
     @property
     def size(self) -> int:
         """Number of members S."""
-        return sum(len(ids) for ids, _, _ in self._own_index().groups)
+        return sum(len(ids) for ids, _, _ in self.groups)
 
     @property
     def uniform_size(self) -> int | None:
-        """Common member size g (its row count), or None when sizes are
-        mixed or S = 0."""
-        sizes = {R.shape[1] for _, R, _ in self._own_index().groups}
-        if len(sizes) == 1:
-            return next(iter(sizes))
+        """Common member size g, or None when sizes are mixed or S = 0."""
+        if len(self.groups) == 1:
+            return self.groups[0][1].shape[1]
         return None
 
     def _labels(self) -> list[tuple[list[str], list[str]]]:
         """Each member's row labels and column labels, in member order,
         gathered from the arrays."""
-        own = self._own_index()
-        rows, cols = np.array(own.rows, dtype=object), np.array(own.cols, dtype=object)
+        rows, cols = np.array(self.rows, dtype=object), np.array(self.cols, dtype=object)
         labels = [
-            pair for _, R, C in own.groups for pair in zip(rows[R].tolist(), cols[C].tolist())
+            pair for _, R, C in self.groups for pair in zip(rows[R].tolist(), cols[C].tolist())
         ]
-        if len(own.groups) < 2:
+        if len(self.groups) < 2:
             return labels
-        ids = np.concatenate([ids for ids, _, _ in own.groups])
+        ids = np.concatenate([ids for ids, _, _ in self.groups])
         return [labels[i] for i in np.argsort(ids).tolist()]
 
     def _key(self) -> tuple:
         return tuple((tuple(r), tuple(c)) for r, c in self._labels())
-
-    @property
-    def members(self) -> tuple[IdentitySubmatrix, ...]:
-        """The members as ``IdentitySubmatrix`` objects, built once."""
-        if self._members is None:
-            self._members = tuple(IdentitySubmatrix(r, c) for r, c in self._key())
-        return self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IdentityCover):
@@ -343,21 +268,20 @@ def validate_matrix(m: BinaryComputingMatrix) -> MatrixReport:
 
 
 def _member_faults(
-    m: BinaryComputingMatrix, idx: MemberIndex, R: np.ndarray, C: np.ndarray
+    m: BinaryComputingMatrix, idx: IdentityCover, R: np.ndarray, C: np.ndarray
 ) -> tuple[list[tuple[int, str]], np.ndarray]:
-    """Why each member of one group is not an identity submatrix of *m*.
+    """Why each member of one size group is not an identity submatrix of *m*.
 
     Returns (position in the group, reason) for the faulty members and a
     mask of the sound ones.  The checks run in a fixed order, each over
     the whole group, and a member gets the reason of the first it fails:
-    counts, size, repeated row, repeated column, unknown row, unknown
-    column, then the entries, of which the first wrong one in row-major
-    order is named.  Only faulty members are visited one by one.
+    size, repeated row, repeated column, unknown row, unknown column,
+    then the entries, of which the first wrong one in row-major order is
+    named.  Only faulty members are visited one by one.
     """
     n, a = R.shape
-    b = C.shape[1]
-    if a != b or a < 2:
-        reason = "row and column counts differ" if a != b else "size < 2 admits no exchange round"
+    if a < 2:
+        reason = "size < 2 admits no exchange round"
         return [(s, reason) for s in range(n)], np.zeros(n, dtype=bool)
 
     def repeated(X):
@@ -420,9 +344,8 @@ def verify_cover(m: BinaryComputingMatrix, c: IdentityCover) -> CoverReport:
     differ.  Malformed members are reported and excluded from counting;
     a member with wrong entries is named by its first one in row-major
     order.  The check reads the cover's index arrays over *m*, one group
-    of equally shaped members at a time, so a cover of one size is one
-    array pass; a label cover reaches them through its adapter and gets
-    the reasons and lists a per-member check would give.
+    of equally sized members at a time, so a cover of one size is one
+    array pass, with the reasons and lists a per-member check would give.
     """
     idx = c.index(m)
     malformed: list[tuple[int, str]] = []
@@ -480,6 +403,9 @@ def format_matrix(m: BinaryComputingMatrix) -> str:
     return header + text.tobytes().decode("ascii")
 
 
+_BITS = {"0": 0, "1": 1}
+
+
 def parse_matrix(text: str) -> BinaryComputingMatrix:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) < 3:
@@ -499,15 +425,16 @@ def parse_matrix(text: str) -> BinaryComputingMatrix:
         raise FormatError(f"expected {K} row labels, got {len(rows)}")
     if len(lines) != 3 + K:
         raise FormatError(f"expected {K} bit rows, got {len(lines) - 3}")
-    bits = np.zeros((K, N), dtype=np.uint8)
+    bits = np.empty((K, N), dtype=np.uint8)
     for i, ln in enumerate(lines[3:]):
         toks = ln.split()
         if len(toks) != N:
             raise FormatError(f"bit row {i} has {len(toks)} entries, expected {N}")
-        for j, tok in enumerate(toks):
-            if tok not in ("0", "1"):
-                raise FormatError(f"bit row {i} entry {tok!r} is not 0/1")
-            bits[i, j] = int(tok)
+        # 0 and 1 for those tokens, 2 for any other
+        bits[i] = np.fromiter(map(_BITS.get, toks, repeat(2)), np.uint8, N)
+        if bits[i].max() > 1:
+            tok = toks[int(np.argmax(bits[i] > 1))]
+            raise FormatError(f"bit row {i} entry {tok!r} is not 0/1")
     return BinaryComputingMatrix(rows, cols, bits, r)
 
 
@@ -519,6 +446,9 @@ def format_cover(c: IdentityCover) -> str:
 
 
 def parse_cover(text: str) -> IdentityCover:
+    """The cover a cover text describes, over its own labels: each
+    distinct row and column label numbered in order of first use, the
+    member lines grouped by size."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FormatError("cover file is empty")
@@ -528,14 +458,32 @@ def parse_cover(text: str) -> IdentityCover:
         raise FormatError(f"cover header must be an integer, got {lines[0]!r}") from exc
     if len(lines) != 1 + S:
         raise FormatError(f"expected {S} member lines, got {len(lines) - 1}")
-    members = []
+    sizes: list[int] = []
+    # every member's labels in file order, each as the first string read
+    # for it, so repeats are freed line by line; first use numbers them
+    row_labels: list[str] = []
+    col_labels: list[str] = []
+    row_of: dict[str, str] = {}
+    col_of: dict[str, str] = {}
     for ln in lines[1:]:
         toks = ln.split()
         try:
             l = int(toks[0])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise FormatError(f"member line must start with its size: {ln!r}") from exc
         if len(toks) != 1 + 2 * l:
             raise FormatError(f"member line has {len(toks) - 1} labels, expected {2 * l}")
-        members.append(IdentitySubmatrix(tuple(toks[1 : 1 + l]), tuple(toks[1 + l :])))
-    return IdentityCover(tuple(members))
+        sizes.append(l)
+        rows, cols = toks[1 : 1 + l], toks[1 + l :]
+        row_labels += map(row_of.setdefault, rows, rows)
+        col_labels += map(col_of.setdefault, cols, cols)
+    R = np.fromiter(map({k: i for i, k in enumerate(row_of)}.__getitem__, row_labels), np.intp)
+    C = np.fromiter(map({f: j for j, f in enumerate(col_of)}.__getitem__, col_labels), np.intp)
+    size = np.array(sizes, dtype=np.intp)
+    start = np.cumsum(size) - size
+    groups = []
+    for l in dict.fromkeys(sizes):
+        ids = np.flatnonzero(size == l)
+        at = start[ids, None] + np.arange(l)
+        groups.append(tuple(map(_read_only, (ids, R[at], C[at]))))
+    return IdentityCover(tuple(row_of), tuple(col_of), tuple(groups))

@@ -37,7 +37,7 @@ any plan or map work.
 
 The shuffle reads the cover as ``JobSpec.cover_index``, its (S, g) row
 and column index arrays over the matrix: an analytic or searched cover's
-own arrays, or those the label adapter of ``matrix`` builds once.
+own arrays, or a parsed cover's relabelled over the matrix's labels.
 ``run_pipeline`` is the one place a run turns server labels into row
 indices.  Below it the reducers are one (K, beta) duty array
 (``block_duties``): row i holds q - 1 for each of its beta duty

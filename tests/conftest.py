@@ -6,8 +6,10 @@ import pytest
 
 from codedmr import (
     fano_matrix,
+    format_cover,
     man_cover,
     man_matrix,
+    parse_cover,
     search_cover,
     t_subset_cover,
     t_subset_matrix,
@@ -16,6 +18,25 @@ from codedmr import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def label_cover(pairs):
+    """The cover whose member s matches the row labels ``pairs[s][0]`` in
+    order with the column labels ``pairs[s][1]``, built by writing its
+    text and parsing it."""
+    lines = [str(len(pairs))]
+    lines += [" ".join([str(len(rows)), *rows, *cols]) for rows, cols in pairs]
+    return parse_cover("\n".join(lines) + "\n")
+
+
+def cover_members(cover):
+    """Each member's (row labels, column labels), as tuples in member
+    order, read back from the cover's text."""
+    members = []
+    for line in format_cover(cover).splitlines()[1:]:
+        size, *labels = line.split()
+        members.append((tuple(labels[: int(size)]), tuple(labels[int(size) :])))
+    return tuple(members)
 
 
 def build_suite():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from codedmr import (
     FormatError,
-    IdentityCover,
     JobSpec,
     SenderPlan,
     audit_plan,
@@ -28,6 +27,7 @@ from codedmr import (
 )
 from codedmr import balance
 from codedmr.balance import BalanceError
+from conftest import cover_members, label_cover
 from test_shuffle import transcript_bits
 
 
@@ -53,7 +53,7 @@ def sent_members(plan, server):
 def replicated_graph(cover, servers, gamma):
     """gamma copies of each server, joined to the members it appears in."""
     return {
-        (k, j): tuple(i for i, member in enumerate(cover.members) if k in member.rows)
+        (k, j): tuple(i for i, (rows, _) in enumerate(cover_members(cover)) if k in rows)
         for k in servers
         for j in range(gamma)
     }
@@ -61,7 +61,7 @@ def replicated_graph(cover, servers, gamma):
 
 def drop_first_row_of_each_member(m, cover):
     """Survivors once the first row of every member has failed."""
-    dropped = {member.rows[0] for member in cover.members}
+    dropped = {rows[0] for rows, _ in cover_members(cover)}
     return tuple(k for k in m.rows if k not in dropped)
 
 
@@ -83,7 +83,7 @@ class TestPreconditions:
     def test_non_integral_gamma_unavailable(self, fano_pair):
         m, cover = fano_pair
         # drop two members: S=5 against K=7
-        partial = IdentityCover(cover.members[:5])
+        partial = label_cover(cover_members(cover)[:5])
         report = balance_preconditions(m, partial)
         assert not report.gamma_integral
         with pytest.raises(BalanceError, match="integer"):
@@ -226,7 +226,7 @@ class TestBuildSenderPlan:
             assert len(coded) == len(uncoded) == 1
         for i, (coded, uncoded) in enumerate(plan.duties):
             assert coded != uncoded
-            assert {coded, uncoded} <= set(cover.members[i].rows) & set(survivors)
+            assert {coded, uncoded} <= set(cover_members(cover)[i][0]) & set(survivors)
 
     def test_two_matchings_over_server_classes(self, monkeypatch):
         # one left vertex per server, not gamma = 77 copies of each

@@ -15,7 +15,6 @@ from codedmr import (
     CoverBudgetError,
     CoverInfeasibleError,
     IdentityCover,
-    IdentitySubmatrix,
     balance_preconditions,
     count_identity_check,
     fano_matrix,
@@ -33,6 +32,7 @@ from codedmr.constructions import BlockDesign
 from codedmr.covers import MatrixShapeError
 from codedmr.matrix import format_cover
 
+from conftest import cover_members, label_cover
 from test_constructions import pg2_3_design
 from test_matrix import from_bits
 from codedmr import bibd_matrix
@@ -50,8 +50,9 @@ class TestManCover:
         m = man_matrix(3, 2)
         cover = man_cover(m)
         assert cover.size == 1
-        assert set(cover.members[0].rows) == {"1", "2", "3"}
-        assert set(cover.members[0].cols) == set(m.cols)
+        ((rows, cols),) = cover_members(cover)
+        assert set(rows) == {"1", "2", "3"}
+        assert set(cols) == set(m.cols)
 
     def test_7_4(self):
         m = man_matrix(7, 4)
@@ -106,8 +107,8 @@ def reference_man_cover(m):
     for B in itertools.combinations(range(1, m.K + 1), m.r + 1):
         rows = tuple(str(k) for k in B)
         cols = tuple(label[B[:i] + B[i + 1 :]] for i in range(len(B)))
-        members.append(IdentitySubmatrix(rows, cols))
-    return IdentityCover(tuple(members))
+        members.append((rows, cols))
+    return label_cover(members)
 
 
 class TestTSubsetCover:
@@ -130,17 +131,17 @@ class TestTSubsetCover:
         t_pairs = {
             frozenset(
                 (k, frozenset(f.split("-")) if "-" in f else frozenset(f))
-                for k, f in zip(member.rows, member.cols)
+                for k, f in zip(rows, cols)
             )
-            for member in t_subset_cover(tm).members
+            for rows, cols in cover_members(t_subset_cover(tm))
         }
         universe = {str(i) for i in range(1, 6)}
         man_pairs = {
             frozenset(
                 (k, frozenset(universe - (set(f.split("-")) if "-" in f else set(f))))
-                for k, f in zip(member.rows, member.cols)
+                for k, f in zip(rows, cols)
             )
-            for member in man_cover(mm).members
+            for rows, cols in cover_members(man_cover(mm))
         }
         assert t_pairs == man_pairs
 
@@ -156,8 +157,8 @@ def reference_t_subset_cover(m):
         outside = [k for k in range(1, v + 1) if k not in D]
         rows = tuple(str(k) for k in outside)
         cols = tuple(subset_label(str(x) for x in sorted((*D, k))) for k in outside)
-        members.append(IdentitySubmatrix(rows, cols))
-    return IdentityCover(tuple(members))
+        members.append((rows, cols))
+    return label_cover(members)
 
 
 def reference_transversal_cover(m):
@@ -169,21 +170,21 @@ def reference_transversal_cover(m):
         for a in range(n):
             rows = tuple(f"{a},{b}" for b in range(n))
             cols = tuple(f"{i}:{(a * (i - 1) + b) % n}" for b in range(n))
-            members.append(IdentitySubmatrix(rows, cols))
-    return IdentityCover(tuple(members))
+            members.append((rows, cols))
+    return label_cover(members)
 
 
 def reference_search_labels(m, member_idx):
     """The label members search_cover used to build from its one-entry
     numbers."""
     ones = [(int(i), int(j)) for i, j in zip(*np.nonzero(m.bits))]
-    return IdentityCover(tuple(
-        IdentitySubmatrix(
+    return label_cover([
+        (
             tuple(m.rows[ones[t][0]] for t in member),
             tuple(m.cols[ones[t][1]] for t in member),
         )
         for member in member_idx
-    ))
+    ])
 
 
 def _same_cover(cover, reference):
@@ -363,7 +364,7 @@ class TestSearchCover:
 
     def test_sum_of_member_sizes_equals_ones(self, fano_pair):
         m, cover = fano_pair
-        assert sum(s.size for s in cover.members) == m.ones_count()
+        assert sum(len(rows) for rows, _ in cover_members(cover)) == m.ones_count()
 
 
 class TestRowRegularity:
@@ -391,7 +392,7 @@ class TestRowRegularity:
 
     def test_missing_member_breaks_regularity(self, fano_pair):
         m, cover = fano_pair
-        _, _, regular = self.regularity(IdentityCover(cover.members[:-1]), m)
+        _, _, regular = self.regularity(label_cover(cover_members(cover)[:-1]), m)
         assert not regular
 
 
@@ -702,13 +703,13 @@ def reference_cover(m, g, mode, seed, restarts, max_nodes):
         return CoverBudgetError
     if found is None:
         return missing
-    return IdentityCover(tuple(
-        IdentitySubmatrix(
+    return label_cover([
+        (
             tuple(m.rows[ones[t][0]] for t in member),
             tuple(m.cols[ones[t][1]] for t in member),
         )
         for member in found
-    ))
+    ])
 
 
 @st.composite

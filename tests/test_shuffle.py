@@ -18,7 +18,6 @@ from codedmr import (
     BinaryComputingMatrix,
     FormatError,
     IdentityCover,
-    IdentitySubmatrix,
     JobSpec,
     ShuffleError,
     Transmission,
@@ -50,6 +49,7 @@ from codedmr.shuffle import (
     plan_senders,
     save_transcript,
 )
+from conftest import cover_members, label_cover
 
 
 def fano_spec(Q=7, T=16, seed=0):
@@ -66,7 +66,7 @@ def round_for_member(spec, idx, duty, store, coded_sender, uncoded_sender):
     *coded_sender* and *uncoded_sender*: the ``_exchange`` kernel on a
     cover of that one member, which builds, broadcasts and decodes its two
     transmissions."""
-    alone = dataclasses.replace(spec, cover=IdentityCover((spec.cover.members[idx],)))
+    alone = dataclasses.replace(spec, cover=label_cover(cover_members(spec.cover)[idx : idx + 1]))
     senders = np.array([[coded_sender, uncoded_sender]])
     payloads = _exchange(alone, duty, store, senders, None)
     return ShuffleTranscript(spec.matrix.rows, senders, payloads).transmissions
@@ -78,9 +78,10 @@ def transcript_bits(spec, transcript, stragglers=()):
     broadcast of its members that it does not send."""
     sent = {k: 0 for k in spec.matrix.rows}
     received = dict(sent)
+    members = cover_members(spec.cover)
     for tx in transcript.transmissions:
         sent[tx.sender] += len(tx.payload) * 8
-        for k in spec.cover.members[tx.member].rows:
+        for k in members[tx.member][0]:
             if k not in stragglers and k != tx.sender:
                 received[k] += len(tx.payload) * 8
     return sent, received
@@ -169,8 +170,8 @@ class TestRoundForMember:
         # member rows (3,5,7) matched with (234,256,127); Q=14 with the
         # strided duty assignment W_3={3,10}, W_5={5,12}, W_7={7,14}
         spec = fano_spec(Q=14, T=8)
-        member = IdentitySubmatrix(("3", "5", "7"), ("234", "256", "127"))
-        spec = dataclasses.replace(spec, cover=IdentityCover((member, member)))
+        member = (("3", "5", "7"), ("234", "256", "127"))
+        spec = dataclasses.replace(spec, cover=label_cover([member, member]))
         duty = LabelAssignment({k: (int(k), int(k) + 7) for k in spec.matrix.rows}).rows(spec)
         store = run_map_phase(spec)
         row = spec.matrix.row_index
@@ -201,12 +202,12 @@ class TestRoundForMember:
         spec = JobSpec(m, cover, 3, 4)
         duty = block_duties(3, range(3), 3)
         store = run_map_phase(spec)
-        member = cover.members[0]
+        rows, cols = cover_members(cover)[0]
         tx_coded, _ = round_for_member(
-            spec, 0, duty, store, m.row_index(member.rows[0]), m.row_index(member.rows[1])
+            spec, 0, duty, store, m.row_index(rows[0]), m.row_index(rows[1])
         )
-        other = member.rows[1]
-        f_other = member.cols[1]
+        other = rows[1]
+        f_other = cols[1]
         q_other = int(duty[m.row_index(other), 0]) + 1
         sub = reference_subfile(0, f_other, 64)
         assert tx_coded.payload == synth_map(q_other, f_other, sub, 4)
@@ -215,18 +216,18 @@ class TestRoundForMember:
         spec = fano_spec()
         duty = block_duties(7, range(7), 7)
         store = run_map_phase(spec)
-        member = spec.cover.members[0]
-        first = spec.matrix.row_index(member.rows[0])
+        rows, _ = cover_members(spec.cover)[0]
+        first = spec.matrix.row_index(rows[0])
         with pytest.raises(ShuffleError, match="distinct"):
             round_for_member(spec, 0, duty, store, first, first)
-        outsider = next(i for i, k in enumerate(spec.matrix.rows) if k not in member.rows)
+        outsider = next(i for i, k in enumerate(spec.matrix.rows) if k not in rows)
         with pytest.raises(ShuffleError, match="participating rows"):
             round_for_member(spec, 0, duty, store, first, outsider)
 
     def test_missing_mapped_value_signals_inconsistency(self):
         spec = fano_spec()
-        member = spec.cover.members[0]
-        first, second = map(spec.matrix.row_index, member.rows[:2])
+        rows, _ = cover_members(spec.cover)[0]
+        first, second = map(spec.matrix.row_index, rows[:2])
         mapped = spec.matrix.bits == 0
         mapped[first] = False
         store = run_map_phase(spec, mapped)
@@ -256,7 +257,7 @@ class TestRunShuffle:
 
     def test_broken_cover_rejected_before_any_transmission(self):
         spec = fano_spec()
-        broken = dataclasses.replace(spec, cover=IdentityCover(spec.cover.members[:-1]))
+        broken = dataclasses.replace(spec, cover=label_cover(cover_members(spec.cover)[:-1]))
         store = run_map_phase(broken)
         with pytest.raises(ShuffleError, match="cover failed verification"):
             run_shuffle(broken, block_duties(7, range(7), 7), store)
@@ -558,9 +559,9 @@ def test_one_flipped_broadcast_byte_names_exactly_its_values(job, T, kind, data)
     result = run_pipeline(spec, tamper=tamper)
     assignment = LabelAssignment.blocks(spec.matrix.rows, spec.num_functions)
     coded_sender = spec.matrix.rows[default_plan(spec, assignment.rows(spec))[idx, 0]]
-    member = spec.cover.members[idx]
-    hit = [k for k in member.rows if k != coded_sender] if kind == "coded" else [coded_sender]
-    col_of = dict(zip(member.rows, member.cols))
+    rows, cols = cover_members(spec.cover)[idx]
+    hit = [k for k in rows if k != coded_sender] if kind == "coded" else [coded_sender]
+    col_of = dict(zip(rows, cols))
     order = {k: i for i, k in enumerate(assignment.duties)}
     expected = [
         (k, assignment.duties[k][o // T], col_of[k]) for k in sorted(hit, key=order.get)
@@ -639,9 +640,9 @@ def reference_map(spec, subfile_filter=None):
 
 
 def reference_round(spec, member_index, assignment, states, coded_sender, uncoded_sender, tamper):
-    member = spec.cover.members[member_index]
-    col_of = dict(zip(member.rows, member.cols))
-    active = [k for k in member.rows if k in assignment.duties]
+    member_rows, member_cols = cover_members(spec.cover)[member_index]
+    col_of = dict(zip(member_rows, member_cols))
+    active = [k for k in member_rows if k in assignment.duties]
     if coded_sender == uncoded_sender:
         raise ShuffleError("coded and uncoded sender must be distinct servers")
     if coded_sender not in active or uncoded_sender not in active:
@@ -700,12 +701,12 @@ def reference_shuffle(spec, assignment, states, plan=None, tamper=None):
     transmissions = []
     sent_bits = {k: 0 for k in spec.matrix.rows}
     received_bits = {k: 0 for k in spec.matrix.rows}
-    for idx, member in enumerate(spec.cover.members):
+    for idx, (rows, _) in enumerate(cover_members(spec.cover)):
         pair = reference_round(spec, idx, assignment, states, *plan[idx], tamper)
         for tx in pair:
             transmissions.append(tx)
             sent_bits[tx.sender] += len(tx.payload) * 8
-            for k in member.rows:
+            for k in rows:
                 if k in assignment.duties and k != tx.sender:
                     received_bits[k] += len(tx.payload) * 8
     m = spec.matrix
@@ -1155,12 +1156,9 @@ def digest_specs(draw):
         labels = draw(st.lists(
             st.text(min_size=1, max_size=3), min_size=m.N, max_size=m.N, unique=True
         ))
-        rename = dict(zip(m.cols, labels))
+        ((_, R, C),) = cover.index(m).groups
         m = BinaryComputingMatrix(m.rows, tuple(labels), m.bits, m.r)
-        cover = IdentityCover(tuple(
-            IdentitySubmatrix(member.rows, tuple(rename[f] for f in member.cols))
-            for member in cover.members
-        ))
+        cover = IdentityCover.from_index(m, R, C)
     return JobSpec(
         m, cover, m.K * draw(st.integers(1, 2)), draw(st.integers(1, 200)),
         file_seed=draw(st.integers(-(2**40), 2**40)), subfile_bytes=draw(st.integers(1, 200)),
@@ -1201,15 +1199,15 @@ def _broken_man_5_2(kind):
     """MAN(5,2)'s cover with member 0 given an unknown row label, an
     unknown column label or a repeated row, as a label cover."""
     m = man_matrix(5, 2)
-    members = man_cover(m).members
-    sub = members[0]
+    members = cover_members(man_cover(m))
+    rows, cols = members[0]
     if kind == "unknown row":
-        sub = IdentitySubmatrix(("9",) + sub.rows[1:], sub.cols)
+        rows = ("9",) + rows[1:]
     elif kind == "unknown column":
-        sub = IdentitySubmatrix(sub.rows, ("9",) + sub.cols[1:])
+        cols = ("9",) + cols[1:]
     else:
-        sub = IdentitySubmatrix((sub.rows[1],) + sub.rows[1:], sub.cols)
-    return m, IdentityCover((sub,) + members[1:])
+        rows = (rows[1],) + rows[1:]
+    return m, label_cover(((rows, cols),) + members[1:])
 
 
 BROKEN_COVER_TEXT = "cover failed verification: 1 malformed, 3 missing, 0 overlapping"
@@ -1228,7 +1226,7 @@ def test_broken_label_cover_is_a_cover_fault(kind, call):
 
     m, cover = _broken_man_5_2(kind)
     spec = JobSpec(m, cover, 20, 4)
-    plan = {i: member.rows[1:3] for i, member in enumerate(man_cover(m).members)}
+    plan = {i: rows[1:3] for i, (rows, _) in enumerate(cover_members(man_cover(m)))}
     calls = {
         "cover_index": lambda: spec.cover_index,
         "pipeline default": lambda: run_pipeline(spec),
@@ -1251,8 +1249,8 @@ def test_balance_counts_skip_unknown_labels(kind):
 
     m, cover = _broken_man_5_2(kind)
     expected = {k: 0 for k in m.rows}
-    for member in cover.members:
-        for k in member.rows:
+    for rows, _ in cover_members(cover):
+        for k in rows:
             if k in expected:
                 expected[k] += 1
     assert balance_preconditions(m, cover).counts == expected
@@ -1262,9 +1260,9 @@ def reference_default_plan(spec, assignment, forbidden=frozenset()):
     """The per-member label loop default_plan replaced."""
     order = {k: i for i, k in enumerate(spec.matrix.rows)}
     plan = {}
-    for idx, member in enumerate(spec.cover.members):
+    for idx, (rows, _) in enumerate(cover_members(spec.cover)):
         eligible = sorted(
-            (k for k in member.rows if k in assignment.duties and k not in forbidden),
+            (k for k in rows if k in assignment.duties and k not in forbidden),
             key=order.__getitem__,
         )
         if len(eligible) < 2:
@@ -1276,11 +1274,11 @@ def reference_default_plan(spec, assignment, forbidden=frozenset()):
 def reference_partial_needs(spec, plan, partial):
     """The per-member label loop partial_straggler_needs replaced."""
     needs = {k: set() for k in partial}
-    for idx, member in enumerate(spec.cover.members):
-        for k in member.rows:
+    for idx, (rows, cols) in enumerate(cover_members(spec.cover)):
+        for k in rows:
             if k in partial:
                 needs[k].update(
-                    f for k_j, f in zip(member.rows, member.cols)
+                    f for k_j, f in zip(rows, cols)
                     if k_j not in (k, plan[idx][0])
                 )
     return needs
@@ -1293,12 +1291,10 @@ def test_default_plan_and_partial_needs_equal_label_loops(case, data):
     each member so that rows are not in row order."""
     m, cover = _reference_case(REFERENCE_CASES[case])
     members = []
-    for member in cover.members:
-        order = data.draw(st.permutations(range(member.size)))
-        members.append(IdentitySubmatrix(
-            tuple(member.rows[i] for i in order), tuple(member.cols[i] for i in order)
-        ))
-    spec = JobSpec(m, IdentityCover(tuple(members)), m.K, 4)
+    for rows, cols in cover_members(cover):
+        order = data.draw(st.permutations(range(len(rows))))
+        members.append((tuple(rows[i] for i in order), tuple(cols[i] for i in order)))
+    spec = JobSpec(m, label_cover(members), m.K, 4)
     survivors = data.draw(st.lists(st.sampled_from(m.rows), min_size=1, unique=True))
     assignment = LabelAssignment({k: (i + 1,) for i, k in enumerate(survivors)})
     forbidden = frozenset(data.draw(st.lists(st.sampled_from(m.rows), unique=True)))

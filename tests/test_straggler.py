@@ -28,6 +28,7 @@ from codedmr import (
 from codedmr.fmt import decimal_str, decimal_trunc
 from codedmr.straggler import optimal_load_is_extrapolated
 
+from conftest import cover_members
 from test_balance import balanceable
 from test_shuffle import reference_reduce_digest, transcript_bits
 
@@ -90,7 +91,7 @@ class TestStragglerRun:
 
     def test_explicit_plan_naming_a_straggler_rejected(self):
         spec = man_spec(6, 3, 30)
-        plan = {i: tuple(member.rows[:2]) for i, member in enumerate(spec.cover.members)}
+        plan = {i: rows[:2] for i, (rows, _) in enumerate(cover_members(spec.cover))}
         assert any("2" in pair for pair in plan.values())
         with pytest.raises(ShuffleError, match="senders must be participating rows"):
             straggler_run(spec, ("2",), plan)
@@ -290,10 +291,10 @@ def test_balanced_plan_exactly_when_preconditions_hold(case):
     K, r, stragglers = case
     kappa = K - len(stragglers)
     spec = man_spec(K, r, lcm(K, kappa), T=2)
-    members = spec.cover.members
+    members = [rows for rows, _ in cover_members(spec.cover)]
     survivors = [k for k in spec.matrix.rows if k not in stragglers]
-    alive = {sum(k in survivors for k in member.rows) for member in members}
-    counts = {sum(k in member.rows for member in members) for k in survivors}
+    alive = {sum(k in survivors for k in rows) for rows in members}
+    counts = {sum(k in rows for rows in members) for k in survivors}
     holds = len(members) % kappa == 0 and len(counts) == 1 and len(alive) == 1
     assert balanceable(balance_preconditions(spec.matrix, spec.cover, survivors)) == holds
 
