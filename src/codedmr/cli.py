@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import balance, constructions, covers, shuffle, straggler
+from .constructions import SchemeParameters
 from .fmt import decimal_str, fraction_str
 from .matrix import (
     BinaryComputingMatrix,
@@ -59,47 +61,51 @@ class Construction:
     params: dict[str, int]
 
 
-# the flags a construction may read, each None when not given
-_CONSTRUCTION_FLAGS = ("K", "r", "v", "t", "n", "k", "design")
+# A construction built from integer flags: its flags, in the order its
+# matrix builder and scheme family take them, its matrix builder, its
+# analytic cover and its scheme family's ``SchemeParameters`` builder.
+Generator = namedtuple("Generator", "flags matrix cover family")
+
+# Every construction of `run` and `sweep`, in --construction order: a
+# generated one's row, or None for the two built from a block design.
+# MAN(K, r) is, up to column order and labels, the t-subset matrix at
+# v = K, t = K - r, so its family is IV's there (g = r + 1).
+_CONSTRUCTIONS: dict[str, Generator | None] = {
+    "man": Generator(("K", "r"), constructions.man_matrix, covers.man_cover,
+                     lambda K, r: SchemeParameters.t_design_2(K, K - r)),
+    "tsubset": Generator(("v", "t"), constructions.t_subset_matrix, covers.t_subset_cover,
+                         SchemeParameters.t_design_2),
+    "fano": None,
+    "transversal": Generator(("k", "n"), constructions.transversal_matrix,
+                             covers.transversal_cover, SchemeParameters.transversal),
+    "bibd": None,
+}
 
 
-def build_construction(
-    name: str, *, K=None, r=None, v=None, t=None, n=None, k=None, design=None
-) -> Construction:
+def build_construction(name: str, **flags) -> Construction:
     """The matrix, analytic cover and default g of a ``run`` construction,
-    from its flag values (*design* is a design file path).  A design
-    family's g is its ``SchemeParameters`` g, for parameters that the
-    generator has already accepted."""
-    def need(**flags) -> dict[str, int]:
-        missing = [flag for flag, value in flags.items() if value is None]
+    from its flag values, a flag not given being None or absent (*design*
+    is a design file path).  A family's g is its ``SchemeParameters`` g,
+    for parameters that the generator has already accepted."""
+    if name not in _CONSTRUCTIONS:
+        raise FormatError(f"unknown construction {name!r}")
+    gen = _CONSTRUCTIONS[name]
+    if gen is not None:
+        own = {flag: flags.get(flag) for flag in gen.flags}
+        missing = [flag for flag, value in own.items() if value is None]
         if missing:
             raise FormatError(f"construction {name!r} needs --" + " --".join(missing))
-        return flags
-
-    family = constructions.SchemeParameters
-    if name == "man":
-        own = need(K=K, r=r)
-        m = constructions.man_matrix(K, r)
-        return Construction(name, m, covers.man_cover, r + 1, own)
-    if name == "tsubset":
-        own = need(v=v, t=t)
-        m = constructions.t_subset_matrix(v, t)
-        return Construction(name, m, covers.t_subset_cover, family.t_design_2(v, t).g, own)
-    if name == "transversal":
-        own = need(k=k, n=n)
-        m = constructions.transversal_matrix(k, n)
-        return Construction(name, m, covers.transversal_cover, family.transversal(k, n).g, own)
+        m = gen.matrix(*own.values())
+        return Construction(name, m, gen.cover, gen.family(*own.values()).g, own)
     if name == "fano":
         d, own = constructions.fano_design(), {}
-    elif name == "bibd":
-        if design is None:
-            raise FormatError("construction 'bibd' needs --design FILE")
-        d = constructions.ingest_design(Path(design).read_text())
-        own = {"v": d.v, "k": d.block_size}
     else:
-        raise FormatError(f"unknown construction {name!r}")
+        if flags.get("design") is None:
+            raise FormatError("construction 'bibd' needs --design FILE")
+        d = constructions.ingest_design(Path(flags["design"]).read_text())
+        own = {"v": d.v, "k": d.block_size}
     m = constructions.bibd_matrix(d)
-    return Construction(name, m, None, family.bibd(d.v, d.block_size).g, own)
+    return Construction(name, m, None, SchemeParameters.bibd(d.v, d.block_size).g, own)
 
 
 def build_cover(
@@ -125,8 +131,7 @@ def _parse_stragglers(spec_text: str, matrix: BinaryComputingMatrix) -> tuple[st
     try:
         count = int(spec_text)
     except ValueError:
-        labels = tuple(tok for tok in spec_text.split(",") if tok)
-        return labels
+        return tuple(tok for tok in spec_text.split(",") if tok)
     if count < 0 or count >= matrix.K:
         raise FormatError(f"straggler count {count} out of range "
                           f"(write --stragglers {count}, to fail server {count})")
@@ -135,7 +140,8 @@ def _parse_stragglers(spec_text: str, matrix: BinaryComputingMatrix) -> tuple[st
 
 def _apply_config(args) -> None:
     """Fill the flags not given from the config file: each key a flag of
-    the subcommand (``sweep`` has no ``stragglers``)."""
+    the table ``_FLAGS`` that the subcommand has (``sweep`` has no
+    ``stragglers``), read as that flag's type."""
     if args.config is None:
         return
     for raw in Path(args.config).read_text().splitlines():
@@ -146,17 +152,10 @@ def _apply_config(args) -> None:
             raise FormatError(f"config line must be key=value: {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS or not hasattr(args, key):
+        if key not in _FLAGS or not hasattr(args, key):
             raise FormatError(f"unknown config key {key!r}")
         if getattr(args, key) is None:   # flags override config
-            setattr(args, key, _CONFIG_KEYS[key](value))
-
-
-_CONFIG_KEYS = {
-    "construction": str, "K": int, "r": int, "v": int, "t": int, "n": int, "k": int,
-    "design": str, "Q": int, "T": int, "seed": int, "cover": str, "g": int,
-    "plan": str, "stragglers": str, "out": str,
-}
+            setattr(args, key, _FLAGS[key][0](value))
 
 
 def _construct(args, command: str) -> tuple[Construction, IdentityCover, str]:
@@ -168,9 +167,7 @@ def _construct(args, command: str) -> tuple[Construction, IdentityCover, str]:
     args.seed = 0 if args.seed is None else args.seed
     if args.construction is None:
         raise FormatError(f"{command} needs --construction (flag or config)")
-    con = build_construction(
-        args.construction, **{flag: getattr(args, flag) for flag in _CONSTRUCTION_FLAGS}
-    )
+    con = build_construction(args.construction, **vars(args))
     return (con, *build_cover(con, args.cover, args.g, args.seed))
 
 
@@ -290,11 +287,11 @@ V n=3 k=3 kappa=8
 
 # scheme id -> SchemeParameters constructor and the keys it takes, in order
 _SCHEMES = {
-    "I": (constructions.SchemeParameters.bibd, ("v", "k")),
-    "II": (constructions.SchemeParameters.symmetric_bibd, ("v", "k")),
-    "III": (constructions.SchemeParameters.t_design_1, ("v", "k", "t")),
-    "IV": (constructions.SchemeParameters.t_design_2, ("v", "t")),
-    "V": (constructions.SchemeParameters.transversal, ("k", "n")),
+    "I": (SchemeParameters.bibd, ("v", "k")),
+    "II": (SchemeParameters.symmetric_bibd, ("v", "k")),
+    "III": (SchemeParameters.t_design_1, ("v", "k", "t")),
+    "IV": (SchemeParameters.t_design_2, ("v", "t")),
+    "V": (SchemeParameters.transversal, ("k", "n")),
 }
 
 
@@ -321,19 +318,16 @@ def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
     return rows
 
 
-# scheme id -> the `run` construction that builds its rows' matrices
-_SIMULATED = {"IV": "tsubset", "V": "transversal"}
-
-
 def _simulate_scheme(scheme: str, params: dict[str, int]) -> Fraction | None:
     """Measured load when a ``run`` construction builds the matrix of the
-    row whose own keys are *params*."""
-    if scheme == "I" and params == {"v": 7, "k": 3}:
-        con = build_construction("fano")
-    elif scheme in _SIMULATED:
-        con = build_construction(_SIMULATED[scheme], **params)
-    else:
+    row whose own keys are *params*: Fano for family I's (7, 3), else the
+    generated construction whose family is the row's."""
+    family = _SCHEMES[scheme][0]
+    generated = (n for n, gen in _CONSTRUCTIONS.items() if gen is not None and gen.family == family)
+    name = "fano" if scheme == "I" and params == {"v": 7, "k": 3} else next(generated, None)
+    if name is None:
         return None   # general block-design generation is out of scope
+    con = build_construction(name, **params)
     cover, _ = build_cover(con)
     spec = shuffle.JobSpec(con.matrix, cover, con.matrix.K, 2)
     return shuffle.run_pipeline(spec).load
@@ -427,12 +421,11 @@ def cmd_table2(args) -> int:
 
 def cmd_verify(args) -> int:
     matrix = parse_matrix(Path(args.matrix).read_text())
-    cover = parse_cover(Path(args.cover).read_text())
+    # relabelled over the matrix once, for verify_cover and the counts both
+    cover = parse_cover(Path(args.cover).read_text()).index(matrix)
     m_report = validate_matrix(matrix)
     c_report = verify_cover(matrix, cover)
-    counting_ok = None
-    if cover.uniform_size is not None:
-        counting_ok = count_identity_check(cover, matrix)
+    counting_ok = None if cover.uniform_size is None else count_identity_check(cover, matrix)
     # how many members hold each server; regular when all counts are equal
     report = balance.balance_preconditions(matrix, cover)
     counts, regular = report.counts, report.row_regular
@@ -526,22 +519,32 @@ def _emit_csv(args, csv_text: str, filename: str) -> None:
     print(csv_text, end="")
 
 
+# Each value flag that a config file may also set, in --help order: name
+# -> (type, choices, help).  `run` has them all, `sweep` all but
+# --stragglers; --config and sweep's --kappa and --cap are no config keys.
+_FLAGS: dict[str, tuple[type, tuple[str, ...] | None, str | None]] = {
+    "construction": (str, tuple(_CONSTRUCTIONS), None),
+    **dict.fromkeys(("K", "r", "v", "t", "n", "k"), (int, None, None)),
+    "design": (str, None, "design file for construction 'bibd'"),
+    "Q": (int, None, "number of reduce functions"),
+    "T": (int, None, "intermediate value size in bytes"),
+    "seed": (int, None, None),
+    "cover": (str, ("analytic", "exact", "greedy"), None),
+    "g": (int, None, "member size for cover search"),
+    "plan": (str, ("default", "balanced"), None),
+    "out": (str, None, "artifact directory"),
+    "stragglers": (str, None, "failed-server count, or labels: '5,' fails server 5"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        kind, choices, help_text = _FLAGS[name]
+        p.add_argument(f"--{name}", type=kind, choices=choices, help=help_text)
+
+
 def _add_construction_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--construction", choices=["man", "tsubset", "fano", "transversal", "bibd"])
-    p.add_argument("--K", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--v", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--design", help="design file for construction 'bibd'")
-    p.add_argument("--Q", type=int, help="number of reduce functions")
-    p.add_argument("--T", type=int, help="intermediate value size in bytes")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cover", choices=["analytic", "exact", "greedy"])
-    p.add_argument("--g", type=int, help="member size for cover search")
-    p.add_argument("--plan", choices=["default", "balanced"])
-    p.add_argument("--out", help="artifact directory")
+    _add_flags(p, *(name for name in _FLAGS if name != "stragglers"))
     p.add_argument("--config", help="flat key=value config file (flags win)")
 
 
@@ -551,7 +554,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one job end to end")
     _add_construction_flags(p_run)
-    p_run.add_argument("--stragglers", help="failed-server count, or labels: '5,' fails server 5")
+    _add_flags(p_run, "stragglers")
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

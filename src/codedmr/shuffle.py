@@ -31,13 +31,16 @@ so a sweep, which reads only the verdict, builds neither.
 plan, shuffle, late map, reduce, load), for the full server set, full
 stragglers (which map nothing and whose functions the survivors split)
 and partial stragglers (which never send and map, before the shuffle,
-only what their own decodes need) alike.  It checks the cover first, so
-a broken cover is the one ``ShuffleError`` ``run_shuffle`` names, before
-any plan or map work.
+only what their own decodes need) alike.
 
 The shuffle reads the cover as ``JobSpec.cover_index``, its (S, g) row
 and column index arrays over the matrix: an analytic or searched cover's
 own arrays, or a parsed cover's relabelled over the matrix's labels.
+That read is a run's one cover check: the first read of a spec runs
+``verify_cover``, and any malformed member or missing or overlapping
+one-entry is the one ``ShuffleError`` a run raises for its cover.
+``run_pipeline`` reads it first, so a broken cover fails before any
+plan or map work, and every later read is a cached attribute.
 ``run_pipeline`` is the one place a run turns server labels into row
 indices.  Below it the reducers are one (K, beta) duty array
 (``block_duties``): row i holds q - 1 for each of its beta duty
@@ -46,8 +49,8 @@ on a row that reduces nothing.  The sender plan is an (S, 2) array of
 coded and uncoded sender rows, and what each server maps before the
 shuffle is a (K, N) mask; labels come back only in the transcript's
 records, the reduce outputs and error texts.  The default plan and the partial
-stragglers' needs are array passes over the cover, and a malformed
-member is a ``ShuffleError`` there too, never a failed label lookup.
+stragglers' needs are array passes over the verified cover's arrays, so
+a malformed member is that ``ShuffleError``, never a failed label lookup.
 An explicit sender plan is read by ``plan_senders`` alone, once a run
 and before any map work, which names the first member it misses or maps
 to anything but two labels; a default plan is never read.
@@ -222,25 +225,6 @@ class JobSpec:
         return table
 
     @cached_property
-    def _cover_faults(self) -> tuple[int, int, int]:
-        """How many members verify_cover found malformed and how many
-        one-entries it found missing and overlapping; worked out once per
-        spec."""
-        # Only the counts are kept: the report's lists, allocated among
-        # verify_cover's temporaries, would pin their heap pages for as
-        # long as the spec lives.
-        report = verify_cover(self.matrix, self.cover)
-        return len(report.malformed), len(report.missing), len(report.overlapping)
-
-    @property
-    def cover_fault(self) -> str | None:
-        """What verify_cover found wrong with the cover, or None when it
-        passes."""
-        if not any(self._cover_faults):
-            return None
-        return "{} malformed, {} missing, {} overlapping".format(*self._cover_faults)
-
-    @cached_property
     def reduce_outputs(self) -> tuple[bytes, ...]:
         """The Q reduce outputs: ``reduce_outputs[q - 1]`` is the 32-byte
         digest stream, tagged ``reduce``, of the parts ``[q, *row]`` for
@@ -264,14 +248,18 @@ class JobSpec:
         entries, in member order: the cover's own arrays when it was built
         over this matrix's labels.
 
-        Raises ShuffleError, with the text ``run_shuffle`` gives, when a
-        member is malformed: its labels need not be the matrix's, nor its
-        rows distinct.  Sound members that do not cover the matrix keep
-        their indices, so ``_exchange`` can run a cover of some of them.
+        The one place a run verifies its cover, once per spec: raises
+        ShuffleError when ``verify_cover`` finds any member malformed or
+        any one-entry missing or overlapping, before any sender plan,
+        map work or broadcast reads the arrays.
         """
-        if self._cover_faults[0]:
-            raise ShuffleError(f"cover failed verification: {self.cover_fault}")
-        # sound members of one size are one group of every member, in order
+        report = verify_cover(self.matrix, self.cover)
+        faults = len(report.malformed), len(report.missing), len(report.overlapping)
+        if any(faults):
+            raise ShuffleError(
+                "cover failed verification: {} malformed, {} missing, {} overlapping".format(*faults)
+            )
+        # a verified cover's members are one group of every member, in order
         ((_, R, C),) = self.cover.index(self.matrix).groups
         return R, C
 
@@ -513,7 +501,8 @@ def default_plan(spec: JobSpec, duty: np.ndarray, forbidden: Sequence[int] = ())
     the (S, 2) coded and uncoded sender rows, each a reducing row of the
     (K, beta) *duty* array and none of them in *forbidden*.
 
-    Reads ``spec.cover_index``, so a malformed member raises ShuffleError.
+    Reads ``spec.cover_index``, so a cover that fails verification raises
+    ShuffleError.
     """
     m = spec.matrix
     R, _ = spec.cover_index
@@ -575,13 +564,11 @@ def run_shuffle(
     by the (S, 2) sender rows *senders* or else by the default plan's, for
     the reducers of the (K, beta) *duty* array.
 
-    The cover's verification is checked first; a broken cover is rejected
-    before any transmission.  A verified cover puts every one-entry in
-    exactly one member, so after the shuffle every reducing server holds
-    the values for all subfiles of its duty functions.
+    The first read of ``spec.cover_index`` rejects a broken cover before
+    any transmission.  A verified cover puts every one-entry in exactly
+    one member, so after the shuffle every reducing server holds the
+    values for all subfiles of its duty functions.
     """
-    if spec.cover_fault is not None:
-        raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
     if senders is None:
         senders = default_plan(spec, duty)
     return ShuffleTranscript(spec.matrix.rows, senders, _exchange(spec, duty, store, senders, tamper))
@@ -676,8 +663,9 @@ def partial_straggler_needs(
 
     A partial straggler cancels, per member it belongs to, the values of
     the other participating rows except the coded sender's own column.
-    Raises ShuffleError on a malformed member or naming the first member
-    in which a partial straggler sends.
+    Raises ShuffleError naming the first member in which a partial
+    straggler sends, or else, reading ``spec.cover_index``, on a cover
+    that fails verification.
     """
     sends = np.isin(senders, partial).any(axis=1)
     if sends.any():
@@ -720,8 +708,7 @@ def run_pipeline(
         m.K, [i for i, k in enumerate(m.rows) if k not in stragglers], spec.num_functions
     )
     partial_rows = [i for i, k in enumerate(m.rows) if k in partial]
-    if spec.cover_fault is not None:
-        raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
+    spec.cover_index   # a broken cover fails here, before any plan or map work
     plan_mode = "default" if plan is None else "explicit"
     if plan is None:
         senders = default_plan(spec, duty, forbidden=partial_rows)

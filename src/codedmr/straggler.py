@@ -60,15 +60,17 @@ def straggler_run(
     fail, the default plan, with the reason on ``result.plan_fallback``)
     or an explicit member -> (coded, uncoded) map.  ``run_pipeline``
     rejects unknown labels and a Q the survivors cannot split evenly.
+    A cover that fails verification is the ShuffleError of
+    ``spec.cover_index``, read before any balancing.
     """
     failed = set(stragglers)
     survivors = [k for k in spec.matrix.rows if k not in failed]
     n_stragglers = spec.matrix.K - len(survivors)
     if n_stragglers > spec.g - 2:
         raise ValueError(f"{n_stragglers} stragglers exceed the tolerance g-2 = {spec.g - 2}")
-    # A ShuffleError on a malformed member, before any balancing.  Every
-    # sound member has g distinct rows, so at most g - 2 stragglers leave
-    # each at least two survivors.
+    # A ShuffleError on a broken cover, before any balancing.  Every
+    # verified member has g distinct rows, so at most g - 2 stragglers
+    # leave each at least two survivors.
     spec.cover_index
 
     plan_mode = plan if isinstance(plan, str) else "explicit"

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from codedmr.cli import main
 
@@ -643,3 +647,84 @@ def test_exact_search_budget_admits_pg2_3():
     from test_covers import PG2_3_NODES
 
     assert cli.CLI_MAX_NODES == 1_000_000 > PG2_3_NODES
+
+
+MAN_5_2_CONFIG = "construction=man\nK=5\nr=2\nQ=20\nT=4\nplan=balanced\nseed=3\n"
+
+
+@st.composite
+def edited_input(draw, text):
+    """*text* after up to four random edits: a token inserted, deleted or
+    replaced (by one of the text's tokens, an integer from -1 to 12, a key
+    of the text set to such an integer, or junk), a line duplicated,
+    deleted or moved, or a blank line inserted."""
+    lines = [line.split() for line in text.splitlines()]
+    own = sorted({tok for line in lines for tok in line})
+    keys = sorted({tok.partition("=")[0] for tok in own if "=" in tok}) or ["k"]
+    small = st.integers(-1, 12).map(str)
+    token = st.one_of(
+        st.sampled_from(own + ["x", "=", "#", "1.5", "é"]),
+        small,
+        st.builds("{}={}".format, st.sampled_from(keys), small),
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("insert", "delete", "replace", "copy", "drop", "move", "blank")))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        line = lines[i] if lines else []
+        at = draw(st.integers(0, max(len(line) - 1, 0)))
+        if op == "insert" and lines:
+            line.insert(draw(st.integers(0, len(line))), draw(token))
+        elif op == "delete" and line:
+            del line[at]
+        elif op == "replace" and line:
+            line[at] = draw(token)
+        elif op == "copy" and lines:
+            lines.insert(draw(st.integers(0, len(lines))), list(line))
+        elif op in ("drop", "move") and lines:
+            del lines[i]
+            if op == "move":
+                lines.insert(draw(st.integers(0, len(lines))), line)
+        elif op == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), [])
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+FANO_DESIGN = str(DATA / "fano_design.txt")
+# each input file the property edits, by the argument that names it: the
+# shipped files and a MAN(5,2) config
+FUZZ_INPUTS = {
+    **{path: Path(path).read_text()
+       for path in (FANO_MATRIX, FANO_COVER, FANO_DESIGN, TABLE1_PARAMS)},
+    "man_5_2.cfg": MAN_5_2_CONFIG,
+}
+FUZZ_ARGV = {
+    "verify": ["verify", FANO_MATRIX, FANO_COVER],
+    "run --design": ["run", "--construction", "bibd", "--design", FANO_DESIGN],
+    "run --config": ["run", "--config", "man_5_2.cfg"],
+    "sweep --config": ["sweep", "--kappa", "4", "--config", "man_5_2.cfg"],
+    "table1 --params": ["table1", "--params", TABLE1_PARAMS],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(FUZZ_ARGV)), data=st.data())
+def test_edited_input_files_exit_0_1_or_2(case, data, tmp_path_factory):
+    """The robustness rule: whatever an input file holds, ``main`` returns
+    0, 1 or 2 and raises nothing, SystemExit included.  Each input is a
+    shipped file (or a MAN(5,2) config) after random token and line edits."""
+    tmp = tmp_path_factory.getbasetemp() / "edited_inputs"
+    tmp.mkdir(exist_ok=True)
+    argv = []
+    for i, arg in enumerate(FUZZ_ARGV[case]):
+        if arg in FUZZ_INPUTS:
+            edited = data.draw(edited_input(FUZZ_INPUTS[arg]), label=Path(arg).name)
+            arg = str(tmp / f"input{i}")
+            Path(arg).write_text(edited)
+        argv.append(arg)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{case} raised {exc!r}")
+    assert code in (0, 1, 2)
+    event(f"{case}: exit {code}")

@@ -67,6 +67,10 @@ def round_for_member(spec, idx, duty, store, coded_sender, uncoded_sender):
     cover of that one member, which builds, broadcasts and decodes its two
     transmissions."""
     alone = dataclasses.replace(spec, cover=label_cover(cover_members(spec.cover)[idx : idx + 1]))
+    # one member covers part of the matrix only, which the spec's cover
+    # check refuses: its index arrays are set in place of that check
+    ((_, R, C),) = alone.cover.index(spec.matrix).groups
+    alone.__dict__["cover_index"] = (R, C)
     senders = np.array([[coded_sender, uncoded_sender]])
     payloads = _exchange(alone, duty, store, senders, None)
     return ShuffleTranscript(spec.matrix.rows, senders, payloads).transmissions
@@ -694,8 +698,7 @@ def reference_round(spec, member_index, assignment, states, coded_sender, uncode
 def reference_shuffle(spec, assignment, states, plan=None, tamper=None):
     """The broadcasts, their payload size and the (sent, received) bits
     per server."""
-    if spec.cover_fault is not None:
-        raise ShuffleError(f"cover failed verification: {spec.cover_fault}")
+    spec.cover_index   # the library's cover check and its ShuffleError
     if plan is None:
         plan = reference_default_plan(spec, assignment)
     transmissions = []
@@ -908,8 +911,7 @@ def test_a_verified_members_cross_entries_are_zero(job):
     a verified cover each member's submatrix is the identity, so a row that
     maps its whole zero set holds every other slot's column."""
     spec = job[0]
-    assert spec.cover_fault is None
-    R, C = spec.cover_index
+    R, C = spec.cover_index   # raises unless the cover verifies
     g = R.shape[1]
     assert (spec.matrix.bits[R[:, :, None], C[:, None, :]] == np.eye(g, dtype=np.uint8)).all()
 
@@ -1197,9 +1199,12 @@ def test_digest_kernel_equals_one_value_per_call(length, count):
 
 def _broken_man_5_2(kind):
     """MAN(5,2)'s cover with member 0 given an unknown row label, an
-    unknown column label or a repeated row, as a label cover."""
+    unknown column label or a repeated row, or with its last member
+    dropped, as a label cover."""
     m = man_matrix(5, 2)
     members = cover_members(man_cover(m))
+    if kind == "dropped member":
+        return m, label_cover(members[:-1])
     rows, cols = members[0]
     if kind == "unknown row":
         rows = ("9",) + rows[1:]
@@ -1212,18 +1217,24 @@ def _broken_man_5_2(kind):
 
 BROKEN_COVER_TEXT = "cover failed verification: 1 malformed, 3 missing, 0 overlapping"
 BROKEN_KINDS = ["unknown row", "unknown column", "repeated row"]
+DROPPED_COVER_TEXT = "cover failed verification: 0 malformed, 3 missing, 0 overlapping"
 
 
-@pytest.mark.parametrize("kind", BROKEN_KINDS)
+@pytest.mark.parametrize("kind", BROKEN_KINDS + ["dropped member"])
 @pytest.mark.parametrize("call", [
     "cover_index", "pipeline default", "pipeline explicit", "pipeline partial",
     "straggler default", "straggler balanced", "straggler one down",
 ])
-def test_broken_label_cover_is_a_cover_fault(kind, call):
-    """A malformed member is reported as the cover fault run_shuffle
-    names, never as a KeyError or IndexError of a label or index lookup."""
-    from codedmr import straggler_run
+def test_broken_label_cover_is_a_cover_fault(kind, call, monkeypatch):
+    """A malformed member, or a cover that misses entries, is reported as
+    the cover fault ``JobSpec.cover_index`` names, never as a KeyError or
+    IndexError of a label or index lookup, and before any balancing."""
+    from codedmr import balance, straggler_run
 
+    def balanced(*args):
+        raise AssertionError("a broken cover was balanced")
+
+    monkeypatch.setattr(balance, "build_sender_plan", balanced)
     m, cover = _broken_man_5_2(kind)
     spec = JobSpec(m, cover, 20, 4)
     plan = {i: rows[1:3] for i, (rows, _) in enumerate(cover_members(man_cover(m)))}
@@ -1238,7 +1249,7 @@ def test_broken_label_cover_is_a_cover_fault(kind, call):
     }
     with pytest.raises(ShuffleError) as err:
         calls[call]()
-    assert str(err.value) == BROKEN_COVER_TEXT
+    assert str(err.value) == (DROPPED_COVER_TEXT if kind == "dropped member" else BROKEN_COVER_TEXT)
 
 
 @pytest.mark.parametrize("kind", BROKEN_KINDS)
