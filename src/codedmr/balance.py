@@ -13,19 +13,23 @@ matched (server, member) edge leaves degrees gamma*(h-1) and h-1, and a
 second matching assigns the uncoded duties.  Every server of the set
 then sends the same number of bytes, half coded and half uncoded.
 
-Each matching is Kuhn's augmenting-path search on int bitmasks over the
-members.  Per call it precomputes, for every (server, member) edge, the
-members still unvisited once that server takes that member, so a step
-of the search is one AND on the unvisited mask.
+The cover's listings of the set are read once per call into one
+(servers, S) array: entry (p, i) counts the times member i lists the
+server at place p of the set, 0 or 1 on a verified cover.  Its row and
+column sums are the preconditions' server counts and member sizes, and
+both matchings take it, the second after the first matching's entries
+are set to 0.  Each matching is Kuhn's augmenting-path search on int
+bitmasks over the members.  Per call it precomputes, for every (server,
+member) edge, the members still unvisited once that server takes that
+member, so a step of the search is one AND on the unvisited mask.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,110 +84,119 @@ class SenderPlan:
         return cls(duties)
 
 
-def balance_preconditions(
-    m: BinaryComputingMatrix, c: IdentityCover, servers: Sequence[str] | None = None
-) -> BalanceReport:
-    """Check gamma integrality, appearance regularity and member uniformity
-    over *servers* (default: every row of the matrix)."""
+def _incidence(
+    m: BinaryComputingMatrix, c: IdentityCover, servers: Sequence[str] | None
+) -> tuple[BalanceReport, tuple[str, ...], np.ndarray]:
+    """The preconditions over the server set (default: every row of the
+    matrix), the set, and the cover's listings of it as one (servers, S)
+    array: entry (p, i) counts the times member i lists the server at
+    place p of the set."""
     servers = m.rows if servers is None else tuple(servers)
     if not servers or len(set(servers)) != len(servers) or not set(servers) <= set(m.rows):
         raise ValueError(f"servers {servers} are not a non-empty set of matrix rows")
     index = c.index(m)
-    # rows of the set by index; labels the matrix lacks are in no set
-    in_set = np.zeros(len(index.rows), dtype=bool)
-    in_set[[m.row_index(k) for k in servers]] = True
-    appearances = np.zeros(len(index.rows), dtype=np.int64)
-    member_rows: set[int] = set()
-    for _, R, _ in index.groups:
-        hit = in_set[R]
-        member_rows.update(hit.sum(axis=1).tolist())
-        appearances += np.bincount(R[hit], minlength=len(index.rows))
-    counts = {k: int(appearances[m.row_index(k)]) for k in servers}
+    # each row's place in the set; -1 outside it (labels m lacks too),
+    # which indexes a spare last row of the array
+    place = np.full(len(index.rows), -1)
+    place[[m.row_index(k) for k in servers]] = np.arange(len(servers))
+    cells = np.zeros((len(servers) + 1) * c.size, dtype=np.int32)
+    for ids, R, _ in index.groups:
+        for rows in R.T:        # one row of each member: no index repeats
+            cells[place[rows] * c.size + ids] += 1
+    incidence = cells.reshape(len(servers) + 1, c.size)[:-1]
+    counts = dict(zip(servers, incidence.sum(axis=1).tolist()))
+    member_rows = set(incidence.sum(axis=0).tolist())
     gamma = Fraction(c.size, len(servers))
-    return BalanceReport(
+    report = BalanceReport(
         gamma=gamma,
         gamma_integral=gamma.denominator == 1,
         row_regular=len(set(counts.values())) == 1,
         counts=counts,
         member_rows=member_rows.pop() if len(member_rows) == 1 else None,
     )
+    return report, servers, incidence
 
 
-def perfect_matching(
-    adj: Mapping[Hashable, Sequence[Hashable]]
-) -> dict[Hashable, Hashable]:
-    """Match each left vertex of a biregular bipartite graph to |R|/|L|
-    right vertices, returned as ``{right: left}``.
+def balance_preconditions(
+    m: BinaryComputingMatrix, c: IdentityCover, servers: Sequence[str] | None = None
+) -> BalanceReport:
+    """Check gamma integrality, appearance regularity and member uniformity
+    over *servers* (default: every row of the matrix)."""
+    return _incidence(m, c, servers)[0]
 
-    The left vertices are server classes: the search is Kuhn's
-    augmenting-path search on the graph holding |R|/|L| identical copies
-    of each left vertex, run on the classes themselves.  All it ever does
-    with the copies of a class is walk through the rights the class
-    already owns and, on success, shuffle those rights among the copies.
+
+def perfect_matching(incidence: np.ndarray) -> list[int]:
+    """Match each row of a biregular (L, R) incidence array to R/L of its
+    columns, returned as each column's row.
+
+    A row's neighbours are the columns where it is nonzero; its degree is
+    its row sum and a column's its column sum, so a member that lists a
+    server twice counts twice.  The rows are server classes: the search
+    is Kuhn's augmenting-path search on the graph holding R/L identical
+    copies of each row, run on the classes themselves.  All it ever does
+    with the copies of a class is walk through the columns the class
+    already owns and, on success, shuffle those columns among the copies.
     So a step from class k takes the lowest unvisited neighbour that k
     does not own and marks it visited together with every neighbour of k
-    below it (the owned rights the copy search would walk through).  A
+    below it (the owned columns the copy search would walk through).  A
     dead end marks all of k's neighbours visited, as the copy search
     would have, which spares later steps a detour back into k.  The
     result is the copy search's matching on consecutive copies, projected
     onto the classes.
 
-    Right vertices must be mutually orderable: each left vertex's
-    neighbours are held as a bitmask over the sorted right vertices, and
+    Each class's neighbours are held as a bitmask over the columns, and
     the search always takes the smallest unvisited neighbour first.  It
     runs on an explicit stack, so path depth is bounded by the graph size
-    and not by the interpreter's recursion limit.  Left vertices are
-    matched in the mapping's order, |R|/|L| roots each, so the result is
-    a pure function of the graph and that order.  Biregularity guarantees
-    the matching exists, so anything short of it is an internal error.
+    and not by the interpreter's recursion limit.  Rows are matched in
+    order, R/L roots each, so the result is a pure function of the array.
+    Biregularity guarantees the matching exists, so anything short of it
+    is an internal error.
 
-    The search keeps the rights it has not visited as an ``unseen`` mask.
-    What a step marks visited depends only on the class and the right it
-    takes, so before the first root each class gets one mask per
-    neighbour r: all rights but the class's neighbours up to r.  A step
-    is then one AND with that mask, and a dead end one AND with the
+    The search keeps the columns it has not visited as an ``unseen``
+    mask.  What a step marks visited depends only on the class and the
+    column it takes, so before the first root each class gets one mask
+    per neighbour r: all columns but the class's neighbours up to r.  A
+    step is then one AND with that mask, and a dead end one AND with the
     complement of the class's neighbours.  The path is held as (class,
-    right taken) steps and flipped with one XOR per step, from a table
+    column taken) steps and flipped with one XOR per step, from a table
     of single-bit masks.  These are the same choices as a search that
     ORs into a visited set, so the matching is unchanged.  The table
-    holds |R|*h masks of |R| bits, h being the right degree: about
-    0.8 MB of Python ints on the MAN(12,5) balancing graph and 2.6 MB on
+    holds R*h masks of R bits, h being the column degree: about 0.8 MB
+    of Python ints on the MAN(12,5) balancing graph and 2.6 MB on
     MAN(13,5).  It is local to the call and freed when it returns.
     """
-    left = list(adj)
-    rights = sorted({r for l in left for r in adj[l]})
-    if len(rights) < len(left) or len(rights) % max(len(left), 1):
+    n_left, n_right = incidence.shape
+    if n_right < n_left or n_right % max(n_left, 1):
         raise BalanceError(
-            f"sides differ: {len(rights)} right vertices are not a positive "
-            f"multiple of {len(left)} left"
+            f"sides differ: {n_right} right vertices are not a positive "
+            f"multiple of {n_left} left"
         )
-    left_degrees = {len(adj[l]) for l in left}
-    right_degrees = set(Counter(r for l in left for r in adj[l]).values())
+    left_degrees = set(incidence.sum(axis=1).tolist())
+    right_degrees = set(incidence.sum(axis=0).tolist())
     if len(left_degrees) != 1 or len(right_degrees) != 1:
         raise BalanceError(
             f"graph is not biregular (left degrees {sorted(left_degrees)}, "
             f"right degrees {sorted(right_degrees)})"
         )
 
-    index = {r: i for i, r in enumerate(rights)}
-    bits = [1 << i for i in range(len(rights))]
-    full = (1 << len(rights)) - 1
+    bits = [1 << i for i in range(n_right)]
+    full = (1 << n_right) - 1
     avail = []                      # neighbours a class does not own
-    after = []                      # after[k][r]: rights still unseen once k takes r
-    stuck = []                      # rights still unseen once k is a dead end
-    for l in left:
+    after = []                      # after[k][r]: columns still unseen once k takes r
+    stuck = []                      # columns still unseen once k is a dead end
+    for row in incidence:
         nbrs, masks = 0, {}
-        for i in sorted({index[r] for r in adj[l]}):
+        for i in np.flatnonzero(row).tolist():
             nbrs |= bits[i]
             masks[i] = full ^ nbrs
         avail.append(nbrs)
         after.append(masks)
         stuck.append(full ^ nbrs)
-    owner = [-1] * len(rights)      # right index -> matched left index
-    share = len(rights) // len(left)
-    for root in (k for k in range(len(left)) for _ in range(share)):
-        unseen = full               # rights this search has not visited
-        path: list[tuple[int, int]] = []   # (class, right it took) per step
+    owner = [-1] * n_right          # column -> matched row
+    share = n_right // n_left
+    for root in (k for k in range(n_left) for _ in range(share)):
+        unseen = full               # columns this search has not visited
+        path: list[tuple[int, int]] = []   # (class, column it took) per step
         k = root
         while True:
             free = avail[k] & unseen
@@ -200,16 +213,16 @@ def perfect_matching(
             unseen &= after[k][r]
             path.append((k, r))
             k = owner[r]
-            if k < 0:               # free right: flip the path
-                # each class takes its right and gets back the right that
-                # the class before it on the path took from it
+            if k < 0:               # free column: flip the path
+                # each class takes its column and gets back the column
+                # that the class before it on the path took from it
                 back = 0
                 for l, rr in path:
                     avail[l] ^= back ^ bits[rr]
                     owner[rr] = l
                     back = bits[rr]
                 break
-    return {r: left[owner[i]] for i, r in enumerate(rights)}
+    return owner
 
 
 def build_sender_plan(
@@ -223,7 +236,7 @@ def build_sender_plan(
     RuntimeError on internal consistency violations (which would indicate
     a bug, not bad input).
     """
-    report = balance_preconditions(m, c, servers)
+    report, servers, incidence = _incidence(m, c, servers)
     h = report.member_rows
     if h is None or h < 2:
         raise BalanceError(
@@ -233,35 +246,23 @@ def build_sender_plan(
         raise BalanceError(f"gamma = S/|servers| = {report.gamma} is not an integer")
     if not report.row_regular:
         raise BalanceError("servers appear in differing numbers of members")
-    groups = c.index(m).groups
-    membership: dict[str, list[int]] = {}
-    for k in report.counts:
-        i = m.row_index(k)
-        # the members listing k, in member order, once per listing
-        membership[k] = sorted(
-            s for ids, R, _ in groups for s in ids[np.nonzero(R == i)[0]].tolist()
-        )
 
-    coded_by_member = perfect_matching(membership)
+    coded = perfect_matching(incidence)
 
     # Dropping each matched (server, member) edge leaves every server
     # gamma fewer members and every member h-1 servers, still biregular,
     # so a second matching exists.
-    residual = {
-        k: [i for i in members if coded_by_member[i] != k]
-        for k, members in membership.items()
-    }
+    incidence[coded, np.arange(c.size)] = 0
     try:
-        uncoded_by_member = perfect_matching(residual)
+        uncoded = perfect_matching(incidence)
     except BalanceError as exc:
         raise RuntimeError(f"residual graph after the first matching: {exc}") from exc
 
     duties = []
-    for i in range(c.size):
-        coded, uncoded = coded_by_member[i], uncoded_by_member[i]
-        if coded == uncoded:
-            raise RuntimeError(f"member {i}: both duties landed on {coded!r}")
-        duties.append((coded, uncoded))
+    for i, (k, j) in enumerate(zip(coded, uncoded)):
+        if k == j:
+            raise RuntimeError(f"member {i}: both duties landed on {servers[k]!r}")
+        duties.append((servers[k], servers[j]))
     return SenderPlan(tuple(duties))
 
 

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 invariant or verdict failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from collections import namedtuple
@@ -61,23 +62,30 @@ class Construction:
     params: dict[str, int]
 
 
-# A construction built from integer flags: its flags, in the order its
-# matrix builder and scheme family take them, its matrix builder, its
-# analytic cover and its scheme family's ``SchemeParameters`` builder.
-Generator = namedtuple("Generator", "flags matrix cover family")
+# A construction built from integer flags: its matrix builder, its
+# analytic cover and its scheme family's ``SchemeParameters`` builder,
+# whose parameters are its flags, in the order the matrix builder takes
+# them.
+Generator = namedtuple("Generator", "matrix cover family")
+
+
+def _params(build: Callable) -> tuple[str, ...]:
+    """The parameter names of a builder, in order."""
+    return tuple(inspect.signature(build).parameters)
+
 
 # Every construction of `run` and `sweep`, in --construction order: a
 # generated one's row, or None for the two built from a block design.
 # MAN(K, r) is, up to column order and labels, the t-subset matrix at
 # v = K, t = K - r, so its family is IV's there (g = r + 1).
 _CONSTRUCTIONS: dict[str, Generator | None] = {
-    "man": Generator(("K", "r"), constructions.man_matrix, covers.man_cover,
+    "man": Generator(constructions.man_matrix, covers.man_cover,
                      lambda K, r: SchemeParameters.t_design_2(K, K - r)),
-    "tsubset": Generator(("v", "t"), constructions.t_subset_matrix, covers.t_subset_cover,
+    "tsubset": Generator(constructions.t_subset_matrix, covers.t_subset_cover,
                          SchemeParameters.t_design_2),
     "fano": None,
-    "transversal": Generator(("k", "n"), constructions.transversal_matrix,
-                             covers.transversal_cover, SchemeParameters.transversal),
+    "transversal": Generator(constructions.transversal_matrix, covers.transversal_cover,
+                             SchemeParameters.transversal),
     "bibd": None,
 }
 
@@ -91,7 +99,7 @@ def build_construction(name: str, **flags) -> Construction:
         raise FormatError(f"unknown construction {name!r}")
     gen = _CONSTRUCTIONS[name]
     if gen is not None:
-        own = {flag: flags.get(flag) for flag in gen.flags}
+        own = {flag: flags.get(flag) for flag in _params(gen.family)}
         missing = [flag for flag, value in own.items() if value is None]
         if missing:
             raise FormatError(f"construction {name!r} needs --" + " --".join(missing))
@@ -285,13 +293,14 @@ V n=3 k=3 kappa=8
 """
 
 
-# scheme id -> SchemeParameters constructor and the keys it takes, in order
+# scheme id -> SchemeParameters constructor, whose parameters are the
+# row's keys
 _SCHEMES = {
-    "I": (SchemeParameters.bibd, ("v", "k")),
-    "II": (SchemeParameters.symmetric_bibd, ("v", "k")),
-    "III": (SchemeParameters.t_design_1, ("v", "k", "t")),
-    "IV": (SchemeParameters.t_design_2, ("v", "t")),
-    "V": (SchemeParameters.transversal, ("k", "n")),
+    "I": SchemeParameters.bibd,
+    "II": SchemeParameters.symmetric_bibd,
+    "III": SchemeParameters.t_design_1,
+    "IV": SchemeParameters.t_design_2,
+    "V": SchemeParameters.transversal,
 }
 
 
@@ -311,7 +320,7 @@ def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
                 raise FormatError(f"expected key=value, got {tok!r}")
             key, _, value = tok.partition("=")
             kv[key] = int(value)
-        for key in _SCHEMES[scheme][1]:
+        for key in _params(_SCHEMES[scheme]):
             if key not in kv:
                 raise FormatError(f"scheme {scheme} needs key {key!r}")
         rows.append((scheme, kv))
@@ -322,7 +331,7 @@ def _simulate_scheme(scheme: str, params: dict[str, int]) -> Fraction | None:
     """Measured load when a ``run`` construction builds the matrix of the
     row whose own keys are *params*: Fano for family I's (7, 3), else the
     generated construction whose family is the row's."""
-    family = _SCHEMES[scheme][0]
+    family = _SCHEMES[scheme]
     generated = (n for n, gen in _CONSTRUCTIONS.items() if gen is not None and gen.family == family)
     name = "fano" if scheme == "I" and params == {"v": 7, "k": 3} else next(generated, None)
     if name is None:
@@ -343,8 +352,8 @@ def cmd_table1(args) -> int:
     failures = []
     for scheme, kv in rows:
         kappa = kv.pop("kappa", None)
-        build, keys = _SCHEMES[scheme]
-        own = {key: kv[key] for key in keys}   # a row may carry other keys
+        build = _SCHEMES[scheme]
+        own = {key: kv[key] for key in _params(build)}   # a row may carry other keys
         p = build(**own)
         load = constructions.scheme_load(p)
         s_frac = s_dec = ""
@@ -499,7 +508,7 @@ def cmd_sweep(args) -> int:
             f"{'+'.join(subset)},{fraction_str(load)},{decimal_str(load)},{str(ok).lower()}"
         )
     _emit_csv(args, "\n".join(lines) + "\n", "sweep.csv")
-    # worst_case_sweep raises when the loads differ, so the worst is the best
+    # a run's load depends on the subset's size alone, so the worst is the best
     all_ok = result.load == expected and all(ok for _, _, ok in result.runs)
     print(
         f"sweep: kappa={kappa} subsets={len(result.runs)}/{result.total_subsets}"

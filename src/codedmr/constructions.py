@@ -30,6 +30,10 @@ MAX_CELLS = 1 << 24
 MAX_IVA_BYTES = 1 << 28
 
 
+# Most point pairs a design validation names; the rest are one count.
+MAX_NAMED_PAIRS = 20
+
+
 class DesignError(ValueError):
     """Raised when a block design violates the declared parameters."""
 
@@ -168,10 +172,15 @@ def validate_bibd(d: BlockDesign) -> list[str]:
     for block in d.blocks:
         for p, q in itertools.combinations(sorted(set(block)), 2):
             pair_counts[frozenset((p, q))] = pair_counts.get(frozenset((p, q)), 0) + 1
+    bad = 0
     for p, q in itertools.combinations(d.points, 2):
         n = pair_counts.get(frozenset((p, q)), 0)
         if n != 1:
-            problems.append(f"pair ({p},{q}) occurs in {n} blocks, expected 1")
+            bad += 1
+            if bad <= MAX_NAMED_PAIRS:
+                problems.append(f"pair ({p},{q}) occurs in {n} blocks, expected 1")
+    if bad > MAX_NAMED_PAIRS:
+        problems.append(f"{bad - MAX_NAMED_PAIRS} more pairs do not occur in exactly 1 block")
     expected_b = d.v * (d.v - 1) // (k * (k - 1)) if k >= 2 else 0
     if k >= 2 and d.v * (d.v - 1) % (k * (k - 1)) == 0 and d.b != expected_b:
         problems.append(f"{d.b} blocks, but a (v={d.v}, k={k}, 1)-design has {expected_b}")
@@ -183,6 +192,13 @@ def validate_bibd(d: BlockDesign) -> list[str]:
 
 def bibd_matrix(d: BlockDesign) -> BinaryComputingMatrix:
     """Incidence matrix of a (v, k, 1)-design: K = v, N = b, r = v - k."""
+    # A valid design has b >= v blocks (Fisher's inequality), so at least
+    # v*v cells: a larger one is refused before its v(v-1)/2 pairs are read.
+    if d.v * max(d.v, d.b) > MAX_CELLS:
+        raise ValueError(
+            f"the design (v={d.v}, b={d.b}) would have at least {d.v * max(d.v, d.b)} "
+            f"cells, as a valid design has b >= v blocks, over the limit of {MAX_CELLS}"
+        )
     problems = validate_bibd(d)
     if problems:
         raise DesignError("; ".join(problems))

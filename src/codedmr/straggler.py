@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 from . import balance, shuffle
 from .covers import man_cover
-from .constructions import man_matrix
+from .constructions import SchemeParameters, man_matrix
 from .fmt import decimal_trunc, printed_places
 from .matrix import load_formula
 from .shuffle import JobSpec, PipelineResult
@@ -107,11 +107,12 @@ def worst_case_sweep(
     cap: int = 2000,
     seed: int = 0,
 ) -> SweepResult:
-    """Run every straggler subset of size K - kappa and compare loads.
+    """Run every straggler subset of size K - kappa.
 
-    Uniform covers give the same load for every subset, which the sweep
-    asserts.  When the subset count exceeds *cap*, a seeded sample is
-    swept instead and flagged as such.
+    A run's load is its 2S payloads of (Q/kappa)*T bytes over Q*N*T, that
+    is 2S/(kappa*N), whichever servers fail: every subset gives the one
+    load.  When the subset count exceeds *cap*, a seeded sample is swept
+    instead and flagged as such.
     """
     if cap < 1:
         raise ValueError(f"cap={cap} must be at least 1")
@@ -135,12 +136,7 @@ def worst_case_sweep(
     for subset in subsets:
         result = straggler_run(spec, subset, plan)
         runs.append((subset, result.load, result.reduce_result.ok))
-    loads = {load for _, load, _ in runs}
-    if len(loads) != 1:
-        raise RuntimeError(
-            f"straggler load varied across subsets of a uniform cover: {sorted(loads)}"
-        )
-    return SweepResult(runs=runs, load=loads.pop(), sampled=sampled, total_subsets=total)
+    return SweepResult(runs=runs, load=runs[0][1], sampled=sampled, total_subsets=total)
 
 
 def optimal_straggler_load(K: int, r: int, kappa: int) -> Fraction:
@@ -223,9 +219,8 @@ def comparison_row(
     simulate: bool = True,
 ) -> ComparisonRow:
     """Build one comparison row, optionally backing ours by simulation."""
-    g = r + 1
-    N = comb(K, r)
-    ours = straggler_load_formula(K, r, g, kappa)
+    p = SchemeParameters.t_design_2(K, K - r)   # MAN(K, r) is family IV at (K, K - r)
+    ours = straggler_load_formula(K, r, p.g, kappa)
     optimal = optimal_straggler_load(K, r, kappa)
     simulated = None
     decode_ok = None
@@ -243,7 +238,7 @@ def comparison_row(
             and (simulated is None or (simulated == ours and bool(decode_ok)))
         )
     return ComparisonRow(
-        K=K, r=r, N=N, g=g, kappa=kappa,
+        K=K, r=r, N=p.N, g=p.g, kappa=kappa,
         ours=ours, optimal=optimal,
         printed_ours=printed_ours, printed_optimal=printed_optimal,
         simulated=simulated, decode_ok=decode_ok,
@@ -253,10 +248,6 @@ def comparison_row(
     )
 
 
-def comparison_table(simulate: bool = True) -> ComparisonTable:
-    """The four golden benchmark rows, simulation-backed by default."""
-    rows = [
-        comparison_row(K, r, kappa, po, popt, simulate=simulate)
-        for K, r, kappa, po, popt in GOLDEN_ROWS
-    ]
-    return ComparisonTable(rows)
+def comparison_table() -> ComparisonTable:
+    """The four golden benchmark rows, each backed by simulation."""
+    return ComparisonTable([comparison_row(*row) for row in GOLDEN_ROWS])

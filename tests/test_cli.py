@@ -222,6 +222,20 @@ class TestRun:
         assert code == 2
         assert err.startswith("error: block size")
 
+    def test_wide_design_exits_2_before_its_pairs(self, capsys, monkeypatch, tmp_path):
+        from codedmr import constructions
+        from test_constructions import one_block_design
+
+        def no_pairs(d):
+            raise AssertionError("the design's pairs were read")
+
+        monkeypatch.setattr(constructions, "validate_bibd", no_pairs)
+        design = tmp_path / "design.txt"
+        design.write_text(one_block_design(6000))
+        code, _, err = run_cli(capsys, "run", "--construction", "bibd", "--design", str(design))
+        assert code == 2
+        assert err.startswith("error: the design (v=6000, b=1) would have at least 36000000 cells")
+
     @pytest.mark.parametrize("argv", [
         ("--construction", "transversal", "--k", "2", "--n", "3"),
         ("--construction", "man", "--K", "5", "--r", "2", "--Q", "20", "--stragglers", "1"),

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import re
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +25,7 @@ from codedmr import (
     validate_matrix,
 )
 from codedmr import constructions
-from codedmr.constructions import MAX_CELLS, subset_label
+from codedmr.constructions import MAX_CELLS, MAX_NAMED_PAIRS, subset_label
 
 
 def pg2_3_design() -> BlockDesign:
@@ -215,7 +217,8 @@ class TestSizeLimit:
         assert m.bits.size == 787_644 <= MAX_CELLS
 
     def test_limit_is_inclusive(self, monkeypatch):
-        # MAN(5,2) and the t-subset scheme (5,3) have 50 cells, TD(2,3) 54
+        # MAN(5,2) and the t-subset scheme (5,3) have 50 cells, TD(2,3) 54,
+        # the Fano plane 49
         monkeypatch.setattr(constructions, "MAX_CELLS", 50)
         assert man_matrix(5, 2).bits.size == t_subset_matrix(5, 3).bits.size == 50
         with pytest.raises(ValueError, match="54 cells"):
@@ -225,6 +228,49 @@ class TestSizeLimit:
         for build in (lambda: man_matrix(5, 2), lambda: t_subset_matrix(5, 3)):
             with pytest.raises(ValueError, match="50 cells"):
                 build()
+        assert bibd_matrix(fano_design()).bits.size == 49
+        monkeypatch.setattr(constructions, "MAX_CELLS", 48)
+        with pytest.raises(ValueError, match="at least 49 cells"):
+            bibd_matrix(fano_design())
+
+    def test_wide_design_refused_before_its_pairs(self, monkeypatch):
+        """6,000 points and one block: v*v = 36 million cells.  Unguarded,
+        validate_bibd walks its 18 million point pairs and names each."""
+        def no_pairs(d):
+            raise AssertionError("the design's pairs were read")
+
+        monkeypatch.setattr(constructions, "validate_bibd", no_pairs)
+        tracemalloc.start()
+        try:
+            d = ingest_design(one_block_design(6000))
+            with pytest.raises(ValueError, match=r"\(v=6000, b=1\) would have at least 36000000"):
+                bibd_matrix(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+def one_block_design(v: int) -> str:
+    """Design text of v points p0..p{v-1} and the one block p0 p1."""
+    return f"{v} 1 2\n" + " ".join(f"p{i}" for i in range(v)) + "\np0 p1\n"
+
+
+@pytest.mark.parametrize("v", [7, 8, 12])
+def test_bad_pairs_past_the_cap_are_one_count(v):
+    """One block of v points leaves C(v, 2) - 1 pairs in no block: 20 at
+    v = 7, each named as before; past the first MAX_NAMED_PAIRS, one
+    count stands for the rest."""
+    d = ingest_design(one_block_design(v))
+    bad = list(itertools.combinations(d.points, 2))[1:]
+    named = [f"pair ({p},{q}) occurs in 0 blocks, expected 1" for p, q in bad]
+    rest = len(bad) - MAX_NAMED_PAIRS
+    if rest > 0:
+        named[MAX_NAMED_PAIRS:] = [f"{rest} more pairs do not occur in exactly 1 block"]
+    assert constructions.validate_bibd(d)[: len(named)] == named
+    assert (v, rest) in {(7, 0), (8, 7), (12, 45)}
+    with pytest.raises(DesignError, match=re.escape("; ".join(named) + "; ")):
+        bibd_matrix(d)
 
 
 def reference_scheme_load(p: SchemeParameters, survivors: int | None = None) -> Fraction:

@@ -270,7 +270,7 @@ class TestComparisonTable:
             st, "straggler_load_formula",
             lambda K, r, g, kappa: original(K, r, g + 1, kappa),
         )
-        table = st.comparison_table(simulate=False)
+        table = st.comparison_table()
         assert not table.ok
         assert table.failures()
 
