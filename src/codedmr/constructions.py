@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -168,17 +169,24 @@ def validate_bibd(d: BlockDesign) -> list[str]:
             problems.append(f"block {subset_label(block)} repeats a point")
         elif len(block) != k:
             problems.append(f"block {subset_label(block)} has size {len(block)}, expected {k}")
-    pair_counts: dict[frozenset[str], int] = {}
-    for block in d.blocks:
-        for p, q in itertools.combinations(sorted(set(block)), 2):
-            pair_counts[frozenset((p, q))] = pair_counts.get(frozenset((p, q)), 0) + 1
-    bad = 0
-    for p, q in itertools.combinations(d.points, 2):
-        n = pair_counts.get(frozenset((p, q)), 0)
-        if n != 1:
-            bad += 1
-            if bad <= MAX_NAMED_PAIRS:
-                problems.append(f"pair ({p},{q}) occurs in {n} blocks, expected 1")
+    pair_counts = Counter(
+        frozenset(pair) for block in d.blocks for pair in itertools.combinations(set(block), 2)
+    )
+    # Each of the C(v, 2) pairs of places in d.points is bad unless its two
+    # points share exactly one block; points p and q that do fill
+    # places[p] * places[q] of those pairs (one, when no point repeats).
+    places = Counter(d.points)
+    bad = comb(d.v, 2) - sum(
+        places[p] * places[q] for pair, n in pair_counts.items() if n == 1 for p, q in [pair]
+    )
+    if bad:
+        # name the first bad pairs in pair order, reading no further
+        named = (
+            f"pair ({p},{q}) occurs in {n} blocks, expected 1"
+            for p, q in itertools.combinations(d.points, 2)
+            if (n := pair_counts[frozenset((p, q))]) != 1
+        )
+        problems.extend(itertools.islice(named, MAX_NAMED_PAIRS))
     if bad > MAX_NAMED_PAIRS:
         problems.append(f"{bad - MAX_NAMED_PAIRS} more pairs do not occur in exactly 1 block")
     expected_b = d.v * (d.v - 1) // (k * (k - 1)) if k >= 2 else 0

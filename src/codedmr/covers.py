@@ -33,12 +33,26 @@ needs: every further pick takes one of them, so that branch cannot
 complete.  Nodes count member openings only, so the cut skips no
 completion and leaves the first member that completes, and every count,
 as they were.
+
+A member opened at root t grows only through its alternative set, the
+uncovered one-entries that do not conflict with t, so the completions
+it tries, and their order, depend on that set alone.  The exact search
+keeps a second table, from an alternative set to the masks of its
+completions in the order the inner search finds them.  A set enters it
+only once a member has tried every completion of it; a later member
+with that set replays the masks with no inner search, and a member
+meeting a set for the first time runs the inner search lazily, one
+completion at a time.  Completions are only replayed, never skipped or
+reordered, so every member, node count and budget error stays as it
+was.  The table holds at most ``_COMPLETION_LIMIT`` ints (sets and
+masks); a set whose list would pass that is not stored.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from math import comb
 
 import numpy as np
@@ -49,6 +63,10 @@ from .matrix import BinaryComputingMatrix, IdentityCover
 # Most refuted states one exact search remembers; once full it records no
 # more.  A miss only repeats work, so the limit bounds memory, not results.
 _REFUTED_LIMIT = 1 << 16
+# Most ints (alternative sets and their completion masks) one exact search
+# stores in its completion table; a set whose list would pass it is not
+# stored.  A miss only repeats the inner search, so results do not change.
+_COMPLETION_LIMIT = 1 << 16
 
 
 class CoverSearchError(Exception):
@@ -174,7 +192,11 @@ def search_cover(
     cannot complete and opens no node.  The search remembers the
     uncovered sets whose members failed after more than one node, up to
     a fixed number of them; meeting one again counts the nodes it spent
-    the first time and backs up.  So the cover and the node count at
+    the first time and backs up.  It also remembers, up to a fixed size,
+    every completion of each alternative set (the uncovered entries
+    compatible with a member's first entry) that a member has tried in
+    full, and a later member with that set takes them in the same order
+    without growing them again.  So the cover and the node count at
     which *max_nodes* stops the search are those of the plain search,
     which grows every branch to its end.  It is complete, so a failure
     there means no such cover exists.  Greedy mode grows maximal members
@@ -237,58 +259,93 @@ def _conflicts(bits: np.ndarray, ones: list[tuple[int, int]]) -> list[int]:
 def _exact_search(
     conflict: list[int], g: int, max_nodes: int | None
 ) -> list[list[int]] | None:
-    bits = [1 << t for t in range(len(conflict))]
-    uncovered = (1 << len(conflict)) - 1
-    # per open member: (uncovered at its opening, nodes before it, its
-    # picks, and for each pick the alternatives to it not yet tried)
-    opened: list[tuple[int, int, list[int], list[int]]] = []
     refuted: dict[int, int] = {}  # uncovered -> nodes its failed subtree spent
     limit = _REFUTED_LIMIT
+    # alternative set -> its completion masks in search order, each set
+    # stored once a member has tried all of them
+    known: dict[int, tuple[int, ...]] = {}
+    room = _COMPLETION_LIMIT     # ints (sets and masks) still to store
+
+    def explore(alternatives: int) -> Iterator[int]:
+        """The masks of the picks that complete a member from
+        *alternatives*, lowest picks first, as the search meets them."""
+        nonlocal room
+        found: list[int] | None = []
+        key = alternatives
+        untried: list[tuple[int, int]] = []  # per pick: (mask before it, its untried alternatives)
+        mask = 0
+        need = g - 1                 # picks the member still needs
+        while True:
+            # grow only while enough alternatives remain to complete it
+            if alternatives.bit_count() >= need:
+                low = alternatives & -alternatives
+                alternatives ^= low
+                untried.append((mask, alternatives))
+                mask |= low
+                alternatives &= ~conflict[low.bit_length() - 1]
+                need -= 1
+                if need:
+                    continue
+                if found is not None:
+                    found.append(mask)
+                    if len(found) >= room:
+                        found = None
+                yield mask
+            # back up to the last pick with enough untried alternatives
+            while True:
+                if not untried:
+                    if found is not None and len(found) < room:
+                        known[key] = tuple(found)
+                        room -= len(found) + 1
+                    return
+                mask, alternatives = untried.pop()
+                need += 1
+                if alternatives.bit_count() >= need:
+                    break
+
+    uncovered = (1 << len(conflict)) - 1
+    # per open member: (uncovered at its opening, nodes before it, its
+    # completions not yet tried, the one-entries it holds)
+    opened: list[tuple[int, int, Iterator[int], int]] = []
     nodes = 0
     while uncovered:
-        root = (uncovered & -uncovered).bit_length() - 1
-        picks, untried = [root], [0]
-        opened.append((uncovered, nodes, picks, untried))
+        state, before = uncovered, nodes
+        root = uncovered & -uncovered
         spent = refuted.get(uncovered)
         nodes += spent or 1
         if max_nodes is not None and nodes > max_nodes:
             raise CoverBudgetError(f"exact search exceeded {max_nodes} nodes")
-        # a refuted state fails again after the same nodes: its root has
-        # no alternatives, so the search backs up at once
-        alternatives = 0 if spent else uncovered & ~conflict[root]
-        need = g - 1                 # picks the member still needs
-        while need:
-            # grow only while enough alternatives remain to complete it
-            if alternatives.bit_count() >= need:
-                low = alternatives & -alternatives
-                t = low.bit_length() - 1
-                alternatives ^= low
-                picks.append(t)
-                untried.append(alternatives)
-                alternatives &= ~conflict[t]
-                need -= 1
-                continue
-            # dead end: back up to the last pick with enough untried alternatives
-            while True:
-                picks.pop()
-                alternatives = untried.pop()
-                need += 1
-                if picks:
-                    if alternatives.bit_count() >= need:
-                        break
-                    continue
-                # a member's root failed: remember the refuted state,
-                # then reopen the member before it
-                state, before, _, _ = opened.pop()
-                if nodes - before > 1 and len(refuted) < limit:
-                    refuted[state] = nodes - before
-                if not opened:
-                    return None
-                uncovered, _, picks, untried = opened[-1]
-                need = 0
-        for t in picks:
-            uncovered ^= bits[t]
-    return [member for _, _, member, _ in opened]
+        # a refuted state fails again after the same nodes, so it gets no
+        # completions and the search backs up at once
+        if spent:
+            completions: Iterator[int] = iter(())
+        else:
+            alternatives = uncovered & ~conflict[root.bit_length() - 1]
+            stored = known.get(alternatives)
+            completions = explore(alternatives) if stored is None else iter(stored)
+        while (mask := next(completions, None)) is None:
+            # a member's root failed: remember the refuted state, then
+            # take the member before it to its next completion
+            if nodes - before > 1 and len(refuted) < limit:
+                refuted[state] = nodes - before
+            if not opened:
+                return None
+            state, before, completions, _ = opened.pop()
+            root = state & -state
+        member = root | mask
+        opened.append((state, before, completions, member))
+        uncovered = state ^ member
+    return [_bits(member) for *_, member in opened]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of *mask*, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _greedy_search(

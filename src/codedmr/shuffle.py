@@ -24,8 +24,10 @@ kept by cover slot: the row and column of each participating slot and
 the (beta, T) values it decoded.  Decoding cancels only values whose
 column is in the receiver's own mask.  The reduce phase checks each
 delivered value against ``ivas`` where it lands, with one gather of the
-oracle; its named mismatches and outputs are views built on first read,
-so a sweep, which reads only the verdict, builds neither.
+oracle and one array comparison; the per-value verdict, and the named
+mismatches and outputs over it, are built only when that comparison
+fails or they are read, so a sweep, which reads only the verdict, builds
+none of them on a run that decodes.
 
 ``run_pipeline`` is the one routine that sequences a run (map, sender
 plan, shuffle, late map, reduce, load), for the full server set, full
@@ -580,7 +582,8 @@ class ReduceResult:
 
     ``bad[i, b, j]`` says the i-th reducing row of the run's (K, beta)
     *duty* array lacks a correct value of its duty function b on matrix
-    column j.
+    column j; a run that is ``ok`` has none, and builds the array only
+    when it is read.
     The named mismatches and the per-function outputs are views over it,
     built on first read.
     """
@@ -588,7 +591,15 @@ class ReduceResult:
     ok: bool
     spec: JobSpec
     duty: np.ndarray            # (K, beta) intp
-    bad: np.ndarray             # (kappa, beta, N) bool
+    failed: np.ndarray | None   # bad, when the run is not ok
+
+    @cached_property
+    def bad(self) -> np.ndarray:
+        """(kappa, beta, N) bool."""
+        if self.failed is not None:
+            return self.failed
+        kappa = np.count_nonzero(self.duty[:, 0] >= 0)
+        return np.zeros((kappa, self.duty.shape[1], self.spec.matrix.N), dtype=bool)
 
     def _reducers(self) -> tuple[list[str], list[list[int]]]:
         reducers = np.flatnonzero(self.duty[:, 0] >= 0)
@@ -624,13 +635,25 @@ def run_reduce(spec: JobSpec, duty: np.ndarray, store: ServerStore) -> ReduceRes
     The oracle is the job's ``ivas`` table: each delivered slot value is
     compared with its entry where it lands, and a value no slot delivered
     counts as wrong, so any decoding error shows up as a named (server, q,
-    f) mismatch.  ``ok`` is worked out here; the mismatches and outputs
-    only when read.
+    f) mismatch.  The run is ``ok`` at once when every reducing row mapped
+    or was delivered every column and all delivered values equal the
+    oracle's; otherwise the per-value check decides, in which a wrong
+    value at a cell the row mapped does not count.  The mismatches and
+    outputs are worked out only when read.
     """
     reducers = duty[:, 0] >= 0
-    wrong = np.ones((*store.mapped.shape, duty.shape[1]), dtype=bool)   # (K, N, beta)
+    held = store.mapped.copy()      # (K, N): mapped or delivered
+    oracle = None
     if store.rows is not None:
-        oracle = spec.ivas[duty[store.rows], store.cols[:, None]]       # (P, beta, T)
+        # (P, beta, T); one take over the flat (Q * N, T) table gathers
+        # faster than a two-axis fancy index
+        N, T = spec.ivas.shape[1:]
+        oracle = np.take(spec.ivas.reshape(-1, T), duty[store.rows] * N + store.cols[:, None], axis=0)
+        held[store.rows, store.cols] = True
+    if held[reducers].all() and (oracle is None or np.array_equal(store.values, oracle)):
+        return ReduceResult(True, spec, duty, None)
+    wrong = np.ones((*store.mapped.shape, duty.shape[1]), dtype=bool)   # (K, N, beta)
+    if oracle is not None:
         wrong[store.rows, store.cols] = (store.values != oracle).any(axis=2)
     bad = (wrong[reducers] & ~store.mapped[reducers][:, :, None]).transpose(0, 2, 1)
     return ReduceResult(not bad.any(), spec, duty, bad)

@@ -251,6 +251,19 @@ class TestSizeLimit:
         assert peak < 8 << 20
 
 
+def test_one_bad_pair_last_in_pair_order_is_named():
+    """Every pair of 7 points as a block but the last pair (6,7): the
+    walk reads all 21 pairs to name that one, and the count of bad
+    pairs leaves no rest line."""
+    points = tuple(str(p) for p in range(1, 8))
+    blocks = tuple(itertools.combinations(points, 2))[:-1]
+    assert constructions.validate_bibd(BlockDesign(points, blocks, 2)) == [
+        "pair (6,7) occurs in 0 blocks, expected 1",
+        "20 blocks, but a (v=7, k=2, 1)-design has 21",
+        "non-uniform replication counts [5, 6]",
+    ]
+
+
 def one_block_design(v: int) -> str:
     """Design text of v points p0..p{v-1} and the one block p0 p1."""
     return f"{v} 1 2\n" + " ".join(f"p{i}" for i in range(v)) + "\np0 p1\n"

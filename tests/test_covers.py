@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -526,7 +527,7 @@ MAN_10_4_EXACT_SHA = "7d72fc271262644d892516c2a8f030342550b93d59ade91ad590e26eb3
 
 class TestExactSearchPins:
     """Covers and node counts of the exact search, taken before it kept a
-    table of refuted states."""
+    table of refuted states or of completions."""
 
     def test_pg2_3_node_boundary(self):
         m = bibd_matrix(pg2_3_design())
@@ -548,6 +549,10 @@ class TestExactSearchPins:
     def test_results_do_not_depend_on_the_table_limit(self, monkeypatch):
         monkeypatch.setattr(covers, "_REFUTED_LIMIT", 4)
         self.test_pg2_3_node_boundary()
+        for limit in (0, 4):
+            monkeypatch.setattr(covers, "_COMPLETION_LIMIT", limit)
+            self.test_pg2_3_node_boundary()
+            self.test_pg2_4_budget_error()
 
 
 def _man_10_4_exact():
@@ -808,3 +813,10 @@ def test_exact_search_equals_reference_at_its_node_count(m, data):
     except (CoverInfeasibleError, CoverBudgetError) as exc:
         got = type(exc)
     assert got == expected
+
+
+def test_exact_search_equals_reference_with_one_stored_int():
+    """The check above with room for one int in the completion table: it
+    stores one alternative set without a completion, and none after it."""
+    with mock.patch.object(covers, "_COMPLETION_LIMIT", 1):
+        test_exact_search_equals_reference_at_its_node_count()
