@@ -40,6 +40,7 @@ from .covers import (
 from .shuffle import (
     JobSpec,
     PipelineResult,
+    SenderPlan,
     ShuffleError,
     ShuffleTranscript,
     Transmission,
@@ -53,7 +54,6 @@ from .shuffle import (
 from .balance import (
     AuditReport,
     BalanceError,
-    SenderPlan,
     audit_plan,
     balance_preconditions,
     build_sender_plan,

@@ -22,19 +22,23 @@ are set to 0.  Each matching is Kuhn's augmenting-path search on int
 bitmasks over the members.  Per call it precomputes, for every (server,
 member) edge, the members still unvisited once that server takes that
 member, so a step of the search is one AND on the unvisited mask.
+
+The plan is the two matchings' servers, mapped to matrix rows with one
+index array: a ``SenderPlan`` (defined in ``shuffle``, its one reader,
+and re-exported here) over the matrix's own rows, which a run takes as
+it is, with no label read back.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .matrix import BinaryComputingMatrix, FormatError, IdentityCover
-from .shuffle import ShuffleTranscript
+from .matrix import BinaryComputingMatrix, IdentityCover
+from .shuffle import SenderPlan, ShuffleTranscript   # SenderPlan re-exported
 
 
 class BalanceError(Exception):
@@ -50,71 +54,37 @@ class BalanceReport:
     member_rows: int | None      # rows of the set in every member, None if they differ
 
 
-@dataclass(frozen=True)
-class SenderPlan:
-    """Per member, the (coded, uncoded) sender pair."""
-
-    duties: tuple[tuple[str, str], ...]
-
-    def as_mapping(self) -> dict[int, tuple[str, str]]:
-        return dict(enumerate(self.duties))
-
-    def to_json(self) -> str:
-        payload = {
-            str(i): {"coded": c, "uncoded": u} for i, (c, u) in enumerate(self.duties)
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SenderPlan":
-        """Read ``to_json`` text: an object whose keys are the members "0"
-        to "S-1", each with string ``coded`` and ``uncoded`` fields.
-        Anything else raises FormatError."""
-        try:
-            payload = json.loads(text)
-            duties = tuple(
-                (payload[str(i)]["coded"], payload[str(i)]["uncoded"]) for i in range(len(payload))
-            )
-        except (ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise FormatError(f"malformed sender plan ({type(exc).__name__}: {exc})") from None
-        if not isinstance(payload, dict) or any(
-            type(label) is not str for pair in duties for label in pair
-        ):
-            raise FormatError("sender plan must map members to string server labels")
-        return cls(duties)
-
-
 def _incidence(
     m: BinaryComputingMatrix, c: IdentityCover, servers: Sequence[str] | None
-) -> tuple[BalanceReport, tuple[str, ...], np.ndarray]:
+) -> tuple[BalanceReport, np.ndarray, np.ndarray]:
     """The preconditions over the server set (default: every row of the
-    matrix), the set, and the cover's listings of it as one (servers, S)
-    array: entry (p, i) counts the times member i lists the server at
-    place p of the set."""
+    matrix), the matrix rows of the set, and the cover's listings of it
+    as one (servers, S) array: entry (p, i) counts the times member i
+    lists the server at place p of the set."""
     servers = m.rows if servers is None else tuple(servers)
     if not servers or len(set(servers)) != len(servers) or not set(servers) <= set(m.rows):
         raise ValueError(f"servers {servers} are not a non-empty set of matrix rows")
     index = c.index(m)
+    rows = np.array([m.row_index(k) for k in servers])
     # each row's place in the set; -1 outside it (labels m lacks too),
     # which indexes a spare last row of the array
     place = np.full(len(index.rows), -1)
-    place[[m.row_index(k) for k in servers]] = np.arange(len(servers))
+    place[rows] = np.arange(len(servers))
     cells = np.zeros((len(servers) + 1) * c.size, dtype=np.int32)
     for ids, R, _ in index.groups:
-        for rows in R.T:        # one row of each member: no index repeats
-            cells[place[rows] * c.size + ids] += 1
+        for slot in R.T:        # one row of each member: no index repeats
+            cells[place[slot] * c.size + ids] += 1
     incidence = cells.reshape(len(servers) + 1, c.size)[:-1]
     counts = dict(zip(servers, incidence.sum(axis=1).tolist()))
     member_rows = set(incidence.sum(axis=0).tolist())
     gamma = Fraction(c.size, len(servers))
-    report = BalanceReport(
+    return BalanceReport(
         gamma=gamma,
         gamma_integral=gamma.denominator == 1,
         row_regular=len(set(counts.values())) == 1,
         counts=counts,
         member_rows=member_rows.pop() if len(member_rows) == 1 else None,
-    )
-    return report, servers, incidence
+    ), rows, incidence
 
 
 def balance_preconditions(
@@ -236,7 +206,7 @@ def build_sender_plan(
     RuntimeError on internal consistency violations (which would indicate
     a bug, not bad input).
     """
-    report, servers, incidence = _incidence(m, c, servers)
+    report, rows, incidence = _incidence(m, c, servers)
     h = report.member_rows
     if h is None or h < 2:
         raise BalanceError(
@@ -258,12 +228,11 @@ def build_sender_plan(
     except BalanceError as exc:
         raise RuntimeError(f"residual graph after the first matching: {exc}") from exc
 
-    duties = []
-    for i, (k, j) in enumerate(zip(coded, uncoded)):
-        if k == j:
-            raise RuntimeError(f"member {i}: both duties landed on {servers[k]!r}")
-        duties.append((servers[k], servers[j]))
-    return SenderPlan(tuple(duties))
+    senders = rows[np.array([coded, uncoded]).T]     # (S, 2) matrix rows
+    same = np.flatnonzero(senders[:, 0] == senders[:, 1])
+    if same.size:
+        raise RuntimeError(f"member {same[0]}: both duties landed on {m.rows[senders[same[0], 0]]!r}")
+    return SenderPlan(m.rows, senders)
 
 
 @dataclass
@@ -275,10 +244,8 @@ class AuditReport:
     balanced: bool
 
     def to_csv(self) -> str:
-        lines = ["server,coded_bytes,uncoded_bytes"]
-        for k, (cb, ub) in self.per_server.items():
-            lines.append(f"{k},{cb},{ub}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{k},{cb},{ub}\n" for k, (cb, ub) in self.per_server.items()]
+        return "server,coded_bytes,uncoded_bytes\n" + "".join(rows)
 
 
 def audit_plan(plan: SenderPlan, transcript: ShuffleTranscript) -> AuditReport:
@@ -286,9 +253,6 @@ def audit_plan(plan: SenderPlan, transcript: ShuffleTranscript) -> AuditReport:
     sent = np.zeros((len(transcript.servers), 2), dtype=np.int64)
     np.add.at(sent, (transcript.senders, [0, 1]), transcript.payload_bytes)
     per_server = {k: (cb, ub) for k, (cb, ub) in zip(transcript.servers, sent.tolist())}
-    expected = Fraction(len(plan.duties) * transcript.payload_bytes, len(transcript.servers))
-    balanced = (
-        transcript.senders.size == 2 * len(plan.duties)
-        and all(cb == expected and ub == expected for cb, ub in per_server.values())
-    )
+    expected = Fraction(len(plan.senders) * transcript.payload_bytes, len(transcript.servers))
+    balanced = transcript.senders.size == 2 * len(plan.senders) and bool((sent == expected).all())
     return AuditReport(per_server=per_server, expected_each=expected, balanced=balanced)

@@ -311,12 +311,11 @@ def _parse_table1_params(text: str) -> list[tuple[str, dict[str, int]]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
-        scheme = toks[0]
+        scheme, *toks = line.split()
         if scheme not in _SCHEMES:
             raise FormatError(f"unknown scheme id {scheme!r}")
         kv: dict[str, int] = {}
-        for tok in toks[1:]:
+        for tok in toks:
             if "=" not in tok:
                 raise FormatError(f"expected key=value, got {tok!r}")
             key, _, value = tok.partition("=")
@@ -601,6 +600,8 @@ def main(argv=None) -> int:
     except (FormatError, constructions.DesignError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:   # an interpreter fault, not a verdict: no exit 1
+        raise
     except (
         shuffle.ShuffleError,
         balance.BalanceError,

@@ -205,6 +205,8 @@ def search_cover(
     would find.  Both modes are deterministic given (matrix, g, mode,
     seed).
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes={max_nodes} must not be negative")
     if g < 2:
         raise CoverInfeasibleError("member size g must be at least 2")
     total_ones = m.ones_count()

@@ -53,9 +53,14 @@ shuffle is a (K, N) mask; labels come back only in the transcript's
 records, the reduce outputs and error texts.  The default plan and the partial
 stragglers' needs are array passes over the verified cover's arrays, so
 a malformed member is that ``ShuffleError``, never a failed label lookup.
-An explicit sender plan is read by ``plan_senders`` alone, once a run
-and before any map work, which names the first member it misses or maps
-to anything but two labels; a default plan is never read.
+A sender plan has one form, ``SenderPlan``: the (S, 2) coded and
+uncoded sender indices over its label tuple, as ``IdentityCover`` holds
+a cover.  A balanced plan is built over the matrix's rows, so a run
+takes its array as it is; any other plan is relabelled once, and a
+member -> label-pair mapping is read into a plan once, by
+``SenderPlan.from_mapping``, which names the first member it misses or
+maps to anything but two labels.  Both happen before any map work; a
+default plan is never read.
 
 Each identity submatrix of the cover drives one exchange round of two
 broadcasts: a coded one (bytewise XOR of the intermediate values the
@@ -82,11 +87,12 @@ arrays.
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,14 +101,12 @@ from .matrix import (
     BinaryComputingMatrix,
     FormatError,
     IdentityCover,
+    _read_only,
     _translate,
     format_cover,
     format_matrix,
     verify_cover,
 )
-
-if TYPE_CHECKING:   # balance imports this module
-    from .balance import SenderPlan
 
 
 class ShuffleError(Exception):
@@ -327,9 +331,7 @@ class ShuffleTranscript:
 
     def __post_init__(self) -> None:
         for name in ("senders", "payloads"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            setattr(self, name, view)
+            setattr(self, name, _read_only(np.asarray(getattr(self, name)).view()))
 
     @property
     def payload_bytes(self) -> int:
@@ -524,35 +526,78 @@ def default_plan(spec: JobSpec, duty: np.ndarray, forbidden: Sequence[int] = ())
     return np.stack([first, second], axis=1)
 
 
-def plan_senders(spec: JobSpec, plan: Mapping[int, tuple[str, str]]) -> np.ndarray:
-    """The (S, 2) coded and uncoded sender rows of the cover members, as
-    *plan* maps members 0 to S-1 to two server labels.  Labels the matrix
-    lacks get the rows after its K, which no member has.
+@dataclass(frozen=True, eq=False)
+class SenderPlan:
+    """Each cover member's coded and uncoded sender: ``senders[s]`` holds
+    member s's two indices into the label tuple ``servers``, in one
+    read-only (S, 2) intp array.
 
-    Raises ShuffleError naming the first member the plan misses or maps to
-    anything else, or else a key that is no member.
+    ``build_sender_plan`` builds a plan over a matrix's own rows, which a
+    run takes as it is; ``from_json`` and ``from_mapping`` number their
+    labels in order of first use.
     """
-    def read(members) -> list[str]:
-        try:
-            return [
-                k for c, u in map(plan.__getitem__, members) if type(c) is type(u) is str
-                for k in (c, u)
-            ]
-        except (KeyError, TypeError, ValueError):
-            return []
 
-    S = spec.cover.size
-    labels = read(range(S))
-    if len(labels) == 2 * S and S == len(plan):
-        rows, _ = _translate(labels, spec.matrix._row_idx)   # type: ignore[attr-defined]
-        return rows.reshape(S, 2)
-    for idx in range(S):   # the first fault in member order
-        if idx not in plan:
-            raise ShuffleError(f"sender plan misses member {idx}")
-        if not read([idx]):
-            raise ShuffleError(f"member {idx}: sender plan gives {plan[idx]!r}, not two server labels")
-    extra = next(key for key in plan if key not in range(S))
-    raise ShuffleError(f"sender plan names member {extra!r}; the cover has {S} members")
+    servers: tuple[str, ...]
+    senders: np.ndarray          # (S, 2) intp
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "senders", _read_only(np.array(self.senders, dtype=np.intp)))
+
+    @classmethod
+    def _numbered(cls, labels: list[str]) -> "SenderPlan":
+        """The plan whose members send, in turn, the coded and uncoded
+        *labels*, numbered in order of first use."""
+        number: dict[str, int] = {}
+        rows = [number.setdefault(k, len(number)) for k in labels]
+        return cls(tuple(number), np.array(rows, dtype=np.intp).reshape(-1, 2))
+
+    @classmethod
+    def from_mapping(cls, plan: Mapping[int, tuple[str, str]], S: int) -> "SenderPlan":
+        """The plan that *plan* gives, mapping members 0 to S-1 to two
+        server labels each.
+
+        Raises ShuffleError naming the first member the plan misses or maps
+        to anything else, or else a key that is no member.
+        """
+        for idx in range(S):   # the first fault in member order
+            if idx not in plan:
+                raise ShuffleError(f"sender plan misses member {idx}")
+            try:
+                c, u = plan[idx]
+            except (TypeError, ValueError):
+                c = u = None
+            if not type(c) is type(u) is str:
+                raise ShuffleError(
+                    f"member {idx}: sender plan gives {plan[idx]!r}, not two server labels"
+                )
+        if len(plan) != S:
+            extra = next(key for key in plan if key not in range(S))
+            raise ShuffleError(f"sender plan names member {extra!r}; the cover has {S} members")
+        return cls._numbered([k for idx in range(S) for k in plan[idx]])
+
+    def as_mapping(self) -> dict[int, tuple[str, str]]:
+        """Member -> (coded, uncoded) labels, for callers that still pass
+        a label mapping to ``run_pipeline``; no run path reads it."""
+        return dict(enumerate(map(tuple, np.array(self.servers, dtype=object)[self.senders].tolist())))
+
+    def to_json(self) -> str:
+        pairs = np.array(self.servers, dtype=object)[self.senders].tolist()
+        payload = {str(i): {"coded": c, "uncoded": u} for i, (c, u) in enumerate(pairs)}
+        return json.dumps(payload, sort_keys=True, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "SenderPlan":
+        """Read ``to_json`` text: an object whose keys are the members "0"
+        to "S-1", each with string ``coded`` and ``uncoded`` fields.
+        Anything else raises FormatError."""
+        try:
+            payload = json.loads(text)
+            labels = [payload[str(i)][kind] for i in range(len(payload)) for kind in _KINDS]
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise FormatError(f"malformed sender plan ({type(exc).__name__}: {exc})") from None
+        if not isinstance(payload, dict) or any(type(k) is not str for k in labels):
+            raise FormatError("sender plan must map members to string server labels")
+        return cls._numbered(labels)
 
 
 def run_shuffle(
@@ -705,7 +750,7 @@ def partial_straggler_needs(
 
 def run_pipeline(
     spec: JobSpec,
-    plan: Mapping[int, tuple[str, str]] | None = None,
+    plan: SenderPlan | Mapping[int, tuple[str, str]] | None = None,
     tamper: Callable[[Transmission], Transmission] | None = None,
     stragglers: Iterable[str] = (),
     partial: frozenset[str] = frozenset(),
@@ -718,8 +763,12 @@ def run_pipeline(
     what their decodes need; they finish their map work after the
     shuffle and reduce their share, so the load is that of the run
     without them.  Without a *plan*, each member's first two eligible
-    rows send.  *tamper* maps each broadcast's record before it is
-    decoded (see ``_exchange``).
+    rows send; a ``SenderPlan`` is relabelled over the matrix's rows
+    unless it is over them already, and a member -> (coded, uncoded)
+    label mapping is read by ``SenderPlan.from_mapping``.  A plan that
+    does not give every member exactly once raises ShuffleError.
+    *tamper* maps each broadcast's record before it is decoded (see
+    ``_exchange``).
     """
     m = spec.matrix
     stragglers = set(stragglers)
@@ -736,7 +785,16 @@ def run_pipeline(
     if plan is None:
         senders = default_plan(spec, duty, forbidden=partial_rows)
     else:
-        senders = plan_senders(spec, plan)
+        S = spec.cover.size
+        if not isinstance(plan, SenderPlan):
+            plan = SenderPlan.from_mapping(plan, S)
+        elif len(plan.senders) < S:
+            raise ShuffleError(f"sender plan misses member {len(plan.senders)}")
+        elif len(plan.senders) > S:
+            raise ShuffleError(f"sender plan names member {S}; the cover has {S} members")
+        # relabelled unless over m's rows; labels m lacks get rows from K on
+        senders = plan.senders if plan.servers == m.rows else (
+            _translate(plan.servers, m._row_idx)[0][plan.senders])   # type: ignore[attr-defined]
     mapped = m.bits == 0
     mapped[duty[:, 0] < 0] = False      # full stragglers map nothing
     if partial_rows:

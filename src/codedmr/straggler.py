@@ -32,7 +32,7 @@ from .covers import man_cover
 from .constructions import SchemeParameters, man_matrix
 from .fmt import decimal_trunc, printed_places
 from .matrix import load_formula
-from .shuffle import JobSpec, PipelineResult
+from .shuffle import JobSpec, PipelineResult, SenderPlan
 # Not called here: tracing tools swap these module attributes, so they
 # stay bound.
 from .balance import perfect_matching  # noqa: F401
@@ -41,14 +41,17 @@ from .shuffle import default_plan, run_map_phase, run_reduce, run_shuffle  # noq
 
 def straggler_load_formula(K: int, r: int, g: int, kappa: int) -> Fraction:
     """Closed-form load of a straggler run: ``load_formula``'s
-    (2/g)(1 - r/K) scaled by K/kappa, that is (2/g)(K - r)/kappa."""
+    (2/g)(1 - r/K) scaled by K/kappa, that is (2/g)(K - r)/kappa.
+    Raises ValueError for fewer than one survivor."""
+    if kappa < 1:
+        raise ValueError(f"kappa={kappa} must be at least 1 survivor")
     return load_formula(K, r, g) * Fraction(K, kappa)
 
 
 def straggler_run(
     spec: JobSpec,
     stragglers: Iterable[str] = (),
-    plan: str | Mapping[int, tuple[str, str]] = "default",
+    plan: str | SenderPlan | Mapping[int, tuple[str, str]] = "default",
 ) -> PipelineResult:
     """Simulate one straggler scenario end to end: the servers labelled
     *stragglers* fail.
@@ -56,9 +59,10 @@ def straggler_run(
     Stragglers map nothing and never transmit; at most g - 2 may fail,
     so every member keeps two surviving rows.  The transcript has 2S
     transmissions of (Q/kappa)*T bytes.  *plan* is "default", "balanced" (over the
-    survivors, kept on ``result.plan``; when the balancing preconditions
-    fail, the default plan, with the reason on ``result.plan_fallback``)
-    or an explicit member -> (coded, uncoded) map.  ``run_pipeline``
+    survivors, kept on ``result.plan`` and passed to ``run_pipeline`` as
+    it is; when the balancing preconditions fail, the default plan, with
+    the reason on ``result.plan_fallback``) or an explicit plan: a
+    ``SenderPlan`` or a member -> (coded, uncoded) map.  ``run_pipeline``
     rejects unknown labels and a Q the survivors cannot split evenly.
     A cover that fails verification is the ShuffleError of
     ``spec.cover_index``, read before any balancing.
@@ -74,12 +78,11 @@ def straggler_run(
     spec.cover_index
 
     plan_mode = plan if isinstance(plan, str) else "explicit"
-    resolved = None if isinstance(plan, str) else dict(plan)
+    resolved = None if isinstance(plan, str) else plan
     balanced = fallback = None
     if plan == "balanced":
         try:
-            balanced = balance.build_sender_plan(spec.matrix, spec.cover, survivors)
-            resolved = balanced.as_mapping()
+            resolved = balanced = balance.build_sender_plan(spec.matrix, spec.cover, survivors)
         except balance.BalanceError as exc:
             plan_mode, fallback = "default (balanced unavailable)", str(exc)
     elif isinstance(plan, str) and plan != "default":
@@ -145,21 +148,21 @@ def optimal_straggler_load(K: int, r: int, kappa: int) -> Fraction:
     Comparison oracle only; this package does not implement the scheme
     attaining it.  The summation's lower index is clamped to 1 when
     r + kappa - K is not positive (see optimal_load_is_extrapolated).
+    Raises ValueError for r outside [1, K - 1], as ``load_formula``
+    does, whose (2/2)(1 - r/K) is the factor before the summation.
     """
+    factor = load_formula(K, r, 2)
     if kappa < 2:
         raise ValueError("need at least two survivors")
     if K - kappa > r - 1:
         raise ValueError(
             f"{K - kappa} stragglers exceed the reference scheme's tolerance r-1={r - 1}"
         )
-    lo = max(1, r + kappa - K)
-    hi = min(r, kappa - 1)
-    total = Fraction(0)
-    for i in range(lo, hi + 1):
-        total += Fraction(1, i) * Fraction(
-            comb(r, i) * comb(K - r - 1, kappa - i - 1), comb(K - 1, kappa - 1)
-        )
-    return (1 - Fraction(r, K)) * total
+    total = sum(
+        Fraction(comb(r, i) * comb(K - r - 1, kappa - i - 1), i * comb(K - 1, kappa - 1))
+        for i in range(max(1, r + kappa - K), min(r, kappa - 1) + 1)
+    )
+    return factor * total
 
 
 def optimal_load_is_extrapolated(K: int, r: int, kappa: int) -> bool:
@@ -222,8 +225,7 @@ def comparison_row(
     p = SchemeParameters.t_design_2(K, K - r)   # MAN(K, r) is family IV at (K, K - r)
     ours = straggler_load_formula(K, r, p.g, kappa)
     optimal = optimal_straggler_load(K, r, kappa)
-    simulated = None
-    decode_ok = None
+    simulated = decode_ok = None
     if simulate:
         matrix = man_matrix(K, r)
         spec = JobSpec(matrix, man_cover(matrix), lcm(K, kappa), 4)   # the load is T-free

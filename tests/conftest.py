@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,14 @@ def cover_members(cover):
         size, *labels = line.split()
         members.append((tuple(labels[: int(size)]), tuple(labels[int(size) :])))
     return tuple(members)
+
+
+def plan_pairs(plan):
+    """Each member's (coded, uncoded) sender labels, as tuples in member
+    order, read back from the plan's JSON."""
+    payload = json.loads(plan.to_json())
+    pairs = (payload[str(i)] for i in range(len(payload)))
+    return tuple((pair["coded"], pair["uncoded"]) for pair in pairs)
 
 
 def build_suite():

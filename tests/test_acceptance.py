@@ -89,7 +89,7 @@ def test_criterion_3_end_to_end_decode_correctness(suite):
             spec = JobSpec(m, cover, Q, T, file_seed=rng.randrange(2**31))
             plan = None
             if balanced_plan is not None and setting % 2 == 0:
-                plan = balanced_plan.as_mapping()
+                plan = balanced_plan
             result = run_pipeline(spec, plan)
             assert result.reduce_result.ok, f"{name}: decode failed at setting {setting}"
             runs += 1
@@ -147,7 +147,7 @@ def test_criterion_6_balanced_plans(suite):
         assert balanceable(report) and report.gamma == gamma
         plan = build_sender_plan(m, cover)   # asserts residual regularity inside
         spec = JobSpec(m, cover, Q, T)
-        result = run_pipeline(spec, plan.as_mapping())
+        result = run_pipeline(spec, plan)
         assert result.reduce_result.ok
         audit = audit_plan(plan, result.transcript)
         assert audit.balanced
@@ -165,7 +165,7 @@ def test_criterion_6_balanced_plans(suite):
         if not balanceable(balance_preconditions(m, cover)):
             continue
         plan = build_sender_plan(m, cover)
-        result = run_pipeline(JobSpec(m, cover, m.K, 1), plan.as_mapping())
+        result = run_pipeline(JobSpec(m, cover, m.K, 1), plan)
         assert audit_plan(plan, result.transcript).balanced, f"{name}: audit failed"
         balanced_count += 1
     assert balanced_count >= 10

@@ -27,7 +27,7 @@ from codedmr import (
 )
 from codedmr import balance
 from codedmr.balance import BalanceError
-from conftest import cover_members, label_cover
+from conftest import cover_members, label_cover, plan_pairs
 from test_shuffle import transcript_bits
 
 
@@ -45,8 +45,8 @@ def balanceable(report):
 
 def sent_members(plan, server):
     """The members whose coded and whose uncoded broadcast *server* sends."""
-    coded = [i for i, (c, _) in enumerate(plan.duties) if c == server]
-    uncoded = [i for i, (_, u) in enumerate(plan.duties) if u == server]
+    coded = [i for i, (c, _) in enumerate(plan_pairs(plan)) if c == server]
+    uncoded = [i for i, (_, u) in enumerate(plan_pairs(plan)) if u == server]
     return coded, uncoded
 
 
@@ -173,7 +173,7 @@ class TestResidualGraph:
         coded = {member: left[0] for member, left in first.items()}
         # build_sender_plan takes its coded duties from this first matching
         plan = build_sender_plan(m, cover)
-        assert [c for c, _ in plan.duties] == [coded[i] for i in range(cover.size)]
+        assert [c for c, _ in plan_pairs(plan)] == [coded[i] for i in range(cover.size)]
         residual = {
             left: tuple(i for i in members if coded[i] != left[0])
             for left, members in graph.items()
@@ -195,7 +195,7 @@ class TestBuildSenderPlan:
             coded, uncoded = sent_members(plan, k)
             assert len(coded) == len(uncoded) == 1
             assert not set(coded) & set(uncoded)
-        for coded, uncoded in plan.duties:
+        for coded, uncoded in plan_pairs(plan):
             assert coded != uncoded
 
     def test_man_5_2_audit_byte_counts(self):
@@ -203,7 +203,7 @@ class TestBuildSenderPlan:
         cover = man_cover(m)
         plan = build_sender_plan(m, cover)
         spec = JobSpec(m, cover, 5, 8)
-        result = run_pipeline(spec, plan.as_mapping())
+        result = run_pipeline(spec, plan)
         audit = audit_plan(plan, result.transcript)
         assert audit.balanced
         # 2 S beta T / K = 2*10*1*8/5 = 32 bytes per server, split 16 + 16
@@ -217,13 +217,13 @@ class TestBuildSenderPlan:
         m = man_matrix(3, 1)
         cover = man_cover(m)
         plan = build_sender_plan(m, cover)
-        assert len(plan.duties) == 3
-        for coded, uncoded in plan.duties:
+        assert len(plan_pairs(plan)) == 3
+        for coded, uncoded in plan_pairs(plan):
             assert coded != uncoded
 
     def test_plan_is_deterministic(self, fano_pair):
         m, cover = fano_pair
-        assert build_sender_plan(m, cover) == build_sender_plan(m, cover)
+        assert plan_pairs(build_sender_plan(m, cover)) == plan_pairs(build_sender_plan(m, cover))
 
     def test_survivor_set_plan_on_transversal(self):
         # TD(2,3): members are the (group, slope) pairs, rows the 3 blocks
@@ -238,7 +238,7 @@ class TestBuildSenderPlan:
         for k in survivors:
             coded, uncoded = sent_members(plan, k)
             assert len(coded) == len(uncoded) == 1
-        for i, (coded, uncoded) in enumerate(plan.duties):
+        for i, (coded, uncoded) in enumerate(plan_pairs(plan)):
             assert coded != uncoded
             assert {coded, uncoded} <= set(cover_members(cover)[i][0]) & set(survivors)
 
@@ -259,7 +259,7 @@ class TestBuildSenderPlan:
     def test_plan_json_round_trip(self, fano_pair):
         m, cover = fano_pair
         plan = build_sender_plan(m, cover)
-        assert SenderPlan.from_json(plan.to_json()) == plan
+        assert plan_pairs(SenderPlan.from_json(plan.to_json())) == plan_pairs(plan)
 
 
 class TestAudit:
@@ -285,7 +285,7 @@ class TestAudit:
         m, cover = fano_pair
         spec = JobSpec(m, cover, 7, 16)
         plan = build_sender_plan(m, cover)
-        result = run_pipeline(spec, plan.as_mapping())
+        result = run_pipeline(spec, plan)
         audit = audit_plan(plan, result.transcript)
         assert audit.balanced
         assert result.reduce_result.ok
@@ -338,6 +338,41 @@ class TestPinnedOutputs:
         ]
 
 
+# sha256 of the transcript log of ``straggler_run(spec, plan="balanced")``,
+# taken while a balanced plan still went through a label mapping.
+BALANCED_RUN_SHA256 = {
+    "MAN(5,2)": "8a094660df48e46cb6390a059e56524d6a1a9fb4779032598f4b826fdb03691b",
+    "fano": "068ee2e5d7402ff704183794ce39181f2a7cbbf11ef7125fa894957482618663",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALANCED_RUN_SHA256))
+def test_a_balanced_run_makes_no_label_round_trip(name, monkeypatch, fano_pair):
+    """``build_sender_plan`` gives rows over the matrix's labels, which
+    ``straggler_run`` and ``run_pipeline`` pass on as they are: neither
+    the label view nor the label reader of a plan is called."""
+    from codedmr import straggler_run
+    from codedmr.shuffle import transcript_log
+
+    def refuse(*args):
+        raise AssertionError("a balanced run read its plan as labels")
+
+    if name == "fano":
+        m, cover = fano_pair
+        spec = JobSpec(m, cover, 7, 16)
+    else:
+        m = man_matrix(5, 2)
+        spec = JobSpec(m, man_cover(m), 5, 4)
+    monkeypatch.setattr(SenderPlan, "as_mapping", refuse)
+    monkeypatch.setattr(SenderPlan, "from_mapping", refuse)
+    result = straggler_run(spec, plan="balanced")
+    assert result.plan_mode == "balanced" and result.plan.servers is m.rows
+    assert result.reduce_result.ok
+    assert audit_plan(result.plan, result.transcript).balanced
+    digest = hashlib.sha256(transcript_log(spec, result.transcript)).hexdigest()
+    assert digest == BALANCED_RUN_SHA256[name]
+
+
 def test_deep_augmenting_paths_stay_within_recursion_limit():
     """MAN(13,5) needs augmenting paths 1,625 copies deep on the graph of
     132 copies per server, past the interpreter's default recursion limit
@@ -352,7 +387,7 @@ def test_deep_augmenting_paths_stay_within_recursion_limit():
         plan = build_sender_plan(m, cover)
     finally:
         sys.setrecursionlimit(limit)
-    result = run_pipeline(JobSpec(m, cover, 13, 1), plan.as_mapping())
+    result = run_pipeline(JobSpec(m, cover, 13, 1), plan)
     assert audit_plan(plan, result.transcript).balanced
     assert result.reduce_result.ok
 
@@ -505,11 +540,19 @@ _labels = st.text(max_size=4)
 _duties = st.lists(st.tuples(_labels, _labels), max_size=12).map(tuple)
 
 
+def pairs_plan(duties):
+    """The plan whose member i sends the label pair ``duties[i]``."""
+    return SenderPlan.from_mapping(dict(enumerate(duties)), len(duties))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_duties)
 def test_plan_json_round_trips(duties):
-    plan = SenderPlan(duties)
-    assert SenderPlan.from_json(plan.to_json()) == plan
+    """The labels are numbered in order of first use, on either read."""
+    plan = SenderPlan.from_json(pairs_plan(duties).to_json())
+    assert plan_pairs(plan) == duties
+    assert plan.servers == tuple(dict.fromkeys(k for pair in duties for k in pair))
+    assert plan.senders.shape == (len(duties), 2) and not plan.senders.flags.writeable
 
 
 @settings(max_examples=100, deadline=None)
@@ -517,15 +560,15 @@ def test_plan_json_round_trips(duties):
 def test_plan_json_without_a_key_or_field_is_a_format_error(duties, data):
     """Deleting a member other than the last, or a field of any member,
     leaves no plan; deleting the last member leaves the plan of the others,
-    whose run then misses that member (``shuffle.plan_senders``)."""
-    payload = json.loads(SenderPlan(duties).to_json())
+    whose run then misses that member (``run_pipeline``)."""
+    payload = json.loads(pairs_plan(duties).to_json())
     member = data.draw(st.sampled_from(sorted(payload, key=int)))
     field = data.draw(st.sampled_from([None, "coded", "uncoded"]))
     if field is not None:
         del payload[member][field]
     elif int(member) == len(duties) - 1:
         del payload[member]
-        assert SenderPlan.from_json(json.dumps(payload)) == SenderPlan(duties[:-1])
+        assert plan_pairs(SenderPlan.from_json(json.dumps(payload))) == duties[:-1]
         return
     else:
         del payload[member]

@@ -247,6 +247,24 @@ class TestRun:
         assert "\nwarning: balanced plan unavailable (" in out
         assert "); using default plan\n" in out
 
+    def test_a_recursion_error_propagates_and_a_runtime_error_exits_1(self, capsys, monkeypatch):
+        """RecursionError is a RuntimeError, which ``main`` maps to exit 1;
+        an interpreter fault must not hide behind that exit code."""
+        from codedmr import balance
+
+        def fail(error):
+            def build(*args):
+                raise error("maximum recursion depth exceeded")
+            return build
+
+        argv = ("run", "--construction", "fano", "--plan", "balanced")
+        monkeypatch.setattr(balance, "build_sender_plan", fail(RecursionError))
+        with pytest.raises(RecursionError):
+            main(list(argv))
+        monkeypatch.setattr(balance, "build_sender_plan", fail(RuntimeError))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "failure: maximum recursion depth exceeded\n"
+
     @pytest.mark.parametrize("flag", ["--config", "--design"])
     def test_directory_as_input_file_exits_2(self, capsys, tmp_path, flag):
         code, _, err = run_cli(

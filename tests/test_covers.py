@@ -347,6 +347,12 @@ class TestSearchCover:
         with pytest.raises(CoverBudgetError):
             search_cover(m, 4, mode="exact", max_nodes=2)
 
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_a_negative_budget_is_a_value_error(self, mode):
+        """Not a CoverBudgetError for a budget no search can meet."""
+        with pytest.raises(ValueError, match="max_nodes=-1 must not be negative"):
+            search_cover(fano_matrix(), 3, mode=mode, max_nodes=-1)
+
     def test_g_below_two_infeasible(self):
         with pytest.raises(CoverInfeasibleError):
             search_cover(fano_matrix(), 1)

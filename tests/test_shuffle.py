@@ -36,6 +36,7 @@ from codedmr import (
     transversal_matrix,
 )
 from codedmr.shuffle import (
+    SenderPlan,
     ServerStore,
     ShuffleTranscript,
     _digest_streams,
@@ -46,10 +47,9 @@ from codedmr.shuffle import (
     job_digest,
     load_transcript,
     partial_straggler_needs,
-    plan_senders,
     save_transcript,
 )
-from conftest import cover_members, label_cover
+from conftest import cover_members, label_cover, plan_pairs
 
 
 def fano_spec(Q=7, T=16, seed=0):
@@ -121,6 +121,13 @@ def label_plan(spec, senders):
     """The member -> (coded, uncoded) label plan of the (S, 2) sender rows."""
     rows = spec.matrix.rows
     return {idx: (rows[c], rows[u]) for idx, (c, u) in enumerate(senders.tolist())}
+
+
+def plan_rows(spec, plan):
+    """The (S, 2) sender rows of a member -> (coded, uncoded) label plan
+    over the matrix's labels: the inverse of ``label_plan``."""
+    m = spec.matrix
+    return np.array([[m.row_index(k) for k in plan[i]] for i in range(spec.cover.size)])
 
 
 class TestSynthMap:
@@ -468,7 +475,7 @@ class TestTranscriptArrays:
         m = man_matrix(5, 2)
         plan = build_sender_plan(m, man_cover(m))
         spec = JobSpec(m, man_cover(m), 5, 8)
-        result = run_pipeline(spec, plan.as_mapping())
+        result = run_pipeline(spec, plan)
         save_transcript(tmp_path / "t.bin", spec, result.transcript)
         assert audit_plan(plan, result.transcript).balanced
         assert measured_load(result.transcript, spec) == result.load == Fraction(2, 5)
@@ -824,7 +831,7 @@ def reference_jobs(draw):
     plan = None
     if draw(st.booleans()):
         try:
-            plan = build_sender_plan(m, cover, survivors).as_mapping()
+            plan = dict(enumerate(plan_pairs(build_sender_plan(m, cover, survivors))))
         except BalanceError:
             pass
     return spec, plan, tuple(stragglers), partial
@@ -869,7 +876,7 @@ def test_pipeline_equals_per_member_reference(job, data):
 def _library_phases(spec, assignment, mapped, plan):
     duty = assignment.rows(spec)
     store = run_map_phase(spec, mapped)
-    transcript = run_shuffle(spec, duty, store, plan_senders(spec, plan))
+    transcript = run_shuffle(spec, duty, store, plan_rows(spec, plan))
     r = run_reduce(spec, duty, store)
     stragglers = [k for k in spec.matrix.rows if k not in assignment.duties]
     return _library_summary(spec, transcript, stragglers, r.outputs, r.mismatches)
@@ -942,7 +949,7 @@ def test_a_partial_straggler_and_a_dropped_column_fail_as_in_the_reference(job, 
     mapped = m.bits == 0
     mapped[[m.row_index(s) for s in stragglers]] = False
     p = m.row_index(partial)
-    mapped[p] = partial_straggler_needs(spec, plan_senders(spec, plan), [p])[p]
+    mapped[p] = partial_straggler_needs(spec, plan_rows(spec, plan), [p])[p]
     mapped[i, m.cols.index(dropped)] = False
     got = _outcome(lambda: _library_phases(spec, assignment, mapped, plan))
     assert got == _outcome(lambda: _reference_phases(spec, assignment, subfile_filter, plan))
@@ -1377,11 +1384,50 @@ def test_an_explicit_plan_is_read_once_and_a_default_plan_never(monkeypatch, par
     if partial:
         senders = default_plan(spec, block_duties(5, range(5), 20), [spec.matrix.row_index("5")])
         plan = label_plan(spec, senders)
-    read, calls = shuffle.plan_senders, []
-    monkeypatch.setattr(shuffle, "plan_senders", lambda *args: calls.append(args) or read(*args))
+    read, calls = shuffle.SenderPlan.from_mapping, []
+    monkeypatch.setattr(
+        shuffle.SenderPlan, "from_mapping", lambda *args: calls.append(args) or read(*args)
+    )
     result = run_pipeline(spec, plan if explicit else None, partial=partial)
     assert result.reduce_result.ok
     assert len(calls) == int(explicit)
+
+
+def test_a_plan_over_other_labels_is_relabelled_once():
+    """A plan read back from its JSON numbers its labels in order of first
+    use; the run relabels it over the matrix and sends as the plan the
+    balancer built over the matrix's rows.  A label the matrix lacks gets
+    a row past K, which no member holds."""
+    m = man_matrix(5, 2)
+    spec = JobSpec(m, man_cover(m), 5, 4)
+    built = build_sender_plan(m, spec.cover)
+    read = SenderPlan.from_json(built.to_json())
+    assert read.servers != m.rows and plan_pairs(read) == plan_pairs(built)
+    a, b = run_pipeline(spec, built), run_pipeline(spec, read)
+    assert np.array_equal(a.transcript.senders, b.transcript.senders)
+    assert np.array_equal(a.transcript.payloads, b.transcript.payloads)
+    # every sender "1" becomes "9", a label the matrix lacks
+    unknown = np.where(read.senders == read.servers.index("1"), len(read.servers), read.senders)
+    stranger = SenderPlan(read.servers + ("9",), unknown)
+    with pytest.raises(ShuffleError) as err:
+        run_pipeline(spec, stranger)
+    assert str(err.value) == "senders must be participating rows of the member"
+
+
+@pytest.mark.parametrize("size, text", [
+    (9, "sender plan misses member 9"),
+    (0, "sender plan misses member 0"),
+    (11, "sender plan names member 10; the cover has 10 members"),
+])
+def test_a_plan_of_the_wrong_size_is_rejected_before_the_map_work(size, text):
+    """The texts of a label mapping missing that member, or with a key
+    past the members."""
+    spec, _ = _man_5_2_default_plan()
+    senders = np.resize(default_plan(spec, block_duties(5, range(5), 20)), (size, 2))
+    with pytest.raises(ShuffleError) as err:
+        run_pipeline(spec, SenderPlan(spec.matrix.rows, senders))
+    assert str(err.value) == text
+    assert "ivas" not in spec.__dict__
 
 
 def test_a_plan_missing_its_last_member_is_rejected_before_the_map_work():

@@ -28,7 +28,7 @@ from codedmr import (
 from codedmr.fmt import decimal_str, decimal_trunc
 from codedmr.straggler import optimal_load_is_extrapolated
 
-from conftest import cover_members
+from conftest import cover_members, plan_pairs
 from test_balance import balanceable
 from test_shuffle import reference_reduce_digest, transcript_bits
 
@@ -233,6 +233,12 @@ class TestOptimalLoad:
         with pytest.raises(ValueError):
             optimal_straggler_load(5, 2, 2)    # 3 stragglers > r-1
 
+    @pytest.mark.parametrize("K, r", [(5, 6), (5, 5), (5, 0), (5, -1)])
+    def test_r_outside_1_to_K_minus_1_is_a_value_error(self, K, r):
+        """r = 6 > K = 5 once gave 0 from an empty summation."""
+        with pytest.raises(ValueError, match=f"computation load r={r} out of range"):
+            optimal_straggler_load(K, r, 5)
+
     def test_extrapolation_flag(self):
         assert not optimal_load_is_extrapolated(5, 2, 4)    # index 1
         assert optimal_load_is_extrapolated(10, 3, 6)       # index -1, clamped
@@ -246,6 +252,13 @@ def test_straggler_load_is_the_base_load_scaled_by_K_over_kappa():
             assert load == Fraction(2 * (K - r), g * kappa)
     with pytest.raises(ValueError, match="size < 2"):
         straggler_load_formula(5, 2, 1, 4)
+
+
+@pytest.mark.parametrize("kappa", [0, -3])
+def test_straggler_load_without_a_survivor_is_a_value_error(kappa):
+    """Not a ZeroDivisionError at kappa = 0."""
+    with pytest.raises(ValueError, match=f"kappa={kappa} must be at least 1 survivor"):
+        straggler_load_formula(5, 2, 3, kappa)
 
 
 class TestComparisonTable:
@@ -306,7 +319,7 @@ def test_balanced_plan_exactly_when_preconditions_hold(case):
         assert result.plan is None and result.plan_fallback
         return
     assert result.plan_mode == "balanced" and result.plan_fallback is None
-    assert result.plan == build_sender_plan(spec.matrix, spec.cover, survivors)
+    assert plan_pairs(result.plan) == plan_pairs(build_sender_plan(spec.matrix, spec.cover, survivors))
     assert audit_plan(result.plan, result.transcript).balanced
     sent = {k: {"coded": 0, "uncoded": 0} for k in survivors}
     for tx in result.transcript.transmissions:
