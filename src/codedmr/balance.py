@@ -19,9 +19,13 @@ server at place p of the set, 0 or 1 on a verified cover.  Its row and
 column sums are the preconditions' server counts and member sizes, and
 both matchings take it, the second after the first matching's entries
 are set to 0.  Each matching is Kuhn's augmenting-path search on int
-bitmasks over the members.  Per call it precomputes, for every (server,
-member) edge, the members still unvisited once that server takes that
-member, so a step of the search is one AND on the unvisited mask.
+bitmasks over the members, member i at bit S-1-i, so the lowest
+unvisited member is read off a mask's bit length.  Per call it
+precomputes, for every (server, member) edge, the members still
+unvisited once that server takes that member, so a step of the search
+is one AND on the unvisited mask.  The path holds members only, each
+step's server being the owner of the member before it, and is flipped
+with one XOR and one owner swap per step.
 
 The plan is the two matchings' servers, mapped to matrix rows with one
 index array: a ``SenderPlan`` (defined in ``shuffle``, its one reader,
@@ -122,18 +126,25 @@ def perfect_matching(incidence: np.ndarray) -> list[int]:
     Biregularity guarantees the matching exists, so anything short of it
     is an internal error.
 
-    The search keeps the columns it has not visited as an ``unseen``
-    mask.  What a step marks visited depends only on the class and the
-    column it takes, so before the first root each class gets one mask
-    per neighbour r: all columns but the class's neighbours up to r.  A
-    step is then one AND with that mask, and a dead end one AND with the
-    complement of the class's neighbours.  The path is held as (class,
-    column taken) steps and flipped with one XOR per step, from a table
-    of single-bit masks.  These are the same choices as a search that
-    ORs into a visited set, so the matching is unchanged.  The table
-    holds R*h masks of R bits, h being the column degree: about 0.8 MB
-    of Python ints on the MAN(12,5) balancing graph and 2.6 MB on
-    MAN(13,5).  It is local to the call and freed when it returns.
+    The masks hold column i at bit R-1-i, so the lowest column of a
+    mask m is R - m.bit_length(), with no big-int temporaries.  The search
+    keeps the columns it has not visited as an ``unseen`` mask.  What a
+    step marks visited depends only on the class and the column it
+    takes, so before the first root each class gets a list of R masks,
+    one per column: for a neighbour r, all columns but the class's
+    neighbours up to r (0, never read, for any other column).  A step is
+    then one AND with that mask, and a dead end one AND with the
+    complement of the class's neighbours.  The path holds the columns
+    taken, and nothing else: a step's class is the owner of the column
+    before it, or the root for the first step, so a dead end pops one
+    column.  The flip gives each class on the path its column and takes
+    back the one the class before it took, one XOR and one swap of
+    ``owner`` per step.  These are the same choices as a search that ORs
+    into a visited set, so the matching is unchanged.  The table holds
+    R*h masks of R bits, h being the column degree: about 0.8 MB of
+    Python ints on the MAN(12,5) balancing graph and 2.5 MB on
+    MAN(13,5), plus L lists of R pointers (0.09 and 0.18 MB).  It is
+    local to the call and freed when it returns.
     """
     n_left, n_right = incidence.shape
     if n_right < n_left or n_right % max(n_left, 1):
@@ -149,13 +160,13 @@ def perfect_matching(incidence: np.ndarray) -> list[int]:
             f"right degrees {sorted(right_degrees)})"
         )
 
-    bits = [1 << i for i in range(n_right)]
+    bits = [1 << (n_right - 1 - i) for i in range(n_right)]   # column i at bit R-1-i
     full = (1 << n_right) - 1
     avail = []                      # neighbours a class does not own
     after = []                      # after[k][r]: columns still unseen once k takes r
     stuck = []                      # columns still unseen once k is a dead end
     for row in incidence:
-        nbrs, masks = 0, {}
+        nbrs, masks = 0, [0] * n_right
         for i in np.flatnonzero(row).tolist():
             nbrs |= bits[i]
             masks[i] = full ^ nbrs
@@ -166,7 +177,7 @@ def perfect_matching(incidence: np.ndarray) -> list[int]:
     share = n_right // n_left
     for root in (k for k in range(n_left) for _ in range(share)):
         unseen = full               # columns this search has not visited
-        path: list[tuple[int, int]] = []   # (class, column it took) per step
+        path: list[int] = []        # columns taken; each step's class owns the one before
         k = root
         while True:
             free = avail[k] & unseen
@@ -177,20 +188,21 @@ def perfect_matching(incidence: np.ndarray) -> list[int]:
                         "no perfect matching found on a biregular bipartite graph; "
                         "this contradicts biregularity and indicates a bug"
                     )
-                k = path.pop()[0]
+                path.pop()
+                k = owner[path[-1]] if path else root
                 continue
-            r = (free & -free).bit_length() - 1
+            r = n_right - free.bit_length()     # lowest free column: highest bit
             unseen &= after[k][r]
-            path.append((k, r))
+            path.append(r)
             k = owner[r]
             if k < 0:               # free column: flip the path
                 # each class takes its column and gets back the column
                 # that the class before it on the path took from it
-                back = 0
-                for l, rr in path:
-                    avail[l] ^= back ^ bits[rr]
-                    owner[rr] = l
-                    back = bits[rr]
+                back, k = 0, root
+                for r in path:
+                    avail[k] ^= back | bits[r]
+                    owner[r], k = k, owner[r]
+                    back = bits[r]
                 break
     return owner
 

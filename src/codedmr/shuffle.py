@@ -534,14 +534,20 @@ class SenderPlan:
 
     ``build_sender_plan`` builds a plan over a matrix's own rows, which a
     run takes as it is; ``from_json`` and ``from_mapping`` number their
-    labels in order of first use.
+    labels in order of first use.  Any other shape, or an index outside
+    ``[0, len(servers))``, raises ValueError.
     """
 
     servers: tuple[str, ...]
     senders: np.ndarray          # (S, 2) intp
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "senders", _read_only(np.array(self.senders, dtype=np.intp)))
+        senders = np.array(self.senders, dtype=np.intp)
+        if senders.ndim != 2 or senders.shape[1] != 2:
+            raise ValueError(f"senders must be an (S, 2) array, not {senders.shape}")
+        if senders.size and not 0 <= senders.min() <= senders.max() < len(self.servers):
+            raise ValueError(f"sender indices must lie in [0, {len(self.servers)})")
+        object.__setattr__(self, "senders", _read_only(senders))
 
     @classmethod
     def _numbered(cls, labels: list[str]) -> "SenderPlan":

@@ -42,9 +42,11 @@ from .shuffle import default_plan, run_map_phase, run_reduce, run_shuffle  # noq
 def straggler_load_formula(K: int, r: int, g: int, kappa: int) -> Fraction:
     """Closed-form load of a straggler run: ``load_formula``'s
     (2/g)(1 - r/K) scaled by K/kappa, that is (2/g)(K - r)/kappa.
-    Raises ValueError for fewer than one survivor."""
+    Raises ValueError for fewer than one survivor or more than K."""
     if kappa < 1:
         raise ValueError(f"kappa={kappa} must be at least 1 survivor")
+    if kappa > K:
+        raise ValueError(f"kappa={kappa} exceeds K={K}")
     return load_formula(K, r, g) * Fraction(K, kappa)
 
 
@@ -149,11 +151,14 @@ def optimal_straggler_load(K: int, r: int, kappa: int) -> Fraction:
     attaining it.  The summation's lower index is clamped to 1 when
     r + kappa - K is not positive (see optimal_load_is_extrapolated).
     Raises ValueError for r outside [1, K - 1], as ``load_formula``
-    does, whose (2/2)(1 - r/K) is the factor before the summation.
+    does, whose (2/2)(1 - r/K) is the factor before the summation, and
+    for kappa outside [2, K].
     """
     factor = load_formula(K, r, 2)
     if kappa < 2:
         raise ValueError("need at least two survivors")
+    if kappa > K:
+        raise ValueError(f"kappa={kappa} exceeds K={K}")
     if K - kappa > r - 1:
         raise ValueError(
             f"{K - kappa} stragglers exceed the reference scheme's tolerance r-1={r - 1}"

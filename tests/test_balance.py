@@ -536,8 +536,38 @@ def test_class_matching_equals_reference_kernel(drawn):
     )
 
 
+@pytest.mark.parametrize("adj, first", [
+    ({0: [0, 1, 3], 1: [0, 1, 2], 2: [1, 2, 3], 3: [0, 2, 3]}, [3, 0, 1, 2]),
+    ({0: [0, 1, 2], 1: [0, 1, 3], 2: [1, 3, 4], 3: [2, 3, 4], 4: [0, 2, 4]}, [4, 0, 3, 1, 2]),
+])
+def test_class_matching_backs_up_from_a_dead_end(adj, first):
+    """The first matching of each 3-regular graph meets a dead end: the
+    last root walks three columns to a class with no unseen column left,
+    and the search backs up one column, to the class that took it.  On
+    the 5x5 graph a back-up to the root, or one column further, gives
+    another matching.  Random graphs do not always reach that branch.
+    Both matchings equal the reference's."""
+    assert match(adj) == reference_class_matching(adj) == dict(enumerate(first))
+    residual = {l: [r for r in rs if first[r] != l] for l, rs in adj.items()}
+    assert match(residual) == reference_class_matching(residual)
+
+
 _labels = st.text(max_size=4)
 _duties = st.lists(st.tuples(_labels, _labels), max_size=12).map(tuple)
+
+
+@pytest.mark.parametrize("senders", [[0, 1], [[0, 1, 0]], [[[0, 1]]], []])
+def test_a_sender_plan_not_of_shape_S_by_2_is_a_value_error(senders):
+    with pytest.raises(ValueError, match=r"senders must be an \(S, 2\) array"):
+        SenderPlan(("a", "b"), senders)
+
+
+@pytest.mark.parametrize("senders", [[[0, 5]], [[-1, 0]]])
+def test_a_sender_index_outside_the_labels_is_a_value_error(senders):
+    """Index 5 once raised IndexError in ``to_json``, and -1 wrapped
+    round to the last label."""
+    with pytest.raises(ValueError, match=r"sender indices must lie in \[0, 1\)"):
+        SenderPlan(("a",), senders)
 
 
 def pairs_plan(duties):

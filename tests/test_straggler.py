@@ -233,6 +233,11 @@ class TestOptimalLoad:
         with pytest.raises(ValueError):
             optimal_straggler_load(5, 2, 2)    # 3 stragglers > r-1
 
+    def test_kappa_above_K_is_a_value_error(self):
+        """Not 0 from an empty summation."""
+        with pytest.raises(ValueError, match="kappa=7 exceeds K=5"):
+            optimal_straggler_load(5, 2, 7)
+
     @pytest.mark.parametrize("K, r", [(5, 6), (5, 5), (5, 0), (5, -1)])
     def test_r_outside_1_to_K_minus_1_is_a_value_error(self, K, r):
         """r = 6 > K = 5 once gave 0 from an empty summation."""
@@ -259,6 +264,12 @@ def test_straggler_load_without_a_survivor_is_a_value_error(kappa):
     """Not a ZeroDivisionError at kappa = 0."""
     with pytest.raises(ValueError, match=f"kappa={kappa} must be at least 1 survivor"):
         straggler_load_formula(5, 2, 3, kappa)
+
+
+def test_straggler_load_with_more_survivors_than_servers_is_a_value_error():
+    """Not 2/7 at K = 5 and kappa = 7."""
+    with pytest.raises(ValueError, match="kappa=7 exceeds K=5"):
+        straggler_load_formula(5, 2, 3, 7)
 
 
 class TestComparisonTable:
