@@ -497,11 +497,12 @@ def cmd_sweep(args) -> int:
     kappa = args.kappa
     if kappa < 2:   # before lcm(K, kappa) makes Q from it
         raise ValueError(f"kappa={kappa} must be at least 2 survivors")
+    # refuses kappa > K, also before Q is made
+    expected = straggler.straggler_load_formula(con.matrix.K, con.matrix.r, cover.uniform_size, kappa)
     Q = args.Q if args.Q is not None else lcm(con.matrix.K, kappa)
     T = args.T if args.T is not None else 4
     spec = shuffle.JobSpec(con.matrix, cover, Q, T, file_seed=args.seed)
     result = straggler.worst_case_sweep(spec, kappa, plan=args.plan, cap=args.cap, seed=args.seed)
-    expected = straggler.straggler_load_formula(con.matrix.K, con.matrix.r, spec.g, kappa)
     lines = ["stragglers,load_fraction,load_decimal,decode_ok"]
     for subset, load, ok in result.runs:
         lines.append(

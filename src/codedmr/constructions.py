@@ -24,7 +24,19 @@ from .matrix import BinaryComputingMatrix, FormatError
 
 # Most cells K*N a generated matrix may have.  Larger ones are refused
 # before a subset is listed or an array allocated; MAN(18,8) has 787,644.
+# A subset matrix's N = C(K, r) is at least K, so any K over
+# isqrt(MAX_CELLS) is refused, and its C(K, r) is worked out only when
+# that is cheap (see _subset_columns).
 MAX_CELLS = 1 << 24
+
+# Python prints an int of at most 4,300 digits by default: a refusal
+# names a cell count below this and bounds a larger one.
+_PRINTABLE = 10**4300
+
+# Most bits of K(K-1)...(K-s+1), s = min(r, K - r), for which C(K, r) is
+# worked out, in about 0.2 s at most.  Past it C(K, r) has far more than
+# 4,300 digits, and computing it can take minutes.
+_EXACT_BITS = 1 << 20
 
 # Most bytes Q*N*T a job's IVA table may take.  A job over it is refused
 # before any value is hashed; a MAX_CELLS matrix at Q = K, T = 16 fits.
@@ -45,6 +57,22 @@ def _check_cells(name: str, K: int, N: int) -> None:
             f"{name} would have K={K} rows and N={N} columns, {K * N} cells, "
             f"over the limit of {MAX_CELLS}"
         )
+
+
+def _subset_columns(name: str, K: int, r: int) -> int:
+    """N = C(K, r), the columns of a K-row matrix with one column per
+    r-subset of its rows, for 1 <= r < K; raises ValueError when K*N is
+    over MAX_CELLS.  A C(K, r) too costly to work out or too long to
+    print is refused with the bound N >= K alone.
+    """
+    if min(r, K - r) * K.bit_length() <= _EXACT_BITS:
+        N = comb(K, r)
+        if K * N < _PRINTABLE:
+            _check_cells(name, K, N)
+            return N
+    raise ValueError(
+        f"{name} would have K={K} rows and N >= {K} columns, over the limit of {MAX_CELLS} cells"
+    )
 
 
 def subset_label(elems) -> str:
@@ -72,8 +100,7 @@ def _man_columns(K: int, r: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """
     if not 1 <= r < K:
         raise ValueError(f"need 1 <= r < K, got r={r}, K={K}")
-    N = comb(K, r)
-    _check_cells(f"MAN({K},{r})", K, N)
+    N = _subset_columns(f"MAN({K},{r})", K, r)
     descending = itertools.chain.from_iterable(itertools.combinations(range(K, 0, -1), r))
     subsets = np.fromiter(descending, dtype=np.intp, count=N * r).reshape(N, r)[::-1, ::-1].copy()
     subsets.flags.writeable = False
@@ -102,7 +129,7 @@ def man_matrix(K: int, r: int) -> BinaryComputingMatrix:
 def _check_t_subset(v: int, t: int) -> None:
     if not 1 <= t < v:
         raise ValueError(f"need 1 <= t < v, got t={t}, v={v}")
-    _check_cells(f"the t-subset scheme (v={v}, t={t})", v, comb(v, t))
+    _subset_columns(f"the t-subset scheme (v={v}, t={t})", v, t)
 
 
 def t_subset_matrix(v: int, t: int) -> BinaryComputingMatrix:

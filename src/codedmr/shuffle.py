@@ -24,10 +24,10 @@ kept by cover slot: the row and column of each participating slot and
 the (beta, T) values it decoded.  Decoding cancels only values whose
 column is in the receiver's own mask.  The reduce phase checks each
 delivered value against ``ivas`` where it lands, with one gather of the
-oracle and one array comparison; the per-value verdict, and the named
-mismatches and outputs over it, are built only when that comparison
-fails or they are read, so a sweep, which reads only the verdict, builds
-none of them on a run that decodes.
+oracle and one array comparison.  When that comparison passes, the
+per-value verdict is one zero-filled array; the named mismatches and
+outputs over it are built only when read, so a sweep, which reads only
+the verdict, builds neither on a run that decodes.
 
 ``run_pipeline`` is the one routine that sequences a run (map, sender
 plan, shuffle, late map, reduce, load), for the full server set, full
@@ -69,11 +69,12 @@ sender itself is missing).  Payloads are exactly beta*T bytes, where
 beta is the number of reduce functions per participating server and T
 the intermediate-value size in bytes.  All rounds of a shuffle run as
 one array kernel: one gather of the missing values of every member
-slot, one XOR reduce over the slots for every coded payload, one XOR to
-decode, and one boolean gather of the mapped masks to check every
-cancellation of the members that hold a row mapping short of its zero
-set.  A verified member's cross entries are 0, so in any other member
-every value a decode cancels is held.
+slot, one XOR reduce over the slots for every coded payload and one XOR
+to decode.  A verified member's cross entries are 0, so where every
+participating row maps its whole zero set, every value a decode cancels
+is held.  Only when some participating row maps short of it does one
+boolean gather of the mapped masks, over all S members, check every
+cancellation.
 
 So the transcript is two read-only arrays (``ShuffleTranscript``): the
 (S, 2) sender rows and the (S, 2, beta*T) payloads, member s's coded
@@ -389,10 +390,11 @@ def _exchange(
     ``values[i] ^ broadcast ^ coded``.  What makes that XOR a decode is
     that every value an encoder or decoder cancels is mapped.  A verified
     member's cross entries are 0, so a row whose map mask holds its whole
-    zero set holds every value it cancels.  So one boolean gather of the
-    mapped masks checks only the members with a participating row that
-    maps short (a partial straggler, or a row of a mask the caller passed
-    in); at every other member the only fault is a sender fault.
+    zero set holds every value it cancels.  So only when a participating
+    row maps short (a partial straggler, or a row of a mask the caller
+    passed in) does one boolean gather of the mapped masks build ``held``
+    over every member, indexed by member number; otherwise the only fault
+    is a sender fault.
 
     *tamper* maps the ``Transmission`` records of the broadcasts of every
     member before the first sender fault, in send order, and the payloads
@@ -417,33 +419,28 @@ def _exchange(
     sound = distinct & takes_part
 
     # A verified member's cross entries are 0, so a row that mapped its
-    # whole zero set holds every other slot's column.  Only the members
-    # with a participating row that maps short of it (a partial straggler,
-    # or a mask the caller passed in) can lack a value: the checked ones.
+    # whole zero set holds every other slot's column.  Only a
+    # participating row that maps short of it (a partial straggler, or a
+    # mask the caller passed in) can lack a value, so without one there
+    # is nothing to check.
     short = ((m.bits == 0) & ~store.mapped).any(axis=1)
-    checked = np.flatnonzero((short[R] & part).any(axis=1))
-    lacking, late = ~sound, checked     # with no member checked, no late fault
-    if checked.size:
-        pos = np.arange(checked.size)
-        cc, cu, pc = cs[checked], us[checked], part[checked]
-        # held[k, i, j]: in member checked[k], the row of slot i mapped
-        # the column of slot j.  The coded sender encodes from its own
-        # map-phase values, the uncoded sender sends the coded sender's
-        # column, and every other row decodes by cancelling the values of
-        # the rows besides itself and the sender.
-        held = (
-            store.mapped[R[checked, :, None], C[checked, None, :]]
-            | ~pc[:, :, None] | ~pc[:, None, :]
-        )
+    lacking, first_late = ~sound, n
+    if (short[R] & part).any():
+        # held[s, i, j]: in member s, the row of slot i mapped the column
+        # of slot j.  The coded sender encodes from its own map-phase
+        # values, the uncoded sender sends the coded sender's column, and
+        # every other row decodes by cancelling the values of the rows
+        # besides itself and the sender.
+        held = store.mapped[R[:, :, None], C[:, None, :]] | ~part[:, :, None] | ~part[:, None, :]
         held[:, np.arange(g), np.arange(g)] = True
-        own = held[pos, cc]
-        lacking[checked] |= ~own.all(1) | ~held[pos, cu, cc]
-        held[pos, cc] = True
-        held[pos, :, cc] = True
-        late = checked[sound[checked] & ~held.reshape(-1, g * g).all(1)]
+        own = held[at, cs]
+        lacking |= ~own.all(1) | ~held[at, us, cs]
+        held[at, cs] = True
+        held[at, :, cs] = True
+        late = np.flatnonzero(sound & ~held.reshape(n, g * g).all(1))
+        first_late = int(late[0]) if late.size else n
     early = np.flatnonzero(lacking)
     first_fault = int(early[0]) if early.size else n
-    first_late = int(late[0]) if late.size else n
 
     def lacks(s: int, owner: int, j: int) -> ShuffleError:
         return ShuffleError(
@@ -457,9 +454,8 @@ def _exchange(
             return ShuffleError("coded and uncoded sender must be distinct servers")
         if not takes_part[s]:
             return ShuffleError("senders must be participating rows of the member")
-        k = np.searchsorted(checked, s)   # a sound member at fault is checked
-        if not own[k].all():
-            return lacks(s, cs[s], int(np.argmin(own[k])))
+        if not own[s].all():   # a sound member at fault was checked
+            return lacks(s, cs[s], int(np.argmin(own[s])))
         return lacks(s, us[s], cs[s])
 
     # values[i, s, b]: what slot i's row of member s misses for duty slot b
@@ -480,8 +476,7 @@ def _exchange(
     if s == first_fault < n:
         raise fault(s)
     if s == first_late < n:
-        k = np.searchsorted(checked, s)
-        raise lacks(s, *divmod(int(np.argmin(held[k])), g))
+        raise lacks(s, *divmod(int(np.argmin(held[s])), g))
     if s < n:
         raise ShuffleError(
             f"member {s}: {_KINDS[wrong % 2]} broadcast has {len(sent[wrong])} bytes, expected {size}"
@@ -610,20 +605,18 @@ def run_shuffle(
     spec: JobSpec,
     duty: np.ndarray,
     store: ServerStore,
-    senders: np.ndarray | None = None,
+    senders: np.ndarray,
     tamper: Callable[[Transmission], Transmission] | None = None,
 ) -> ShuffleTranscript:
     """Run the two broadcasts of every cover member and decode them, sent
-    by the (S, 2) sender rows *senders* or else by the default plan's, for
-    the reducers of the (K, beta) *duty* array.
+    by the (S, 2) sender rows *senders* that ``run_pipeline`` resolved,
+    for the reducers of the (K, beta) *duty* array.
 
     The first read of ``spec.cover_index`` rejects a broken cover before
     any transmission.  A verified cover puts every one-entry in exactly
     one member, so after the shuffle every reducing server holds the
     values for all subfiles of its duty functions.
     """
-    if senders is None:
-        senders = default_plan(spec, duty)
     return ShuffleTranscript(spec.matrix.rows, senders, _exchange(spec, duty, store, senders, tamper))
 
 
@@ -633,24 +626,14 @@ class ReduceResult:
 
     ``bad[i, b, j]`` says the i-th reducing row of the run's (K, beta)
     *duty* array lacks a correct value of its duty function b on matrix
-    column j; a run that is ``ok`` has none, and builds the array only
-    when it is read.
-    The named mismatches and the per-function outputs are views over it,
-    built on first read.
+    column j; a run that is ``ok`` has none.  The named mismatches and
+    the per-function outputs are views over it, built on first read.
     """
 
     ok: bool
     spec: JobSpec
     duty: np.ndarray            # (K, beta) intp
-    failed: np.ndarray | None   # bad, when the run is not ok
-
-    @cached_property
-    def bad(self) -> np.ndarray:
-        """(kappa, beta, N) bool."""
-        if self.failed is not None:
-            return self.failed
-        kappa = np.count_nonzero(self.duty[:, 0] >= 0)
-        return np.zeros((kappa, self.duty.shape[1], self.spec.matrix.N), dtype=bool)
+    bad: np.ndarray             # (kappa, beta, N) bool
 
     def _reducers(self) -> tuple[list[str], list[list[int]]]:
         reducers = np.flatnonzero(self.duty[:, 0] >= 0)
@@ -702,7 +685,8 @@ def run_reduce(spec: JobSpec, duty: np.ndarray, store: ServerStore) -> ReduceRes
         oracle = np.take(spec.ivas.reshape(-1, T), duty[store.rows] * N + store.cols[:, None], axis=0)
         held[store.rows, store.cols] = True
     if held[reducers].all() and (oracle is None or np.array_equal(store.values, oracle)):
-        return ReduceResult(True, spec, duty, None)
+        shape = (np.count_nonzero(reducers), duty.shape[1], spec.matrix.N)
+        return ReduceResult(True, spec, duty, np.zeros(shape, dtype=bool))
     wrong = np.ones((*store.mapped.shape, duty.shape[1]), dtype=bool)   # (K, N, beta)
     if oracle is not None:
         wrong[store.rows, store.cols] = (store.values != oracle).any(axis=2)
@@ -820,6 +804,10 @@ def run_pipeline(
 
 _MAGIC = b"CMRT"
 
+# The log header: magic, version byte, job digest, then K, N, r, g, S, Q,
+# T and the record count.
+_HEADER = struct.Struct(">4sB32s8I")
+
 
 def job_digest(spec: JobSpec) -> bytes:
     """32-byte digest identifying (matrix, cover, Q, T, seed)."""
@@ -858,14 +846,8 @@ def transcript_log(spec: JobSpec, transcript: ShuffleTranscript) -> bytes:
     tails["length"] = size
     tails["payload"] = transcript.payloads
     flat, width = tails.tobytes(), tail.itemsize
-    parts = [
-        _MAGIC,
-        struct.pack(">B", 1),
-        job_digest(spec),
-        struct.pack(">7I", m.K, m.N, m.r, spec.g, spec.cover.size, spec.num_functions,
-                    spec.iva_bytes),
-        struct.pack(">I", 2 * S),
-    ]
+    parts = [_HEADER.pack(_MAGIC, 1, job_digest(spec), m.K, m.N, m.r, spec.g, spec.cover.size,
+                          spec.num_functions, spec.iva_bytes, 2 * S)]
     for i, k in enumerate(transcript.senders.ravel().tolist()):
         parts += (labels[k], flat[i * width : (i + 1) * width])
     return b"".join(parts)
@@ -890,11 +872,10 @@ def load_transcript(path) -> tuple[dict, tuple[Transmission, ...]]:
         raise FormatError("not a transcript log")
     if data[4:5] != b"\x01":
         raise FormatError(f"unknown transcript version {data[4:5].hex() or 'missing'}")
-    off = 37
+    off = _HEADER.size
     transmissions = []
     try:
-        K, N, r, g, S, Q, T, count = struct.unpack_from(">8I", data, off)
-        off += 32
+        _, _, digest, K, N, r, g, S, Q, T, count = _HEADER.unpack_from(data)
         for i in range(count):
             (slen,) = struct.unpack_from(">H", data, off)
             sender = data[off + 2 : off + 2 + slen]
@@ -913,7 +894,7 @@ def load_transcript(path) -> tuple[dict, tuple[Transmission, ...]]:
         )
     header = {
         "version": 1,
-        "job_digest": data[5:37].hex(),
+        "job_digest": digest.hex(),
         "K": K, "N": N, "r": r, "g": g, "S": S, "Q": Q, "T": T,
     }
     return header, tuple(transmissions)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from codedmr import (
     FormatError,
+    IdentityCover,
     JobSpec,
     SenderPlan,
     audit_plan,
@@ -80,6 +81,17 @@ def drop_first_row_of_each_member(m, cover):
 
 
 class TestPreconditions:
+    def test_differing_appearances_refuse_a_plan(self):
+        """Uniform members of 2 and gamma = 3/3, but rows 0, 1 and 2 sit in
+        3, 2 and 1 members; the balancer does not verify the cover."""
+        m = man_matrix(3, 1)
+        cover = IdentityCover.from_index(m, [[0, 1], [0, 1], [0, 2]], [[0, 1], [1, 2], [2, 0]])
+        report = balance_preconditions(m, cover)
+        assert (report.member_rows, report.gamma_integral, report.row_regular) == (2, True, False)
+        with pytest.raises(BalanceError) as err:
+            build_sender_plan(m, cover)
+        assert str(err.value) == "servers appear in differing numbers of members"
+
     def test_fano_gamma_one_regular(self, fano_pair):
         m, cover = fano_pair
         report = balance_preconditions(m, cover)

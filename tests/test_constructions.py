@@ -207,10 +207,40 @@ class TestSizeLimit:
         (lambda: transversal_matrix(2, 1009), 1009**2, 2 * 1009),
         # a Mersenne prime: refused before its trial division
         (lambda: transversal_matrix(2, 2**61 - 1), (2**61 - 1) ** 2, 2 * (2**61 - 1)),
+        # over isqrt(MAX_CELLS) = 4,096 rows, so over the limit whatever r
+        # is, but C(K, r) is cheap to work out and to print, so it is named
+        pytest.param(lambda: man_matrix(5000, 1), 5000, 5000, id="MAN(5000,1)"),
+        pytest.param(lambda: man_matrix(5000, 2500), 5000, comb(5000, 2500), id="MAN(5000,2500)"),
     ])
     def test_oversized_rejected_naming_K_and_N(self, build, K, N):
         with pytest.raises(ValueError, match=f"K={K} rows and N={N} columns"):
             build()
+
+    @pytest.mark.parametrize("build, K, name", [
+        (lambda: man_matrix(10**12, 10**6), 10**12, "MAN(1000000000000,1000000)"),
+        (lambda: man_matrix(10**9, 10**5), 10**9, "MAN(1000000000,100000)"),
+        (lambda: t_subset_matrix(10**9, 10**5), 10**9,
+         "the t-subset scheme (v=1000000000, t=100000)"),
+    ])
+    def test_a_huge_binomial_is_bounded_not_worked_out(self, monkeypatch, build, K, name):
+        """Unguarded, C(10**12, 10**6) runs for minutes, and C(10**9,
+        10**5), after a second, is too long for Python to print."""
+        def no_comb(n, k):
+            raise AssertionError(f"C({n}, {k}) was worked out")
+
+        monkeypatch.setattr(constructions, "comb", no_comb)
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == (
+            f"{name} would have K={K} rows and N >= {K} columns, "
+            f"over the limit of {MAX_CELLS} cells"
+        )
+
+    def test_a_binomial_too_long_to_print_is_bounded(self):
+        """C(2**20, 2000) takes milliseconds but has over 4,300 digits."""
+        with pytest.raises(ValueError, match=re.escape("MAN(1048576,2000) would have "
+                                                       "K=1048576 rows and N >= 1048576 columns")):
+            man_matrix(2**20, 2000)
 
     def test_admits_man_18_8(self):
         m = man_matrix(18, 8)
@@ -440,3 +470,33 @@ class TestIngestDesign:
     def test_block_count_mismatch(self):
         with pytest.raises(FormatError):
             ingest_design("3 2 3\na b c\na b c\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1 3\n", "design file needs a header and a point-label line"),
+        ("3 one 3\na b c\na b c\n", "non-integer design header: '3 one 3'"),
+        ("3 1 3\na b a\na b\n", "duplicate point labels"),
+    ])
+    def test_malformed_header_or_points(self, text, message):
+        with pytest.raises(FormatError) as err:
+            ingest_design(text)
+        assert str(err.value) == message
+
+
+def test_a_block_that_repeats_a_point_is_named():
+    d = fano_design()
+    d = BlockDesign(d.points, (("1", "1", "7"), *d.blocks[1:]), 3)
+    with pytest.raises(DesignError, match="^block 117 repeats a point; "):
+        bibd_matrix(d)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (SchemeParameters.bibd, (7, 1), "need 2 <= k < v, got k=1, v=7"),
+    (SchemeParameters.symmetric_bibd, (7, 2), "need 3 <= k < v, got k=2, v=7"),
+    (SchemeParameters.t_design_1, (8, 4, 1), "need 2 <= t <= k < v, got t=1, k=4, v=8"),
+    (SchemeParameters.t_design_2, (7, 7), "need 1 <= t < v, got t=7, v=7"),
+    (SchemeParameters.transversal, (3, 2), "need 2 <= k <= n, got k=3, n=2"),
+])
+def test_scheme_parameters_out_of_range(build, args, message):
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert str(err.value) == message

@@ -299,6 +299,11 @@ class TestSearchCover:
         assert cover.size == 7 and cover.uniform_size == 3
         assert verify_cover(m, cover).ok
 
+    def test_an_unknown_mode_is_a_value_error(self):
+        with pytest.raises(ValueError) as err:
+            search_cover(fano_matrix(), 3, mode="fast")
+        assert str(err.value) == "unknown search mode 'fast'"
+
     def test_fano_g4_infeasible_by_divisibility(self):
         with pytest.raises(CoverInfeasibleError, match="divisible"):
             search_cover(fano_matrix(), 4, mode="exact")

@@ -108,6 +108,17 @@ def test_the_callers_bits_stay_writeable():
     assert m.bits[0, 0] == 0 and not m.bits.flags.writeable
 
 
+@pytest.mark.parametrize("bits, text", [
+    (np.zeros(2, np.uint8), "bits must be a rectangular 2-d array"),
+    (np.zeros((1, 2), np.uint8), "bits shape (1, 2) does not match 2 row and 2 column labels"),
+    (np.zeros((2, 3), np.uint8), "bits shape (2, 3) does not match 2 row and 2 column labels"),
+])
+def test_bits_not_of_the_labels_shape_are_rejected(bits, text):
+    with pytest.raises(ValueError) as err:
+        BinaryComputingMatrix(("1", "2"), ("a", "b"), bits, 1)
+    assert str(err.value) == text
+
+
 @pytest.mark.parametrize("rows, cols, text", [
     (("1", "1"), ("a", "b"), "duplicate row labels"),
     (("1", "2"), ("a", "a"), "duplicate column labels"),

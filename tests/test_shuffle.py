@@ -269,9 +269,11 @@ class TestRunShuffle:
     def test_broken_cover_rejected_before_any_transmission(self):
         spec = fano_spec()
         broken = dataclasses.replace(spec, cover=label_cover(cover_members(spec.cover)[:-1]))
+        duty = block_duties(7, range(7), 7)
+        senders = default_plan(spec, duty)[:-1]
         store = run_map_phase(broken)
         with pytest.raises(ShuffleError, match="cover failed verification"):
-            run_shuffle(broken, block_duties(7, range(7), 7), store)
+            run_shuffle(broken, duty, store, senders)
 
     def test_payload_lengths_are_beta_T(self):
         spec = fano_spec(Q=14, T=5)
@@ -300,6 +302,19 @@ class TestRunShuffle:
             JobSpec(m, cover, 8, 4)    # not a multiple of K
         with pytest.raises(ValueError):
             JobSpec(m, cover, 0, 4)
+
+    def test_jobspec_validates_sizes_and_cover(self):
+        m = fano_matrix()
+        cover = search_cover(m, 3, mode="exact")
+        singles = IdentityCover.from_index(m, *(np.argwhere(m.bits).T[:, :, None]))
+        for args, kwargs, message in [
+            ((cover, 7, 0), {}, "intermediate values need at least one byte"),
+            ((cover, 7, 4), {"subfile_bytes": 0}, "subfiles need at least one byte"),
+            ((singles, 7, 4), {}, "job needs a uniform cover with member size >= 2"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                JobSpec(m, *args, **kwargs)
+            assert str(err.value) == message
 
     def test_all_stragglers_rejected(self):
         spec = fano_spec()
@@ -365,7 +380,8 @@ class TestReduceViews:
         spec = fano_spec(Q=14, T=4)
         store = run_map_phase(spec)
         assert store.rows is store.cols is store.values is None
-        run_shuffle(spec, block_duties(7, range(7), 14), store)
+        duty = block_duties(7, range(7), 14)
+        run_shuffle(spec, duty, store, default_plan(spec, duty))
         # every one-entry is one slot, and each holds two duty values
         assert store.values.shape == (7 * 3, 2, 4)
         assert sorted(zip(store.rows.tolist(), store.cols.tolist())) == sorted(

@@ -56,6 +56,11 @@ class TestStragglerRun:
         result = straggler_run(spec, ())
         assert result.load == load_formula(5, 2, 3)
 
+    def test_an_unknown_plan_mode_is_a_value_error(self):
+        with pytest.raises(ValueError) as err:
+            straggler_run(man_spec(5, 2, 5), (), "fastest")
+        assert str(err.value) == "unknown plan mode 'fastest'"
+
     def test_transcript_shape(self):
         spec = man_spec(5, 2, 20)
         result = straggler_run(spec, ("1",))
